@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import DomainError, ToleranceUnmet
@@ -73,17 +72,18 @@ __all__ = [
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Half-width of the f-integration window around f0; 2 Phi(-8.5) < 2e-17.
 _F_WINDOW = 8.5
-# rejection_prob hands |rho| beyond this to the exact degenerate formulas.
+# Both evaluators hand |rho| beyond this to the exact degenerate formulas.
 _RHO1_EDGE = 1.0 - 1e-6
-# The panel engine switches to the degenerate formulas a little earlier:
-# Gauss-Legendre panels stop resolving conditional features once s ~ 0.01.
-_PROFILE_RHO1_EDGE = 1.0 - 5e-5
 # Geometric ladder of panel-edge offsets laid down on both sides of every
 # breakpoint; root positions behave like sqrt(distance) at a root-birth
 # point, so panels must shrink towards the kink.
 _GRADED_OFFSETS = (1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2)
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+# A profile sweep evaluates at most _F0_CHUNK f0 values at a time, spanning
+# at most _F0_SPAN, so that each chunk's node slice stays close to the
+# 2 * _F_WINDOW every f0 needs.
 _F0_CHUNK = 64
+_F0_SPAN = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,12 @@ class TFProcedure:
         if not self.cvf.knots:
             raise DomainError("TFProcedure.cvf has no knots")
 
+    @cached_property
+    def knot_arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(knot positions, knot values, sqrt(lower_support)) as arrays."""
+        xs, gs = np.asarray(self.cvf.knots, dtype=float).T
+        return xs, gs, math.sqrt(self.cvf.lower_support)
+
 
 Procedure = Union[ConventionalT, ThresholdTF, HybridAR, PureAR, TFProcedure]
 
@@ -248,87 +254,95 @@ def _rho1_hybrid_profile(crit: float, f_threshold: float, f0s: np.ndarray) -> np
     return np.clip(base + upper + lower, 0.0, 1.0)
 
 
-def _cvf_arrays(cvf) -> tuple[np.ndarray, np.ndarray, float]:
-    xs = np.asarray([k[0] for k in cvf.knots], dtype=float)
-    gs = np.asarray([k[1] for k in cvf.knots], dtype=float)
-    return xs, gs, math.sqrt(cvf.lower_support)
+def _range_pairs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, r) for every i and every r in range(starts[i], stops[i])."""
+    counts = np.maximum(stops - starts, 0)
+    i = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return i, np.arange(i.size) + np.repeat(starts - first, counts)
 
 
-def _rho1_cvf_prob(cvf, f0: float) -> float:
-    """|rho| = 1 size of the curve-based test, by locating every f-crossing.
+def _rho1_cvf_masses(
+    xs: np.ndarray, gs: np.ndarray, sq: float, f0s
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact |rho| = 1 rejection mass of the curve rule: (lower, hump, upper).
 
-    In f-space the test rejects iff |f| >= sqrt(lower_support) and
-    |f| |f - f0| > f0 g(|f|) with g the sqrt-critical curve.  On f <= -sq and
-    on f >= max(sq, f0) the margin is strictly increasing (g is
-    nonincreasing), giving one crossing each; on sq < f < f0 the margin is
-    negative at both ends and can poke above zero in between, contributing
-    a bounded "hump" interval scanned on the knot grid.
+    With x = |f|, the rule rejects iff x >= sq and x |f - f0| > f0 g(x), g the
+    knot curve (flat at its first value on [sq, first knot] and at its last
+    value beyond the last knot), so on each knot interval g = c + m x and
+    every crossing is a quadratic root:
+
+      lower tail f = -a <= -sq:      a (a + f0) >= f0 g(a)  iff  f0 <= a^2 / (g - a)
+      upper tail f = x >= max(sq, f0): x (x - f0) >= f0 g(x)  iff  f0 <= x^2 / (x + g)
+      hump sq < f = x < f0:          v(x) = x (f0 - x) - f0 g(x) > 0
+
+    g is nonincreasing, so both tail ratios increase along the knots and the
+    crossing interval of every f0 is one searchsorted.  v is positive at knot
+    i iff f0 > x_i^2 / (x_i - g_i), and concave on each interval, with its
+    vertex at f0 (1 - m) / 2 and a positive peak iff f0 > 4 c / (1 - m)^2.
+    So each interval enters the hump (v turns positive), leaves it, or holds
+    a dip above zero for one range of f0; roots are solved only on those
+    (interval, f0) pairs, and intervals positive at both ends telescope.
+    v < 0 at sq and at every x >= f0, which bounds the hump to (sq, f0).
     """
-    xs, gs, sq = _cvf_arrays(cvf)
+    f0s = np.asarray(f0s, dtype=float)
+    X = np.concatenate(([sq], xs, [np.inf]))
+    G = np.concatenate(([gs[0]], gs, [gs[-1]]))
+    m = np.diff(G) / np.diff(X)
+    c = G[:-1] - m * X[:-1]
+    x, g = X[:-1], G[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        low_ratio = np.append(np.where(g > x, x * x / (g - x), np.inf), np.inf)
+        up_ratio = np.append(x * x / (x + g), np.inf)
+        hump_ratio = np.append(np.where(x > g, x * x / (x - g), np.inf), np.inf)
 
-    def g(x: float) -> float:
-        return float(np.interp(x, xs, gs))
+        j = np.searchsorted(low_ratio, f0s)
+        k = np.maximum(j - 1, 0)
+        b = f0s * (1.0 - m[k])
+        a = 0.5 * (-b + np.sqrt(b * b + 4.0 * (f0s * c[k])))
+        a = np.where(j == 0, sq, np.clip(a, X[k], X[k + 1]))
 
-    # Lower tail f <= -sq: margin w(a) = a (a + f0) - f0 g(a) in a = -f.
-    def w_low(a: float) -> float:
-        return a * (a + f0) - f0 * g(a)
+        j = np.searchsorted(up_ratio, f0s)
+        k = np.maximum(j - 1, 0)
+        b = f0s * (1.0 + m[k])
+        cc = f0s * c[k]
+        root = np.sqrt(b * b + 4.0 * cc)
+        u = np.where(b >= 0.0, 0.5 * (b + root), 2.0 * cc / (root - b))
+        u = np.where(j == 0, sq, np.clip(u, X[k], X[k + 1]))
 
-    if w_low(sq) >= 0.0:
-        a_star = sq
-    else:
-        vals = xs * (xs + f0) - f0 * gs
-        pos = np.nonzero(vals >= 0.0)[0]
-        if pos.size:
-            j = int(pos[0])
-            a_star = brentq(w_low, xs[j - 1] if j else sq, xs[j], xtol=1e-12)
-        else:
-            # Beyond the last knot the curve is flat at gs[-1].
-            gl = gs[-1]
-            a_star = 0.5 * (-f0 + math.sqrt(f0 * f0 + 4.0 * f0 * gl))
-
-    # Upper tail f >= max(sq, f0): margin w(x) = x (x - f0) - f0 g(x).
-    def w_up(x: float) -> float:
-        return x * (x - f0) - f0 * g(x)
-
-    lo = max(sq, f0)
-    if w_up(lo) >= 0.0:
-        u_star = lo
-    else:
-        u_star = brentq(w_up, lo, f0 + 9.0, xtol=1e-12)
-
-    p = ndtr(-a_star - f0) + 1.0 - ndtr(u_star - f0)
-
-    # Interior band sq < f < f0 (nonempty only when f0 > sq).
-    if f0 > sq + 1e-12:
-        grid = np.unique(
-            np.concatenate([xs[(xs > sq) & (xs < f0)], np.linspace(sq, f0, 257)])
+    order = np.argsort(f0s)
+    F = f0s[order]
+    one_m = 1.0 - m
+    t_left, t_right = hump_ratio[:-1], hump_ratio[1:]
+    dip_lo = np.maximum(4.0 * c / (one_m * one_m), 2.0 * x / one_m)
+    dip_hi = np.minimum(np.minimum(t_left, t_right), 2.0 * X[1:] / one_m)
+    hump = np.zeros(F.size)
+    # (f0 range per interval, enters at the smaller root, leaves at the larger)
+    for lo, hi, enters, leaves in (
+        (t_right, t_left, True, False),
+        (t_left, t_right, False, True),
+        (dip_lo, dip_hi, True, True),
+    ):
+        i, rows = _range_pairs(
+            np.searchsorted(F, lo, side="right"), np.searchsorted(F, hi, side="right")
         )
-        vals = grid * (f0 - grid) - f0 * np.interp(grid, xs, gs)
-
-        def w_mid(x: float) -> float:
-            return x * (f0 - x) - f0 * g(x)
-
-        inside = vals > 0.0
-        flips = np.nonzero(inside[:-1] != inside[1:])[0]
-        edges = [brentq(w_mid, grid[i], grid[i + 1], xtol=1e-12) for i in flips]
-        # The margin is < 0 at both grid ends, so crossings pair up.
-        for x1, x2 in zip(edges[0::2], edges[1::2]):
-            p += ndtr(x2 - f0) - ndtr(x1 - f0)
-    return float(min(max(p, 0.0), 1.0))
+        f0 = F[rows]
+        b = f0 * one_m[i]
+        cc = f0 * c[i]
+        root = np.sqrt(np.maximum(b * b - 4.0 * cc, 0.0))
+        w = np.zeros(f0.size)
+        if leaves:
+            w += ndtr(np.clip(0.5 * (b + root), X[i], X[i + 1]) - f0)
+        if enters:
+            w -= ndtr(np.clip(2.0 * cc / (b + root), X[i], X[i + 1]) - f0)
+        hump += np.bincount(rows, w, minlength=F.size)
+    in_order = np.empty(F.size)
+    in_order[order] = hump
+    return ndtr(-a - f0s), in_order, ndtr(f0s - np.maximum(u, f0s))
 
 
 def _rho1_point_prob(proc: Procedure, f0: float) -> float:
-    if isinstance(proc, ConventionalT):
-        return float(_rho1_threshold_profile(proc.crit, 0.0, np.array([f0]))[0])
-    if isinstance(proc, ThresholdTF):
-        return float(_rho1_threshold_profile(proc.crit, proc.f_threshold, np.array([f0]))[0])
-    if isinstance(proc, HybridAR):
-        return float(_rho1_hybrid_profile(proc.crit, proc.f_threshold, np.array([f0]))[0])
-    if isinstance(proc, PureAR):
-        return 2.0 * float(ndtr(-math.sqrt(proc.crit)))
-    if isinstance(proc, TFProcedure):
-        return _rho1_cvf_prob(proc.cvf, f0)
-    raise DomainError(f"unknown procedure {proc!r}")
+    return float(_rho1_profile(proc, np.array([f0]))[0])
 
 
 def rejection_prob_rho1(proc: Procedure, f0: float) -> float:
@@ -443,30 +457,28 @@ def _make_integrand(proc: Procedure, rho: float, f0: float):
     return integrand
 
 
-def _scalar_sqrt_crit(cvf, x: float) -> float:
-    return float(np.asarray(cvf.sqrt_crit_profile(np.array([x])))[0])
-
-
-def _cvf_crossing(cvf, scale: float) -> float:
+def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     """Positive x in [sqrt support, sqrt f_tilde] solving x = scale * g(x).
 
     g is nonincreasing, so x - scale g(x) is strictly increasing and the
-    crossing is unique; if the margin is already >= 0 at the support edge the
+    crossing is unique: a searchsorted on the knots, then the root of the
+    linear piece.  If the margin is already >= 0 at the support edge the
     crossing is clamped there.
     """
-    sq = math.sqrt(cvf.lower_support)
-    # Beyond scale * (largest knot value) the margin is surely positive, so an
-    # infinite f_tilde (a curve that never pins) still yields a finite bracket.
-    hi = min(math.sqrt(cvf.f_tilde), scale * cvf.knots[0][1] + 1.0)
-
-    def margin(x: float) -> float:
-        return x - scale * _scalar_sqrt_crit(cvf, x)
-
-    if margin(sq) >= 0.0:
+    xs, gs, sq = proc.knot_arrays
+    X = np.concatenate(([sq], xs))
+    G = np.concatenate(([gs[0]], gs))
+    j = int(np.searchsorted(X - scale * G, 0.0))
+    if j == 0:
         return sq
-    if margin(hi) <= 0.0:
-        return hi
-    return float(brentq(margin, sq, hi, xtol=1e-12))
+    if j == X.size:  # flat beyond the last knot
+        x = scale * gs[-1]
+    else:
+        m = (G[j] - G[j - 1]) / (X[j] - X[j - 1])
+        x = scale * (G[j - 1] - m * X[j - 1]) / (1.0 - scale * m)
+    # Beyond scale * (largest knot value) the margin is surely positive, so an
+    # infinite f_tilde (a curve that never pins) still yields a finite bound.
+    return min(x, math.sqrt(proc.cvf.f_tilde), scale * gs[0] + 1.0)
 
 
 def _breakpoints(proc: Procedure, rho: float) -> list[float]:
@@ -480,8 +492,8 @@ def _breakpoints(proc: Procedure, rho: float) -> list[float]:
     elif isinstance(proc, TFProcedure):
         cvf = proc.cvf
         pts.extend([math.sqrt(cvf.lower_support), math.sqrt(cvf.f_tilde)])
-        pts.append(_cvf_crossing(cvf, 1.0))  # asymptote: f^2 = c(f^2)
-        pts.append(_cvf_crossing(cvf, s))  # root birth: f = s sqrt(c)
+        pts.append(_cvf_crossing(proc, 1.0))  # asymptote: f^2 = c(f^2)
+        pts.append(_cvf_crossing(proc, s))  # root birth: f = s sqrt(c)
     return sorted({p for x in pts for p in (-x, x) if x > 0.0 and math.isfinite(x)})
 
 
@@ -499,6 +511,8 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
 
     if abs(p.rho) > _RHO1_EDGE:
         return SizeResult(prob=_rho1_point_prob(proc, p.f0), abs_err=1e-13, point=p)
+
+    from scipy.integrate import quad
 
     lo, hi = p.f0 - _F_WINDOW, p.f0 + _F_WINDOW
     pts = [b for b in _breakpoints(proc, p.rho) if lo + 1e-9 < b < hi - 1e-9]
@@ -635,19 +649,21 @@ def _rho1_profile(proc: Procedure, f0s: np.ndarray) -> np.ndarray:
     if isinstance(proc, PureAR):
         return np.full(f0s.shape, 2.0 * float(ndtr(-math.sqrt(proc.crit))))
     if isinstance(proc, TFProcedure):
-        return np.array([_rho1_cvf_prob(proc.cvf, float(v)) for v in f0s])
+        return np.clip(sum(_rho1_cvf_masses(*proc.knot_arrays, f0s)), 0.0, 1.0)
     raise DomainError(f"unknown procedure {proc!r}")
 
 
 def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     """Rejection probabilities at one rho across an array of f0 values.
 
-    Fixed Gauss-Legendre panels shared by every f0 in the sweep; accuracy is
-    a few parts in 1e6 for |rho| <= 1 - 5e-5, beyond which the degenerate
-    closed forms take over.  Each f0 is integrated only over the nodes within
-    _F_WINDOW of it, as in `rejection_prob`: the f0 values are swept in
-    ascending chunks of _F0_CHUNK, and each chunk evaluates only the nodes
-    within _F_WINDOW of its own f0 range.
+    Fixed Gauss-Legendre panels shared by every f0 in the sweep, no wider
+    than 2.4 times the conditional sd s = sqrt(1 - rho^2), so that they
+    resolve the conditional law's edges of width ~s; accuracy is a few parts
+    in 1e6 for |rho| <= 1 - 1e-6, beyond which the degenerate closed forms
+    take over, as in `rejection_prob`.  Each f0 is integrated only over the
+    nodes within _F_WINDOW of it: the f0 values are swept in ascending chunks
+    of at most _F0_CHUNK values spanning at most _F0_SPAN, and each chunk
+    evaluates only the nodes within _F_WINDOW of its own f0 range.
     """
     f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
     if f0s.size == 0:
@@ -657,11 +673,11 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     if not np.all(np.isfinite(f0s)) or np.any(f0s < 0.0):
         raise DomainError("f0 values must be finite and >= 0")
 
-    if abs(rho) > _PROFILE_RHO1_EDGE:
+    if abs(rho) > _RHO1_EDGE:
         return _rho1_profile(proc, f0s)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    h = min(0.3, 2.4 * max(s, 0.01))
+    h = min(0.3, 2.4 * s)
     order = np.argsort(f0s)
     f0_sorted = f0s[order]
     lo = float(f0_sorted[0]) - _F_WINDOW
@@ -671,9 +687,13 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     base, sign, rlo, rhi = _node_regions(proc, nodes, rho)
 
     out = np.empty(f0s.shape)
-    for start in range(0, f0s.size, _F0_CHUNK):
-        idx = order[start : start + _F0_CHUNK]
-        f0c = f0_sorted[start : start + _F0_CHUNK]
+    start = 0
+    while start < f0s.size:
+        span_end = np.searchsorted(f0_sorted, f0_sorted[start] + _F0_SPAN, side="right")
+        stop = min(start + _F0_CHUNK, int(span_end))
+        idx = order[start:stop]
+        f0c = f0_sorted[start:stop]
+        start = stop
         a = np.searchsorted(nodes, f0c[0] - _F_WINDOW, side="left")
         b = np.searchsorted(nodes, f0c[-1] + _F_WINDOW, side="right")
         d = nodes[None, a:b] - f0c[:, None]

@@ -27,7 +27,9 @@ makes this f0's size exactly alpha.  The new curve is the nonincreasing
 upper envelope of all requirements, and sweeps repeat until the knot values
 stabilize.  Both rejected-mass pieces are computed exactly: on each knot
 interval the margin is a quadratic minus a linear function, so crossings are
-quadratic roots, not searches.
+quadratic roots, not searches.  The sweep and the size engine's |rho| = 1
+path share one evaluator, `size_engine._rho1_cvf_masses`, vectorised over
+f0.
 """
 
 from __future__ import annotations
@@ -35,15 +37,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import uuid
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from .errors import ConstructionError, DomainError
 from .gaussian import chi2_quantile_1df
+from .size_engine import TFProcedure, _rho1_cvf_masses, rejection_prob_profile
 from .worst_case import local_max_size
 
 __all__ = [
@@ -136,94 +141,17 @@ def default_knot_grid(alpha: float) -> np.ndarray:
     return np.arange(start, 12.0 + 1e-9, _KNOT_PITCH)
 
 
-def _mass_low(xs: np.ndarray, gs: np.ndarray, sq: float, f0: float) -> float:
-    """Mass of the lower-tail rejection region f <= -a*, via the exact
-    crossing of w(a) = a(a + f0) - f0 g(a), which is strictly increasing."""
-    av = np.concatenate(([sq], xs))
-    gv = np.concatenate(([gs[0]], gs))
-    vals = av * (av + f0) - f0 * gv
-    if vals[0] >= 0.0:
-        return float(ndtr(-sq - f0))
-    pos = np.nonzero(vals >= 0.0)[0]
-    if pos.size == 0:
-        # Flat beyond the last knot: a^2 + f0 a - f0 g_last = 0.
-        gl = gv[-1]
-        a_star = 0.5 * (-f0 + math.sqrt(f0 * f0 + 4.0 * f0 * gl))
-        a_star = max(a_star, sq)
-    else:
-        j = int(pos[0])
-        x0, x1 = av[j - 1], av[j]
-        g0, g1 = gv[j - 1], gv[j]
-        m = (g1 - g0) / (x1 - x0)
-        # a^2 + f0(1 - m) a - f0 (g0 - m x0) = 0, positive root.
-        b = f0 * (1.0 - m)
-        c = -f0 * (g0 - m * x0)
-        a_star = 0.5 * (-b + math.sqrt(b * b - 4.0 * c))
-        a_star = min(max(a_star, x0), x1)
-    return float(ndtr(-a_star - f0))
-
-
-def _mass_mid(xs: np.ndarray, gs: np.ndarray, sq: float, f0: float) -> float:
-    """Mass of the interior hump sq < f < f0 where x(f0 - x)/f0 > g(x).
-
-    The margin v(x) = x(f0 - x) - f0 g(x) is negative at both ends, so the
-    region is a union of intervals; per knot interval v is a concave
-    quadratic, solved exactly (both roots, covering dips entirely inside
-    one interval).
-    """
-    if f0 <= sq + 1e-12:
-        return 0.0
-    inner = xs[(xs > sq) & (xs < f0)]
-    xv = np.concatenate(([sq], inner, [f0]))
-    gv = np.interp(xv, xs, gs)
-    x0 = xv[:-1]
-    x1 = xv[1:]
-    g0 = gv[:-1]
-    g1 = gv[1:]
-    m = (g1 - g0) / (x1 - x0)
-    # v(x) = -x^2 + (f0 - f0 m) x - f0 (g0 - m x0)  per interval.
-    b = f0 * (1.0 - m)
-    c = -f0 * (g0 - m * x0)
-    disc = b * b + 4.0 * c
-    ok = disc > 0.0
-    if not np.any(ok):
-        return 0.0
-    sqrt_disc = np.sqrt(np.where(ok, disc, 0.0))
-    r_lo = 0.5 * (b - sqrt_disc)
-    r_hi = 0.5 * (b + sqrt_disc)
-    roots = []
-    for rr in (r_lo, r_hi):
-        keep = ok & (rr > x0 + 1e-13) & (rr < x1 - 1e-13)
-        roots.append(rr[keep])
-    allr = np.sort(np.concatenate(roots))
-    if allr.size == 0:
-        return 0.0
-    if allr.size % 2:  # numerical tie at a knot; drop the stray crossing
-        allr = allr[:-1]
-    starts = allr[0::2]
-    ends = allr[1::2]
-    return float(np.sum(ndtr(ends - f0) - ndtr(starts - f0)))
-
-
 def _sweep_requirements(
     xs: np.ndarray, gs: np.ndarray, sq: float, f0s: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Jacobi sweep: requirement points (x, y) sorted by x."""
-    req_x = []
-    req_y = []
-    for f0 in f0s:
-        rest = _mass_low(xs, gs, sq, f0) + _mass_mid(xs, gs, sq, f0)
-        need = alpha - rest
-        if need <= 1e-14:
-            continue
-        z = float(ndtri(1.0 - need))
-        x_req = f0 + z
-        if x_req <= sq:
-            continue
-        req_x.append(x_req)
-        req_y.append(x_req * z / f0)
-    rx = np.asarray(req_x, dtype=float)
-    ry = np.asarray(req_y, dtype=float)
+    lower, hump, _ = _rho1_cvf_masses(xs, gs, sq, f0s)
+    need = alpha - (lower + hump)
+    z = ndtri(1.0 - need)
+    x_req = f0s + z
+    keep = (need > 1e-14) & (x_req > sq)
+    rx = x_req[keep]
+    ry = rx * z[keep] / f0s[keep]
     order = np.argsort(rx)
     return rx[order], ry[order]
 
@@ -337,7 +265,7 @@ def build_cvf(alpha: float, grid: Optional[Sequence[float]] = None) -> CriticalV
 
 
 def _self_audit(cvf: CriticalValueFunction) -> None:
-    """Check the finished curve against an independent ridge evaluator.
+    """Check the finished curve's exact ridge size zone by zone.
 
     Three zones, each with the tightest tolerance the representation can
     honestly meet.  On [0.5, min(8.5, sqrt(f_tilde) - 1.6)] the construction
@@ -351,8 +279,6 @@ def _self_audit(cvf: CriticalValueFunction) -> None:
     representation artifact, not a construction failure.  The cap zone and
     its tolerance scale with alpha through f0_edge.
     """
-    from .size_engine import TFProcedure, rejection_prob_profile
-
     proc = TFProcedure(cvf=cvf)
     alpha = cvf.alpha
     sq = math.sqrt(cvf.lower_support)
@@ -474,16 +400,28 @@ def _canonical_payload(cvf: CriticalValueFunction) -> str:
 
 
 def save_cvf(cvf: CriticalValueFunction, path) -> None:
-    """Serialize the curve with a content checksum for cache reuse."""
+    """Serialize the curve with a content checksum for cache reuse.
+
+    The file is written under a temporary name in the target directory and
+    then renamed over ``path``, so a reader sees the old file or the new
+    one, never a partial write.
+    """
     canonical = _canonical_payload(cvf)
     doc = {
         "format": _FILE_FORMAT,
         "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "payload": json.loads(canonical),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    path = os.fspath(path)
+    tmp = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write failed before the rename
+            os.unlink(tmp)
 
 
 def load_cvf(path) -> CriticalValueFunction:

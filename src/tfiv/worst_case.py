@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import ConstructionError, DomainError, ToleranceUnmet
@@ -435,6 +434,8 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     if 1.0 - float(ndtr(math.sqrt(crit))) >= alpha:
         return None
 
+    from scipy.optimize import brentq
+
     def gap(f_threshold: float) -> float:
         return local_max_size(f_threshold, crit) - alpha
 
@@ -491,6 +492,8 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             f"solve_critical_value: level {alpha} unattainable at "
             f"f_threshold={f_threshold} (floor {floor:.6f})"
         )
+
+    from scipy.optimize import brentq
 
     q_alpha = _chi2_quantile(1.0 - alpha)
 

@@ -1,6 +1,10 @@
 import importlib.resources
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -357,3 +361,18 @@ def test_alpha_out_of_range_exits_1(cli_env, capsys):
     code, _, err = run_cli(["cv", "--f", "6.25", "--alpha", "1.5"], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "DomainError"
+
+
+def test_cli_import_leaves_integrate_and_optimize_unloaded():
+    # Only `size` and `solve` reach quad or brentq; every other subcommand
+    # must not pay for importing them.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, tfiv.cli; "
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from tfiv.errors import DomainError
 from tfiv.gaussian import std_normal_cdf
@@ -15,12 +17,15 @@ from tfiv.size_engine import (
     TFProcedure,
     _F0_CHUNK,
     _F_WINDOW,
+    _rho1_cvf_masses,
     hybrid_extra_term,
     rejection_prob,
     rejection_prob_matrix,
     rejection_prob_profile,
     rejection_prob_rho1,
 )
+from tfiv.tf_critical import CriticalValueFunction
+from tfiv.worst_case import _ridge_f0_grid
 
 Q95 = 3.8414588206941254
 SQRT_Q95 = 1.959963984540054
@@ -178,3 +183,125 @@ def test_rejection_prob_rho1_rejects_bad_f0():
         rejection_prob_rho1(PureAR(crit=Q95), -1.0)
     with pytest.raises(DomainError):
         rejection_prob_rho1(PureAR(crit=Q95), math.inf)
+
+
+def test_profile_matches_pointwise_on_coarse_sweep():
+    # Step-1 f0 values: a chunk cut by count alone would span 63 units here,
+    # so this exercises the chunks that end on their f0 span instead.
+    proc = ThresholdTF(crit=Q95, f_threshold=10.0)
+    f0s = np.arange(40.0, 140.01, 1.0)
+    for rho in (0.7, 0.99):
+        prof = rejection_prob_profile(proc, rho, f0s)
+        for i, f0 in enumerate(f0s):
+            direct = rejection_prob(proc, NuisancePoint(rho=rho, f0=float(f0))).prob
+            assert math.isclose(prof[i], direct, rel_tol=1e-8, abs_tol=1e-10)
+
+
+def test_profile_near_rho1_band_matches_pointwise():
+    # Between |rho| = 1 - 5e-5 and 1 - 1e-6 the |rho| = 1 closed form
+    # (0.96052 here) is 2e-3 to 5e-2 off; the profile must agree with the
+    # adaptive integral instead.
+    proc = ConventionalT(crit=1.96**2)
+    f0 = 0.00125
+    expected = {0.9999988: 0.958386, 0.99999: 0.937199, 0.99996: 0.912148}
+    for rho, value in expected.items():
+        prof = float(rejection_prob_profile(proc, rho, [f0])[0])
+        direct = rejection_prob(proc, NuisancePoint(rho=rho, f0=f0)).prob
+        assert abs(prof - direct) <= 1e-6
+        assert abs(prof - value) <= 1e-6
+
+
+def test_profile_resolves_rejection_edge_near_rho1():
+    # At s = sqrt(1 - rho^2) = 1.4e-3 the rejection set of the F > 10 screen
+    # starts 0.0094 above the gate; adaptive quad steps over that edge (it
+    # reports 0.114667), while a tanh-sinh integral that shares no code with
+    # tfiv gives 0.112875 and 2e7 simulated draws 0.11295 +- 7e-5.
+    proc = ThresholdTF(crit=1.96**2, f_threshold=10.0)
+    prof = float(rejection_prob_profile(proc, 0.999999, [1.9602])[0])
+    assert abs(prof - 0.112875) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# independent |rho| = 1 oracle for the curve rule: a sign scan plus brentq
+
+
+def _rho1_cvf_scanner(cvf, f0: float) -> float:
+    """|rho| = 1 size of the curve-based test, by locating every f-crossing.
+
+    In f-space the test rejects iff |f| >= sqrt(lower_support) and
+    |f| |f - f0| > f0 g(|f|) with g the sqrt-critical curve.  On f <= -sq and
+    on f >= max(sq, f0) the margin is strictly increasing (g is
+    nonincreasing), giving one crossing each; on sq < f < f0 the margin is
+    negative at both ends and can poke above zero in between, contributing
+    a bounded "hump" interval scanned on the knot grid plus a 257-point
+    grid, so a hump that starts and ends inside one scan cell is missed.
+    """
+    xs = np.asarray([k[0] for k in cvf.knots], dtype=float)
+    gs = np.asarray([k[1] for k in cvf.knots], dtype=float)
+    sq = math.sqrt(cvf.lower_support)
+
+    def g(x: float) -> float:
+        return float(np.interp(x, xs, gs))
+
+    def w_low(a: float) -> float:
+        return a * (a + f0) - f0 * g(a)
+
+    if w_low(sq) >= 0.0:
+        a_star = sq
+    else:
+        vals = xs * (xs + f0) - f0 * gs
+        pos = np.nonzero(vals >= 0.0)[0]
+        if pos.size:
+            j = int(pos[0])
+            a_star = brentq(w_low, xs[j - 1] if j else sq, xs[j], xtol=1e-12)
+        else:
+            a_star = 0.5 * (-f0 + math.sqrt(f0 * f0 + 4.0 * f0 * gs[-1]))
+
+    def w_up(x: float) -> float:
+        return x * (x - f0) - f0 * g(x)
+
+    lo = max(sq, f0)
+    u_star = lo if w_up(lo) >= 0.0 else brentq(w_up, lo, f0 + 9.0, xtol=1e-12)
+    p = ndtr(-a_star - f0) + 1.0 - ndtr(u_star - f0)
+
+    if f0 > sq + 1e-12:
+        grid = np.unique(
+            np.concatenate([xs[(xs > sq) & (xs < f0)], np.linspace(sq, f0, 257)])
+        )
+        vals = grid * (f0 - grid) - f0 * np.interp(grid, xs, gs)
+
+        def w_mid(x: float) -> float:
+            return x * (f0 - x) - f0 * g(x)
+
+        inside = vals > 0.0
+        flips = np.nonzero(inside[:-1] != inside[1:])[0]
+        edges = [brentq(w_mid, grid[i], grid[i + 1], xtol=1e-12) for i in flips]
+        for x1, x2 in zip(edges[0::2], edges[1::2]):
+            p += ndtr(x2 - f0) - ndtr(x1 - f0)
+    return float(min(max(p, 0.0), 1.0))
+
+
+def test_rho1_curve_matches_scanner_on_ridge_grid(cvf):
+    proc = TFProcedure(cvf=cvf)
+    f0s = _ridge_f0_grid(proc)
+    exact = rejection_prob_profile(proc, 1.0, f0s)
+    scanned = np.array([_rho1_cvf_scanner(cvf, float(f0)) for f0 in f0s])
+    assert float(np.max(np.abs(exact - scanned))) <= 1e-12
+
+
+def test_rho1_curve_finds_hump_inside_one_scan_cell():
+    # Flat curve g = 2 - 1e-7: at f0 = 8 the margin x (8 - x) - 8 g is
+    # positive only on 4 +- sqrt(8e-7) = 4 +- 8.9e-4, which falls between
+    # two points of the scanner's 257-point grid.
+    g = 2.0 - 1e-7
+    cvf = CriticalValueFunction(
+        alpha=0.05, f_tilde=math.inf, knots=((2.0, g), (40.0, g)), lower_support=Q95
+    )
+    f0 = 8.0
+    half = math.sqrt(16.0 - 8.0 * g)
+    hump = float(ndtr(4.0 + half - f0) - ndtr(4.0 - half - f0))
+    assert 2.39e-7 < hump < 2.40e-7
+    _, found, _ = _rho1_cvf_masses(*TFProcedure(cvf=cvf).knot_arrays, [f0])
+    assert math.isclose(float(found[0]), hump, rel_tol=1e-6)
+    exact = rejection_prob_rho1(TFProcedure(cvf=cvf), f0)
+    assert math.isclose(exact - _rho1_cvf_scanner(cvf, f0), hump, rel_tol=1e-6)

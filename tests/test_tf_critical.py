@@ -176,6 +176,29 @@ def test_save_load_roundtrip(cvf, tmp_path):
     assert back.knots == cvf.knots
 
 
+def test_save_failing_partway_keeps_old_file(cvf, cvf01, tmp_path, monkeypatch):
+    path = tmp_path / "curve.json"
+    save_cvf(cvf, path)
+
+    def half_written(doc, fh, **kwargs):
+        fh.write(json.dumps(doc)[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr("tfiv.tf_critical.json.dump", half_written)
+    with pytest.raises(OSError):
+        save_cvf(cvf01, path)
+    assert load_cvf(path).knots == cvf.knots
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
+
+
+def test_save_leaves_no_temporary_file(cvf, cvf01, tmp_path):
+    path = tmp_path / "curve.json"
+    save_cvf(cvf, path)
+    save_cvf(cvf01, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
+    assert load_cvf(path).knots == cvf01.knots
+
+
 def test_load_rejects_tampering(cvf, tmp_path):
     path = tmp_path / "curve.json"
     save_cvf(cvf, path)

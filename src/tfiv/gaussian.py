@@ -1,19 +1,24 @@
 """Gaussian primitives shared by every numeric route in the package.
 
-Everything downstream (closed forms, quadrature, Monte Carlo checks) funnels
-through these few functions, so they are deliberately thin wrappers over the
-Cephes implementations in scipy.special plus explicitly validated density
-formulas.  Keeping one CDF implementation package-wide means the dual
-computation routes can disagree only about *integration*, never about Phi.
+Every evaluation of Phi or its inverse in the package (closed forms,
+quadrature, the tF curve sweeps, the solvers) goes through `ndtr` and
+`ndtri` here, thin wrappers over the Cephes implementations in
+scipy.special, alongside explicitly validated density formulas.  Keeping
+one CDF implementation package-wide means the dual computation routes can
+disagree only about *integration*, never about Phi.
+
+scipy.special is imported on the first call, not with the package: the CLI
+commands that never evaluate Phi (``cv``, ``test tf``, ``ci``, ``table3``
+on a warm cache) then start without paying for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError
 
@@ -24,11 +29,30 @@ __all__ = [
     "std_normal_pdf",
     "bvn_density",
     "chi2_quantile_1df",
+    "ndtr",
+    "ndtri",
 ]
 
 # |rho| at or beyond this is refused by the density: the covariance matrix is
 # numerically singular and the quadratic form loses all precision.
 _RHO_SINGULAR = 1.0 - 1e-12
+
+
+@functools.cache
+def _special():
+    import scipy.special
+
+    return scipy.special
+
+
+def ndtr(x):
+    """Standard normal CDF, elementwise (``scipy.special.ndtr``)."""
+    return _special().ndtr(x)
+
+
+def ndtri(p):
+    """Inverse standard normal CDF, elementwise (``scipy.special.ndtri``)."""
+    return _special().ndtri(p)
 
 
 @dataclass(frozen=True)

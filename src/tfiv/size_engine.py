@@ -15,19 +15,22 @@ correlation rho under the null.  Each procedure rejects on a region of the
 
 For |rho| < 1, conditioning on f makes t_ar normal with mean rho (f - f0)
 and sd s = sqrt(1 - rho^2), and the conditional rejection set is an interval
-or an interval complement with endpoints from `regions.boundary_roots`.  The
-probability is then a 1-D integral over f of smooth CDF differences:
+or an interval complement whose endpoints one region kernel,
+`_node_regions`, tabulates for a whole array of f at once.  The probability
+is then a 1-D integral over f of smooth CDF differences:
 
     p = Int phi(f - f0) * P(reject | f) df,    truncated to |f - f0| <= 8.5
         (discarded tail mass < 2e-17).
 
-`rejection_prob` evaluates that integral with adaptive Gauss-Kronrod
-quadrature split at the geometry's breakpoints (+-sqrt(crit) asymptotes,
-+-s sqrt(crit) root-birth points, +-sqrt(f_threshold), and the curve
-procedure's support/crossing points); `rejection_prob_profile` and
-`rejection_prob_matrix` evaluate many nuisance points at once on fixed
-Gauss-Legendre panels graded towards the same breakpoints, which is what
-makes dense nuisance grids affordable.
+Both evaluators integrate that kernel on panels cut at the geometry's
+breakpoints (+-sqrt(crit) asymptotes, +-s sqrt(crit) root-birth points,
++-sqrt(f_threshold), and the curve procedure's support/crossing points) no
+wider than min(0.3, 2.4 s), so that they resolve the conditional law's edges
+of width ~s.  `rejection_prob` integrates one nuisance point adaptively with
+a vectorised Gauss-Kronrod G7/K15 pair and reports the error it measured;
+`rejection_prob_profile` and `rejection_prob_matrix` evaluate many nuisance
+points at once on fixed Gauss-Legendre panels graded towards the
+breakpoints, which is what makes dense nuisance grids affordable.
 
 At |rho| = 1 the conditional law degenerates to the point t_ar = +-(f - f0)
 and everything collapses to exact univariate normal computations (the
@@ -45,10 +48,9 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DomainError, ToleranceUnmet
-from .regions import RegionSpec, boundary_roots
+from .gaussian import ndtr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .tf_critical import CriticalValueFunction
@@ -84,6 +86,30 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 # 2 * _F_WINDOW every f0 needs.
 _F0_CHUNK = 64
 _F0_SPAN = 0.5
+# Gauss-Kronrod G7/K15 pair on [-1, 1], from QUADPACK's qk15 (Piessens et
+# al. 1983): the Kronrod nodes from -1 to the centre, their K15 weights, and
+# the G7 weights, zero on the nodes that only the Kronrod rule uses.
+_XK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+])
+_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327,
+])
+_GK_X = np.concatenate([-_XK, _XK[-2::-1]])
+_GK_WK = np.concatenate([_WK, _WK[-2::-1]])
+_GK_WG = np.concatenate([_WG, _WG[-2::-1]])
+# Panels one `rejection_prob` call may evaluate before giving up on tol.
+_GK_MAX_PANELS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -369,94 +395,6 @@ def hybrid_extra_term(f_threshold: float, crit: float, f0: float) -> float:
     return float(max(0.0, term))
 
 
-# ---------------------------------------------------------------------------
-# |rho| < 1: conditional rejection set for the t-statistic family
-#
-# Given f, the conventional region {t^2 > c} in t_ar is bounded by the roots
-# of h(t_ar) = t_ar^2 (1 - c/f^2) + 2 c rho t_ar / f - c: between the roots
-# when f^2 < c, outside them when f^2 > c, empty when f^2 < c (1 - rho^2).
-
-
-def _t_conditional_prob(f: float, spec: RegionSpec, s: float, mu: float) -> float:
-    crit, rho = spec.crit, spec.rho
-    if f == 0.0:
-        return 0.0
-    denom = f * f - crit
-    if denom == 0.0:
-        # h degenerates to a line; rejection is a half-line in t_ar.
-        if rho == 0.0:
-            return 0.0
-        z = (f / (2.0 * rho) - mu) / s
-        return 1.0 - ndtr(z) if rho / f > 0.0 else float(ndtr(z))
-    if f * f - crit * (1.0 - rho * rho) <= 0.0:
-        return 0.0
-    lo, hi = boundary_roots(f, spec)
-    band = float(ndtr((hi - mu) / s) - ndtr((lo - mu) / s))
-    return band if denom < 0.0 else 1.0 - band
-
-
-def _ar_conditional_prob(crit: float, s: float, mu: float) -> float:
-    sc = math.sqrt(crit)
-    return 1.0 - float(ndtr((sc - mu) / s) - ndtr((-sc - mu) / s))
-
-
-def _make_integrand(proc: Procedure, rho: float, f0: float):
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))
-
-    if isinstance(proc, PureAR):
-        crit = proc.crit
-
-        def integrand(f: float) -> float:
-            z = f - f0
-            return _INV_SQRT_2PI * math.exp(-0.5 * z * z) * _ar_conditional_prob(
-                crit, s, rho * z
-            )
-
-        return integrand
-
-    if isinstance(proc, TFProcedure):
-        cvf = proc.cvf
-        profile = cvf.sqrt_crit_profile
-
-        def integrand(f: float) -> float:
-            z = f - f0
-            dens = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-            if dens == 0.0:
-                return 0.0
-            sq_c = float(np.asarray(profile(np.array([abs(f)])))[0])
-            if not math.isfinite(sq_c):
-                return 0.0
-            spec = RegionSpec(crit=sq_c * sq_c, rho=rho)
-            return dens * _t_conditional_prob(f, spec, s, rho * z)
-
-        return integrand
-
-    crit = proc.crit
-    spec = RegionSpec(crit=crit, rho=rho)
-
-    if isinstance(proc, ConventionalT):
-        gate = None
-    elif isinstance(proc, (ThresholdTF, HybridAR)):
-        gate = proc.f_threshold
-    else:  # pragma: no cover
-        raise DomainError(f"unknown procedure {proc!r}")
-    hybrid = isinstance(proc, HybridAR)
-
-    def integrand(f: float) -> float:
-        z = f - f0
-        dens = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-        if dens == 0.0:
-            return 0.0
-        mu = rho * z
-        if gate is not None and f * f <= gate:
-            cond = _ar_conditional_prob(crit, s, mu) if hybrid else 0.0
-        else:
-            cond = _t_conditional_prob(f, spec, s, mu)
-        return dens * cond
-
-    return integrand
-
-
 def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     """Positive x in [sqrt support, sqrt f_tilde] solving x = scale * g(x).
 
@@ -500,9 +438,16 @@ def _breakpoints(proc: Procedure, rho: float) -> list[float]:
 def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> SizeResult:
     """Rejection probability at p, certified to absolute accuracy tol.
 
-    Adaptive quadrature over f with the conditional t_ar mass in closed form;
-    |rho| > 1 - 1e-6 is answered by the exact degenerate formulas instead.
-    Raises ToleranceUnmet when the error estimate cannot be brought under tol.
+    Adaptive Gauss-Kronrod G7/K15 quadrature over f on the panel engine's
+    region kernel, so this route and `rejection_prob_profile` differ only in
+    how they integrate.  The start panels are the pieces between the
+    breakpoints (for the curve rule also its knots, where c(F) kinks), cut
+    to width <= min(0.3, 2.4 s).  Each pass evaluates every pending panel in
+    one numpy pass, accepts a panel when |K15 - G7| <= 0.5 tol width / 17
+    and bisects the others.  abs_err is the sum of the accepted |K15 - G7|
+    plus the 2e-17 tail mass beyond the window.  |rho| > 1 - 1e-6 is
+    answered by the exact degenerate formulas instead.  Raises ToleranceUnmet
+    when _GK_MAX_PANELS panels have been evaluated without meeting tol.
     """
     if not isinstance(p, NuisancePoint):
         raise DomainError("rejection_prob expects a NuisancePoint")
@@ -512,27 +457,43 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     if abs(p.rho) > _RHO1_EDGE:
         return SizeResult(prob=_rho1_point_prob(proc, p.f0), abs_err=1e-13, point=p)
 
-    from scipy.integrate import quad
-
-    lo, hi = p.f0 - _F_WINDOW, p.f0 + _F_WINDOW
-    pts = [b for b in _breakpoints(proc, p.rho) if lo + 1e-9 < b < hi - 1e-9]
-    integrand = _make_integrand(proc, p.rho, p.f0)
-    value, err = quad(
-        integrand,
-        lo,
-        hi,
-        points=pts or None,
-        epsabs=0.5 * tol,
-        epsrel=1e-12,
-        limit=500,
-        full_output=1,
-    )[:2]
-    abs_err = float(err) + 2e-17
-    if not math.isfinite(value) or abs_err > tol:
-        raise ToleranceUnmet(
-            f"quadrature error {abs_err:.3e} exceeds tol {tol:.3e} at {p}"
-        )
-    return SizeResult(prob=float(min(max(value, 0.0), 1.0)), abs_err=abs_err, point=p)
+    rho, f0 = p.rho, p.f0
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    lo, hi = f0 - _F_WINDOW, f0 + _F_WINDOW
+    breaks = np.asarray(_breakpoints(proc, rho))
+    if isinstance(proc, TFProcedure):
+        # c(F) is linear in sqrt(F) between knots and kinks at each one; the
+        # integrand is smooth only between kinks, and |K15 - G7| measures
+        # the error only where it is smooth.
+        xs = proc.knot_arrays[0]
+        breaks = np.concatenate([breaks, xs, -xs])
+    inside = breaks[(breaks > lo + 1e-9) & (breaks < hi - 1e-9)]
+    cuts = np.unique(np.concatenate([[lo, hi], inside]))
+    width = np.diff(cuts)
+    n = np.ceil(width / min(0.3, 2.4 * s)).astype(int)
+    piece, k = _range_pairs(np.zeros_like(n), n)
+    edges = np.append(cuts[piece] + width[piece] * k / n[piece], hi)
+    a, b = edges[:-1], edges[1:]
+    per_width = 0.5 * tol / (2.0 * _F_WINDOW)
+    value = err = 0.0
+    spent = 0
+    while a.size:
+        spent += a.size
+        if spent > _GK_MAX_PANELS:
+            raise ToleranceUnmet(
+                f"quadrature error not under tol {tol:.3e} within {_GK_MAX_PANELS} panels at {p}"
+            )
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        f = (mid[:, None] + half[:, None] * _GK_X).ravel()
+        vals = _weighted_rejection(_node_regions(proc, f, rho), f - f0, rho, s)
+        vals = vals.reshape(a.size, _GK_X.size)
+        k15 = half * (vals @ _GK_WK)
+        gap = np.abs(k15 - half * (vals @ _GK_WG))
+        done = gap <= per_width * (b - a)
+        value += float(k15[done].sum())
+        err += float(gap[done].sum())
+        a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
+    return SizeResult(prob=min(max(value, 0.0), 1.0), abs_err=err + 2e-17, point=p)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +600,19 @@ def _node_regions(
     return base, sign, lo, hi
 
 
+def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndarray:
+    """phi(d) P(reject | f = f0 + d), zero beyond _F_WINDOW.
+
+    ``regions`` are `_node_regions` tables at the nodes f, broadcast
+    against d; given f, t_ar is normal with mean rho d and sd s.
+    """
+    base, sign, lo, hi = regions
+    dens = np.where(np.abs(d) <= _F_WINDOW, _INV_SQRT_2PI * np.exp(-0.5 * d * d), 0.0)
+    mu = rho * d
+    band = ndtr((hi - mu) / s) - ndtr((lo - mu) / s)
+    return dens * (base + sign * band)
+
+
 def _rho1_profile(proc: Procedure, f0s: np.ndarray) -> np.ndarray:
     if isinstance(proc, ConventionalT):
         return _rho1_threshold_profile(proc.crit, 0.0, f0s)
@@ -697,11 +671,8 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
         a = np.searchsorted(nodes, f0c[0] - _F_WINDOW, side="left")
         b = np.searchsorted(nodes, f0c[-1] + _F_WINDOW, side="right")
         d = nodes[None, a:b] - f0c[:, None]
-        dens = np.where(np.abs(d) <= _F_WINDOW, _INV_SQRT_2PI * np.exp(-0.5 * d * d), 0.0)
-        mu = rho * d
-        band = ndtr((rhi[None, a:b] - mu) / s) - ndtr((rlo[None, a:b] - mu) / s)
-        cond = base[None, a:b] + sign[None, a:b] * band
-        out[idx] = (dens * cond) @ weights[a:b]
+        window = (base[None, a:b], sign[None, a:b], rlo[None, a:b], rhi[None, a:b])
+        out[idx] = _weighted_rejection(window, d, rho, s) @ weights[a:b]
     return np.clip(out, 0.0, 1.0)
 
 

@@ -44,10 +44,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConstructionError, DomainError
-from .gaussian import chi2_quantile_1df
+from .gaussian import chi2_quantile_1df, ndtri
 from .size_engine import TFProcedure, _rho1_cvf_masses, rejection_prob_profile
 from .worst_case import local_max_size
 

@@ -32,9 +32,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConstructionError, DomainError, ToleranceUnmet
+from .gaussian import chi2_quantile_1df, ndtr
 from .size_engine import (
     ConventionalT,
     HybridAR,
@@ -495,7 +495,7 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
 
     from scipy.optimize import brentq
 
-    q_alpha = _chi2_quantile(1.0 - alpha)
+    q_alpha = chi2_quantile_1df(1.0 - alpha)
 
     def gap(crit: float) -> float:
         return _ridge_sup(crit, f_threshold) - alpha
@@ -521,12 +521,6 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             f"worst case {audit.max_prob:.6f} > alpha {alpha}"
         )
     return crit_star
-
-
-def _chi2_quantile(p: float) -> float:
-    from .gaussian import chi2_quantile_1df
-
-    return chi2_quantile_1df(p)
 
 
 def validity_region(

@@ -376,3 +376,22 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_loads_special_on_first_use_and_size_never_loads_integrate():
+    # `cv`, `test tf`, `ci` and `table3` on a warm cache never evaluate Phi,
+    # so importing the CLI must not load scipy.special; `size` integrates on
+    # the panel kernel without scipy.integrate.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, tfiv.cli; "
+        "print('scipy.special' in sys.modules, file=sys.stderr); "
+        "tfiv.cli.main(['size', '--procedure', 'conventional', '--rho', '0.5', '--f0', '2']); "
+        "print('scipy.integrate' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.split() == ["False", "False"]
+    assert out.stdout.strip()

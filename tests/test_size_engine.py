@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -213,12 +213,43 @@ def test_profile_near_rho1_band_matches_pointwise():
 
 def test_profile_resolves_rejection_edge_near_rho1():
     # At s = sqrt(1 - rho^2) = 1.4e-3 the rejection set of the F > 10 screen
-    # starts 0.0094 above the gate; adaptive quad steps over that edge (it
-    # reports 0.114667), while a tanh-sinh integral that shares no code with
-    # tfiv gives 0.112875 and 2e7 simulated draws 0.11295 +- 7e-5.
+    # starts 0.0094 above the gate; scipy's adaptive quad stepped over that
+    # edge (it reported 0.114667 +- 5e-7), while a tanh-sinh integral that
+    # shares no code with tfiv gives 0.112875, a 2e-6-step grid 0.1128748
+    # and 2e7 simulated draws 0.11295 +- 7e-5.
     proc = ThresholdTF(crit=1.96**2, f_threshold=10.0)
-    prof = float(rejection_prob_profile(proc, 0.999999, [1.9602])[0])
+    point = NuisancePoint(rho=0.999999, f0=1.9602)
+    prof = float(rejection_prob_profile(proc, point.rho, [point.f0])[0])
     assert abs(prof - 0.112875) <= 1e-6
+    assert abs(rejection_prob(proc, point).prob - 0.112875) <= 1e-6
+    hybrid = HybridAR(crit=1.96**2, f_threshold=10.0)
+    prof = float(rejection_prob_profile(hybrid, point.rho, [point.f0])[0])
+    assert abs(rejection_prob(hybrid, point).prob - prof) <= 1e-9
+
+
+@given(
+    st.integers(0, 4),
+    st.floats(-0.99999, 0.99999),
+    st.floats(0.0, 14.0),
+    st.sampled_from([1e-4, 1e-6, 1e-8]),
+)
+@settings(max_examples=40, deadline=None)
+@seed(1)
+def test_reported_error_covers_tighter_integral(cvf, which, rho, f0, tol):
+    # abs_err is the sum of the accepted |K15 - G7| panel gaps; it must stay
+    # within tol and cover the distance to a 1e-11 integral of the same point.
+    proc = (
+        ConventionalT(crit=Q95),
+        ThresholdTF(crit=Q95, f_threshold=10.0),
+        HybridAR(crit=Q95, f_threshold=10.0),
+        PureAR(crit=Q95),
+        TFProcedure(cvf=cvf),
+    )[which]
+    point = NuisancePoint(rho=rho, f0=f0)
+    loose = rejection_prob(proc, point, tol=tol)
+    tight = rejection_prob(proc, point, tol=1e-11)
+    assert loose.abs_err <= tol
+    assert abs(loose.prob - tight.prob) <= loose.abs_err + tight.abs_err
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,14 @@ As f0 grows past the gate the ridge tends to the strong-instrument limit
 crit > 4; that sign is what decides whether a finite corrected threshold
 exists at a given level, and it is why the 1% problem has no solution.
 
-`worst_case_size` audits a dense (rho, f0) grid plus the exact ridge plus
-the analytic f0 -> infinity limit, refines locally, and reports a certified
-tolerance from the grid's observed variation.  The solvers bisect on the
-monotone closed forms and then certify their answers through the full audit.
+`worst_case_size` audits a (rho, f0) grid coarse to fine: one row and one
+column in four first, then the working pitch only in the boxes around
+coarse cells whose claim (value plus midpoint bound) comes within 1e-4 of
+the best value.  Around that grid sit the exact ridge, the analytic
+f0 -> infinity limit, a far-field block and local zooms; the certified
+tolerance is the largest of the parts it reports on `WorstCase`.  The
+solvers bisect on the monotone closed forms and then certify their answers
+through the full audit.
 """
 
 from __future__ import annotations
@@ -63,10 +67,20 @@ __all__ = [
 # boundary layer against |rho| = 1 (curvature grows like the inverse cube of
 # the conditional width s), so the spacing must shrink geometrically there.
 _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
-# Certification never claims better than this; it covers the panel engine.
+# Certification never claims better than this.  It is a floor, not a bound
+# on the panel engine's error: for the tF rule at rho = 0.9995, f0 = 0.25 the
+# fixed-panel profile is 1.27e-6 off `rejection_prob(tol=1e-10)`.  A measured
+# integration error should replace it (ROADMAP.md, open item 1).
 _CERT_FLOOR = 1e-6
 # Slack used when a solver checks its candidate against the global audit.
 _CERT_SLACK = 3e-5
+# The coarse audit pass keeps every _COARSE_STRIDE-th interior rho row and
+# f0 column of the working grid.
+_COARSE_STRIDE = 4
+# Coarse cells whose claim exceeds the best value seen minus this margin are
+# re-audited at the working pitch.  It is the largest tol `worst_case_size`
+# accepts, so an unrefined cell can never bind the certificate.
+_REFINE_MARGIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -75,12 +89,26 @@ class WorstCase:
 
     arg_f0 = inf records a supremum approached as f0 -> infinity rather than
     attained; max_prob is then the analytic limit value.
+
+    For rules audited on the grid, certified_tol is the largest of the
+    certificate's parts, floored at 1e-6: grid_excess (the largest midpoint
+    claim over the audited grid, the f0* patch and the far-field block,
+    minus max_prob), far_excess (the last far-field column above the
+    f0 -> infinity reference) and approach_violation (how far the last rows
+    miss a monotone approach to |rho| = 1).  A negative excess clears
+    max_prob by that much.  cells_refined counts the coarse grid cells
+    re-audited at the working pitch.  The parts are zero for rules audited
+    in closed form.
     """
 
     max_prob: float
     arg_rho: float
     arg_f0: float
     certified_tol: float
+    grid_excess: float = 0.0
+    far_excess: float = 0.0
+    approach_violation: float = 0.0
+    cells_refined: int = 0
 
 
 @dataclass(frozen=True)
@@ -270,17 +298,57 @@ def _final_approach_violation(mat: np.ndarray) -> float:
     return max(0.0, float(np.max(viol)) - 1e-9)
 
 
+def _claims(
+    mat: np.ndarray, rhos: np.ndarray, f0s: np.ndarray, open_end: bool = True
+) -> np.ndarray:
+    """Per-cell upper claims: value plus both axes' midpoint bounds, capped at 1."""
+    return np.minimum(
+        mat
+        + _midpoint_bound(mat, rhos, 0, open_end=open_end)
+        + _midpoint_bound(mat, f0s, 1),
+        1.0,
+    )
+
+
+def _coarse_lines(n: int) -> np.ndarray:
+    """Every _COARSE_STRIDE-th index of range(n), plus the last one."""
+    return np.unique(np.append(np.arange(0, n, _COARSE_STRIDE), n - 1))
+
+
+def _refine_span(lines: np.ndarray, k: int, n: int) -> tuple[int, int]:
+    """Fine index range between coarse line k's neighbours, at least 3 wide.
+
+    `_midpoint_bound` needs three points per axis; a span that ends on the
+    grid's edge next to a one-step coarse gap is widened inward.
+    """
+    lo = int(lines[max(k - 1, 0)])
+    hi = int(lines[min(k + 1, len(lines) - 1)])
+    if hi - lo < 2:
+        lo = max(0, hi - 2)
+        hi = min(n - 1, lo + 2)
+    return lo, hi
+
+
 def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     """Supremum of rejection probability over rho in [-1,1], f0 >= 0.
 
     The surface is symmetric under rho -> -rho, so the audit runs on
-    rho in [0,1]: a uniform 209-row x 289-column grid (extra rows resolve
-    the boundary layer against rho = 1), the exact rho = 1 ridge on a dense
-    f0 grid window with the analytic stationary point and the f0 -> infinity
-    limit as extra candidates, then local zooming around the leaders.  The
-    certified tolerance combines the grid's observed second differences
-    (midpoint bound) with the refinement resolution; ToleranceUnmet is
-    raised if that certificate cannot meet tol.
+    rho in [0,1].  Its working grid has 149 rho rows (134 uniform interior
+    rows, 14 rows resolving the boundary layer against rho = 1, and rho = 1
+    itself) by 289 or more f0 columns on [0, 40].  The grid is audited
+    coarse to fine: first every 4th interior row plus the last interior
+    row, every boundary-layer row and rho = 1, by every 4th column plus the
+    last; then every coarse cell whose claim (value plus midpoint bound)
+    comes within 1e-4 of the best value seen so far is re-audited at the
+    working pitch over the box between its neighbouring coarse lines.  The
+    last three rows are audited at every column for the monotone approach
+    check into |rho| = 1.  Around that grid sit the exact rho = 1 ridge on a
+    dense f0 grid with the analytic stationary point and the f0 -> infinity
+    limit as extra candidates, a far-field block out to f0 = 140, and local
+    zooming around the leaders.  The certified tolerance is the largest of
+    the grid excess (coarse claims of unrefined cells, fine claims of the
+    refined boxes), the far-field excess and the approach violation, floored
+    at _CERT_FLOOR; ToleranceUnmet is raised if it cannot meet tol.
     """
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-4):
         raise DomainError(f"worst_case_size: tol must lie in (0, 1e-4], got {tol!r}")
@@ -289,7 +357,8 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
         alpha = 2.0 * float(ndtr(-math.sqrt(proc.crit)))
         return WorstCase(max_prob=alpha, arg_rho=0.0, arg_f0=0.0, certified_tol=1e-13)
 
-    rhos = np.unique(np.concatenate([np.linspace(0.0, 1.0, 135)[:-1], _RHO_LAYER, [1.0]]))
+    interior = np.linspace(0.0, 1.0, 135)[:-1]
+    rhos = np.unique(np.concatenate([interior, _RHO_LAYER, [1.0]]))
     f0_blocks = [np.arange(0.0, 8.0, 0.05), np.arange(8.0, 40.01, 0.25)]
     if isinstance(proc, (ThresholdTF, HybridAR)):
         # Resolve the transition zone (gate edge / stationary point) finely.
@@ -298,30 +367,77 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
         if zone_hi > 8.0:
             f0_blocks.append(np.arange(max(0.0, star - 2.5), zone_hi, 0.04))
     f0s = np.unique(np.concatenate(f0_blocks))
-    mat = rejection_prob_matrix(proc, rhos, f0s)
+    n_rho, n_f0 = rhos.size, f0s.size
+
+    # Coarse pass.  `mat` holds the working grid's values where evaluated
+    # and NaN elsewhere; the last three rows get every column at once.
+    rows_c = np.concatenate([_coarse_lines(interior.size), np.arange(interior.size, n_rho)])
+    cols_c = _coarse_lines(n_f0)
+    mat = np.full((n_rho, n_f0), np.nan)
+    mat[-3:] = rejection_prob_matrix(proc, rhos[-3:], f0s)
+    head = rows_c[:-3]
+    mat[np.ix_(head, cols_c)] = rejection_prob_matrix(proc, rhos[head], f0s[cols_c])
+
+    masked = np.zeros(mat.shape, dtype=bool)
+    if isinstance(proc, (ThresholdTF, HybridAR)):
+        # The ridge peaks at a slope corner (gate edge meets rejection root),
+        # which the working resolution cannot bound; the rows near |rho| = 1
+        # are re-audited in that pocket at h = 0.0012 below, and the grid's
+        # claims there are masked.
+        star = _f0_star(proc.f_threshold, proc.crit)
+        w_lo, w_hi = max(0.0, star - 0.15), star + 0.15
+        near = rhos >= 0.999 - 1e-12
+        masked[np.ix_(near, (f0s >= w_lo) & (f0s <= w_hi))] = True
+    claims_c = _claims(mat[np.ix_(rows_c, cols_c)], rhos[rows_c], f0s[cols_c])
+    claims_c[masked[np.ix_(rows_c, cols_c)]] = 0.0
 
     # Far field: flat in rho, so a coarse-rho block suffices out to f0 = 140.
     rhos_far = np.unique(np.concatenate([np.linspace(0.0, 1.0, 18), _RHO_LAYER[-3:], [1.0]]))
     f0s_far = np.arange(40.0, 140.01, 1.0)
     mat_far = rejection_prob_matrix(proc, rhos_far, f0s_far)
 
-    i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
+    # Exact ridge with analytic candidates.
+    ridge_f0 = _ridge_f0_grid(proc)
+    ridge = rejection_prob_profile(proc, 1.0, ridge_f0)
+
+    # Refinement: a coarse cell whose claim comes within _REFINE_MARGIN of the
+    # best value is re-audited at the working pitch over the box between its
+    # neighbouring coarse lines; every other cell keeps its coarse claim.
+    best_seen = max(float(np.nanmax(mat)), float(mat_far.max()), float(ridge.max()))
+    refined = claims_c > best_seen - _REFINE_MARGIN
+    boxes = [
+        _refine_span(rows_c, a, n_rho) + _refine_span(cols_c, b, n_f0)
+        for a, b in np.argwhere(refined)
+    ]
+    todo = np.zeros(mat.shape, dtype=bool)
+    for r0, r1, c0, c1 in boxes:
+        todo[r0 : r1 + 1, c0 : c1 + 1] = True
+    todo &= np.isnan(mat)
+    for r in np.flatnonzero(todo.any(axis=1)):
+        cols = np.flatnonzero(todo[r])
+        mat[r, cols] = rejection_prob_profile(proc, float(rhos[r]), f0s[cols])
+    fine_claims = np.zeros(mat.shape)
+    for r0, r1, c0, c1 in boxes:
+        box = np.s_[r0 : r1 + 1, c0 : c1 + 1]
+        fine_claims[box] = np.maximum(
+            fine_claims[box],
+            _claims(mat[box], rhos[r0 : r1 + 1], f0s[c0 : c1 + 1], open_end=r1 == n_rho - 1),
+        )
+    fine_claims[masked] = 0.0
+
+    i, j = np.unravel_index(int(np.nanargmax(mat)), mat.shape)
     best_prob, best_rho, best_f0 = float(mat[i, j]), float(rhos[i]), float(f0s[j])
     i_far, j_far = np.unravel_index(int(np.argmax(mat_far)), mat_far.shape)
     if float(mat_far[i_far, j_far]) > best_prob:
         best_prob = float(mat_far[i_far, j_far])
         best_rho, best_f0 = float(rhos_far[i_far]), float(f0s_far[j_far])
-
-    # Exact ridge with analytic candidates.
-    ridge_f0 = _ridge_f0_grid(proc)
-    ridge = rejection_prob_profile(proc, 1.0, ridge_f0)
     k = int(np.argmax(ridge))
     if float(ridge[k]) >= best_prob:
         best_prob, best_rho, best_f0 = float(ridge[k]), 1.0, float(ridge_f0[k])
 
     # Local refinement: zoom the 2-D leader and polish the ridge argmax.
-    lo_i, hi_i = max(i - 1, 0), min(i + 1, len(rhos) - 1)
-    lo_j, hi_j = max(j - 1, 0), min(j + 1, len(f0s) - 1)
+    lo_i, hi_i = max(i - 1, 0), min(i + 1, n_rho - 1)
+    lo_j, hi_j = max(j - 1, 0), min(j + 1, n_f0 - 1)
     z_prob, z_rho, z_f0 = _zoom_2d(proc, rhos[lo_i], rhos[hi_i], f0s[lo_j], f0s[hi_j])
     if z_prob > best_prob:
         best_prob, best_rho, best_f0 = z_prob, z_rho, z_f0
@@ -341,40 +457,18 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     if limit > best_prob:
         best_prob, best_rho, best_f0 = limit, 1.0, math.inf
 
-    # Certification: a nonuniform midpoint bound over the audited window
-    # (a probability can never exceed 1, so the per-cell claim is capped),
-    # plus the far field, where the last audited column is compared against
-    # the analytic limit and the densely audited ridge.
-    claims = np.minimum(
-        mat + _midpoint_bound(mat, rhos, 0, open_end=True) + _midpoint_bound(mat, f0s, 1),
-        1.0,
-    )
+    # Certification: the midpoint claims over the audited window, plus the
+    # far field, where the last audited column is compared against the
+    # analytic limit and the densely audited ridge.
+    claims = [claims_c[~refined], fine_claims.ravel()]
     approach_viol = _final_approach_violation(mat)
     if isinstance(proc, (ThresholdTF, HybridAR)):
-        # The ridge peaks at a slope corner (gate edge meets rejection root),
-        # which the working resolution cannot bound; re-audit that pocket at
-        # h = 0.002 for the rows near |rho| = 1 and mask the coarse claims.
-        star = _f0_star(proc.f_threshold, proc.crit)
-        w_lo, w_hi = max(0.0, star - 0.15), star + 0.15
-        near = rhos >= 0.999 - 1e-12
-        claims[np.ix_(near, (f0s >= w_lo) & (f0s <= w_hi))] = 0.0
         f0s_patch = np.unique(np.append(np.arange(w_lo, w_hi, 0.0012), star))
         mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
-        patch_claims = np.minimum(
-            mat_patch
-            + _midpoint_bound(mat_patch, rhos[near], 0, open_end=True)
-            + _midpoint_bound(mat_patch, f0s_patch, 1),
-            1.0,
-        )
-        claims = np.concatenate([claims.ravel(), patch_claims.ravel()])
+        claims.append(_claims(mat_patch, rhos[near], f0s_patch).ravel())
         approach_viol = max(approach_viol, _final_approach_violation(mat_patch))
-    grid_excess = float(np.max(claims)) - best_prob
-    far_claims = np.minimum(
-        mat_far
-        + _midpoint_bound(mat_far, rhos_far, 0, open_end=True)
-        + _midpoint_bound(mat_far, f0s_far, 1),
-        1.0,
-    )
+    grid_excess = float(np.max(np.concatenate(claims))) - best_prob
+    far_claims = _claims(mat_far, rhos_far, f0s_far)
     grid_excess = max(grid_excess, float(np.max(far_claims)) - best_prob)
     approach_viol = max(approach_viol, _final_approach_violation(mat_far))
     far_ref = max(limit, float(ridge[ridge_f0 >= f0s_far[-1]].max(initial=0.0)))
@@ -385,7 +479,14 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
             f"worst-case certificate {certified:.2e} exceeds requested tol {tol:.2e}"
         )
     return WorstCase(
-        max_prob=best_prob, arg_rho=best_rho, arg_f0=best_f0, certified_tol=certified
+        max_prob=best_prob,
+        arg_rho=best_rho,
+        arg_f0=best_f0,
+        certified_tol=certified,
+        grid_excess=grid_excess,
+        far_excess=far_excess,
+        approach_violation=approach_viol,
+        cells_refined=int(refined.sum()),
     )
 
 

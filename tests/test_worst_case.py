@@ -6,13 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from tfiv.errors import DomainError
 from tfiv.gaussian import std_normal_cdf
-from tfiv.size_engine import ThresholdTF, rejection_prob_rho1
+from tfiv.size_engine import (
+    ConventionalT,
+    PureAR,
+    TFProcedure,
+    ThresholdTF,
+    rejection_prob_rho1,
+)
 from tfiv.worst_case import (
     GridSpec,
     HybridBoundRow,
     WorstCase,
     hybrid_nonexistence_certificate,
     local_max_size,
+    worst_case_size,
 )
 
 Q95 = 3.8414588206941254
@@ -76,6 +83,32 @@ def test_grid_spec_validation():
 def test_worst_case_container_fields():
     wc = WorstCase(max_prob=0.1, arg_rho=1.0, arg_f0=2.0, certified_tol=1e-4)
     assert wc.max_prob == 0.1 and wc.arg_rho == 1.0
+
+
+@pytest.mark.parametrize(
+    "make, expected, refined",
+    [
+        # The tF maximum sits on the ridge; no grid cell comes near it.
+        (TFProcedure, (0.050626349411980395, 1.0, 0.07393112182617187, 1e-06), 0),
+        # The only refined cell is the corner (rho = 1, f0 = 0), whose box
+        # must be widened to three rows to carry a midpoint bound.
+        (lambda cvf: ConventionalT(Q95), (1.0, 1.0, 0.0, 1e-06), 1),
+    ],
+    ids=["tf", "conventional"],
+)
+def test_worst_case_size_pins_the_audit(cvf, make, expected, refined):
+    wc = worst_case_size(make(cvf))
+    assert (wc.max_prob, wc.arg_rho, wc.arg_f0, wc.certified_tol) == expected
+    assert wc.cells_refined == refined
+    assert wc.certified_tol == max(
+        1e-6, wc.grid_excess, wc.far_excess, wc.approach_violation
+    )
+
+
+def test_pure_ar_worst_case_has_no_certificate_parts():
+    wc = worst_case_size(PureAR(crit=Q95))
+    assert (wc.grid_excess, wc.far_excess, wc.approach_violation) == (0.0, 0.0, 0.0)
+    assert wc.cells_refined == 0
 
 
 def test_hybrid_certificate_rows():

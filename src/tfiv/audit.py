@@ -29,8 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError
 from .gaussian import chi2_quantile_1df
-from .size_engine import ConventionalT, HybridAR, PureAR, TFProcedure, ThresholdTF
-from .tf_critical import cvf_eval
+from .size_engine import _require_procedure
 
 __all__ = [
     "SpecRecord",
@@ -45,6 +44,7 @@ __all__ = [
 SIGNIFICANT = "significant"
 INSIGNIFICANT = "insignificant"
 INDETERMINATE = "indeterminate"
+_VERDICTS = {True: SIGNIFICANT, False: INSIGNIFICANT, None: INDETERMINATE}
 
 _F_RULE_OF_THUMB = 10.0
 _CELL_KEYS = ("sig_F_above", "sig_F_below", "insig_F_above", "insig_F_below")
@@ -87,35 +87,8 @@ def classify_record(rec: SpecRecord, proc) -> str:
     """Significant / insignificant / indeterminate for one record and rule."""
     if not isinstance(rec, SpecRecord):
         raise DomainError("classify_record expects a SpecRecord")
-    t, F = rec.t, rec.F
-    if isinstance(proc, ConventionalT):
-        if t is None:
-            return INDETERMINATE
-        return SIGNIFICANT if t * t > proc.crit else INSIGNIFICANT
-    if isinstance(proc, ThresholdTF):
-        if t is None or F is None:
-            return INDETERMINATE
-        if t * t > proc.crit and F > proc.f_threshold:
-            return SIGNIFICANT
-        return INSIGNIFICANT
-    if isinstance(proc, HybridAR):
-        if F is None:
-            return INDETERMINATE
-        if F > proc.f_threshold:
-            if t is None:
-                return INDETERMINATE
-            return SIGNIFICANT if t * t > proc.crit else INSIGNIFICANT
-        return INDETERMINATE  # below the gate the rule reads the AR statistic
-    if isinstance(proc, PureAR):
-        return INDETERMINATE  # corpus records do not carry the AR statistic
-    if isinstance(proc, TFProcedure):
-        if t is None or F is None:
-            return INDETERMINATE
-        c = cvf_eval(proc.cvf, F)
-        if math.isinf(c):
-            return INSIGNIFICANT
-        return SIGNIFICANT if t * t > c else INSIGNIFICANT
-    raise DomainError(f"not a recognized procedure: {proc!r}")
+    _require_procedure(proc)
+    return _VERDICTS[proc.rejects(rec.t, rec.F)]
 
 
 @dataclass(frozen=True)

@@ -218,23 +218,17 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def _test_decision(name: str, alpha: float, t: float, F: float):
     """Return (reject, cutoff_abs_t, f_threshold, rule_text)."""
-    t2 = t * t
-    if name == "conventional":
-        crit = chi2_quantile_1df(1.0 - alpha)
-        cut = math.sqrt(crit)
-        return t2 > crit, cut, None, f"reject when |t| > {cut:.4f}"
-    if name in ("threshold-2b", "threshold-2c"):
-        _require_preset_alpha(name, alpha)
-        crit, fbar = _PRESET_2B if name == "threshold-2b" else _PRESET_2C
-        cut = math.sqrt(crit)
-        rule = f"reject when |t| > {cut:.2f} and F > {fbar:g}"
-        return (t2 > crit) and (F > fbar), cut, fbar, rule
+    proc = _build_procedure(name, alpha)
+    reject = proc.rejects(t, F)
     if name == "tf":
-        cvf = _get_cvf(alpha)
-        crit = cvf_eval(cvf, F)
+        crit = proc.crit_at(F)
         cut = math.sqrt(crit) if math.isfinite(crit) else math.inf
-        return t2 > crit, cut, None, "reject when |t| > sqrt c(F)"
-    raise DomainError(f"unknown procedure {name!r}")
+        return reject, cut, None, "reject when |t| > sqrt c(F)"
+    cut = math.sqrt(proc.crit)
+    if name == "conventional":
+        return reject, cut, None, f"reject when |t| > {cut:.4f}"
+    fbar = proc.f_threshold
+    return reject, cut, fbar, f"reject when |t| > {cut:.2f} and F > {fbar:g}"
 
 
 def cmd_test(args: argparse.Namespace) -> int:

@@ -15,8 +15,9 @@ correlation rho under the null.  Each procedure rejects on a region of the
 
 For |rho| < 1, conditioning on f makes t_ar normal with mean rho (f - f0)
 and sd s = sqrt(1 - rho^2), and the conditional rejection set is an interval
-or an interval complement whose endpoints one region kernel,
-`_node_regions`, tabulates for a whole array of f at once.  The probability
+or an interval complement.  One kernel, `_t_region_tables`, tabulates the
+endpoints of {t^2 > c} for a whole array of f at once; each procedure's
+`regions` method applies it to its own cutoff and F gate.  The probability
 is then a 1-D integral over f of smooth CDF differences:
 
     p = Int phi(f - f0) * P(reject | f) df,    truncated to |f - f0| <= 8.5
@@ -34,10 +35,17 @@ breakpoints, which is what makes dense nuisance grids affordable.
 
 At |rho| = 1 the conditional law degenerates to the point t_ar = +-(f - f0)
 and everything collapses to exact univariate normal computations (the
-rejection probability is the same for rho = +1 and rho = -1).  Those closed
-forms live in `rejection_prob_rho1` and friends and double as oracles for
-the quadrature path; `rejection_prob` routes |rho| > 1 - 1e-6 to them
-because the conditional sd underflows there.
+rejection probability is the same for rho = +1 and rho = -1).  Each
+procedure's `rho1_profile` evaluates those closed forms; they double as
+oracles for the quadrature path, and both evaluators route |rho| > 1 - 1e-6
+to them because the conditional sd underflows there.
+
+Each procedure class carries its whole rule: the (t, F) decision
+(`rejects`) that the corpus audit and the CLI apply, its `regions`,
+`breakpoints` and `knot_cuts` for the integrators, its `rho1_profile`, and
+the `tail_limit`, `ridge_f0_grid` and `f0_star` the worst-case audit uses.
+`knot_cuts` is empty and `f0_star` None for rules without curve knots or
+an F gate; `flat` marks the AR rule, whose size is the same everywhere.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
@@ -66,7 +74,6 @@ __all__ = [
     "SizeResult",
     "rejection_prob",
     "rejection_prob_rho1",
-    "hybrid_extra_term",
     "rejection_prob_profile",
     "rejection_prob_matrix",
 ]
@@ -110,6 +117,8 @@ _GK_WK = np.concatenate([_WK, _WK[-2::-1]])
 _GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 # Panels one `rejection_prob` call may evaluate before giving up on tol.
 _GK_MAX_PANELS = 100_000
+# Per-node conditional rejection set: (base, sign, lo, hi), see `_t_region_tables`.
+_Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +155,64 @@ def _require_positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be a positive finite real, got {value!r}")
 
 
+def _mirrored(pts: list[float]) -> list[float]:
+    """+-x for every positive finite x in pts, sorted and unique."""
+    return sorted({p for x in pts for p in (-x, x) if x > 0.0 and math.isfinite(x)})
+
+
+def _require_procedure(proc) -> None:
+    if not callable(getattr(proc, "regions", None)):
+        raise DomainError(f"not a recognized procedure: {proc!r}")
+
+
+def _ar_band(crit: float) -> tuple[float, float, float, float]:
+    """Region tables of the AR event t_ar^2 > crit: 1 - P(-sqrt(crit) < t_ar < sqrt(crit))."""
+    sc = math.sqrt(crit)
+    return 1.0, -1.0, -sc, sc
+
+
+def _gated(tables: _Tables, below: np.ndarray, fill: tuple) -> _Tables:
+    """``tables`` with the nodes at or below the F gate set to ``fill``."""
+    return tuple(np.where(below, v, t) for t, v in zip(tables, fill))
+
+
+def _ridge_grid(hi: float, extra=()) -> np.ndarray:
+    """|rho| = 1 audit grid of the constant-cutoff rules, out to f0 = hi."""
+    return np.unique(
+        np.concatenate([np.arange(0.0, 40.0, 0.002), np.arange(40.0, hi + 1e-9, 0.02), extra])
+    )
+
+
 @dataclass(frozen=True)
 class ConventionalT:
     """Reject when t^2 > crit, regardless of the first stage."""
 
     crit: float
+    flat = False
+    knot_cuts = ()
+    f0_star = None
 
     def __post_init__(self) -> None:
         _require_positive("ConventionalT.crit", self.crit)
+
+    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
+        return None if t is None else t * t > self.crit
+
+    def regions(self, f: np.ndarray, rho: float) -> _Tables:
+        return _t_region_tables(f, np.full(f.size, self.crit), rho)
+
+    def breakpoints(self, s: float) -> list[float]:
+        sc = math.sqrt(self.crit)
+        return _mirrored([sc, s * sc])
+
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        return _rho1_threshold_profile(self.crit, 0.0, f0s)
+
+    def tail_limit(self) -> float:
+        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
+
+    def ridge_f0_grid(self) -> np.ndarray:
+        return _ridge_grid(500.0)
 
 
 @dataclass(frozen=True)
@@ -162,10 +221,37 @@ class ThresholdTF:
 
     crit: float
     f_threshold: float
+    flat = False
+    knot_cuts = ()
 
     def __post_init__(self) -> None:
         _require_positive("ThresholdTF.crit", self.crit)
         _require_positive("ThresholdTF.f_threshold", self.f_threshold)
+
+    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
+        return None if t is None or F is None else t * t > self.crit and F > self.f_threshold
+
+    def regions(self, f: np.ndarray, rho: float) -> _Tables:
+        tables = _t_region_tables(f, np.full(f.size, self.crit), rho)
+        return _gated(tables, f * f <= self.f_threshold, (0.0, 0.0, 0.0, 0.0))
+
+    def breakpoints(self, s: float) -> list[float]:
+        sc = math.sqrt(self.crit)
+        return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
+
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        return _rho1_threshold_profile(self.crit, self.f_threshold, f0s)
+
+    def tail_limit(self) -> float:
+        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
+
+    def ridge_f0_grid(self) -> np.ndarray:
+        hi = max(500.0, 3.0 * math.sqrt(self.f_threshold) + 50.0)
+        return _ridge_grid(hi, [self.f0_star])
+
+    @property
+    def f0_star(self) -> float:
+        return self.f_threshold / (math.sqrt(self.f_threshold) + math.sqrt(self.crit))
 
 
 @dataclass(frozen=True)
@@ -174,10 +260,48 @@ class HybridAR:
 
     crit: float
     f_threshold: float
+    flat = False
+    knot_cuts = ()
 
     def __post_init__(self) -> None:
         _require_positive("HybridAR.crit", self.crit)
         _require_positive("HybridAR.f_threshold", self.f_threshold)
+
+    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
+        # Below the gate the rule reads the AR statistic, which (t, F) lacks.
+        if t is None or F is None or F <= self.f_threshold:
+            return None
+        return t * t > self.crit
+
+    def regions(self, f: np.ndarray, rho: float) -> _Tables:
+        tables = _t_region_tables(f, np.full(f.size, self.crit), rho)
+        return _gated(tables, f * f <= self.f_threshold, _ar_band(self.crit))
+
+    def breakpoints(self, s: float) -> list[float]:
+        sc = math.sqrt(self.crit)
+        return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
+
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        base = _rho1_threshold_profile(self.crit, self.f_threshold, f0s)
+        sc = math.sqrt(self.crit)
+        sf = math.sqrt(self.f_threshold)
+        upper_cut = sf - f0s
+        lower_cut = -sf - f0s
+        # AR rejections inside the sub-threshold band L < z < U.
+        upper = np.maximum(0.0, ndtr(upper_cut) - ndtr(np.maximum(sc, lower_cut)))
+        lower = np.maximum(0.0, ndtr(np.minimum(-sc, upper_cut)) - ndtr(lower_cut))
+        return np.clip(base + upper + lower, 0.0, 1.0)
+
+    def tail_limit(self) -> float:
+        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
+
+    def ridge_f0_grid(self) -> np.ndarray:
+        hi = max(500.0, 3.0 * math.sqrt(self.f_threshold) + 50.0)
+        return _ridge_grid(hi, [self.f0_star])
+
+    @property
+    def f0_star(self) -> float:
+        return self.f_threshold / (math.sqrt(self.f_threshold) + math.sqrt(self.crit))
 
 
 @dataclass(frozen=True)
@@ -185,9 +309,30 @@ class PureAR:
     """Reject when t_ar^2 > crit; exact size 2 Phi(-sqrt(crit)) everywhere."""
 
     crit: float
+    flat = True
+    knot_cuts = ()
+    f0_star = None
 
     def __post_init__(self) -> None:
         _require_positive("PureAR.crit", self.crit)
+
+    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
+        return None  # (t, F) does not carry the AR statistic
+
+    def regions(self, f: np.ndarray, rho: float) -> _Tables:
+        return tuple(np.full(f.size, v) for v in _ar_band(self.crit))
+
+    def breakpoints(self, s: float) -> list[float]:
+        return []
+
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        return np.full(f0s.shape, self.tail_limit())
+
+    def tail_limit(self) -> float:
+        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
+
+    def ridge_f0_grid(self) -> np.ndarray:
+        return _ridge_grid(500.0)
 
 
 @dataclass(frozen=True)
@@ -202,6 +347,8 @@ class TFProcedure:
     """
 
     cvf: "CriticalValueFunction"
+    flat = False
+    f0_star = None
 
     def __post_init__(self) -> None:
         for attr in ("lower_support", "f_tilde", "knots", "sqrt_crit_profile"):
@@ -215,6 +362,56 @@ class TFProcedure:
         """(knot positions, knot values, sqrt(lower_support)) as arrays."""
         xs, gs = np.asarray(self.cvf.knots, dtype=float).T
         return xs, gs, math.sqrt(self.cvf.lower_support)
+
+    def crit_at(self, F: float) -> float:
+        """c(F): +inf below the support, exactly lower_support from f_tilde on."""
+        if F < self.cvf.lower_support:
+            return math.inf
+        if F >= self.cvf.f_tilde:
+            return self.cvf.lower_support
+        y = float(self.cvf.sqrt_crit_profile(math.sqrt(F)))
+        return y * y
+
+    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
+        if t is None or F is None:
+            return None
+        return t * t > self.crit_at(F)
+
+    def regions(self, f: np.ndarray, rho: float) -> _Tables:
+        sq_c = np.asarray(self.cvf.sqrt_crit_profile(np.abs(f)), dtype=float)
+        with np.errstate(over="ignore"):
+            return _t_region_tables(f, sq_c * sq_c, rho)
+
+    def breakpoints(self, s: float) -> list[float]:
+        cvf = self.cvf
+        return _mirrored([
+            math.sqrt(cvf.lower_support),
+            math.sqrt(cvf.f_tilde),
+            _cvf_crossing(self, 1.0),  # asymptote: f^2 = c(f^2)
+            _cvf_crossing(self, s),  # root birth: f = s sqrt(c)
+        ])
+
+    @cached_property
+    def knot_cuts(self) -> np.ndarray:
+        # c(F) is linear in sqrt(F) between knots and kinks at each one; the
+        # integrand is smooth only between kinks, and |K15 - G7| measures the
+        # error only where it is smooth.
+        xs = self.knot_arrays[0]
+        return np.concatenate([xs, -xs])
+
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        return np.clip(sum(_rho1_cvf_masses(*self.knot_arrays, f0s)), 0.0, 1.0)
+
+    def tail_limit(self) -> float:
+        return 2.0 * float(ndtr(-self.cvf.knots[-1][1]))
+
+    def ridge_f0_grid(self) -> np.ndarray:
+        # Cost does not set this pitch (the ridge is vectorised: 43,001 points
+        # take under 20 ms); the constant rules' finer grid would move the 5%
+        # curve's audited arg_f0 by 1 ulp, and that value is pinned in tests.
+        return np.unique(
+            np.concatenate([np.arange(0.0, 40.0, 0.005), np.arange(40.0, 100.01, 0.05)])
+        )
 
 
 Procedure = Union[ConventionalT, ThresholdTF, HybridAR, PureAR, TFProcedure]
@@ -265,19 +462,6 @@ def _rho1_threshold_profile(crit: float, f_threshold: float, f0s: np.ndarray) ->
         0.0,
     )
     return np.clip(p + mid, 0.0, 1.0)
-
-
-def _rho1_hybrid_profile(crit: float, f_threshold: float, f0s: np.ndarray) -> np.ndarray:
-    f0s = np.asarray(f0s, dtype=float)
-    base = _rho1_threshold_profile(crit, f_threshold, f0s)
-    sc = math.sqrt(crit)
-    sf = math.sqrt(f_threshold)
-    upper_cut = sf - f0s
-    lower_cut = -sf - f0s
-    # AR rejections inside the sub-threshold band L < z < U.
-    upper = np.maximum(0.0, ndtr(upper_cut) - ndtr(np.maximum(sc, lower_cut)))
-    lower = np.maximum(0.0, ndtr(np.minimum(-sc, upper_cut)) - ndtr(lower_cut))
-    return np.clip(base + upper + lower, 0.0, 1.0)
 
 
 def _range_pairs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,32 +551,12 @@ def _rho1_cvf_masses(
     return ndtr(-a - f0s), in_order, ndtr(f0s - np.maximum(u, f0s))
 
 
-def _rho1_point_prob(proc: Procedure, f0: float) -> float:
-    return float(_rho1_profile(proc, np.array([f0]))[0])
-
-
 def rejection_prob_rho1(proc: Procedure, f0: float) -> float:
     """Exact rejection probability at |rho| = 1 (same value for both signs)."""
     if not isinstance(f0, (int, float)) or not math.isfinite(f0) or f0 < 0.0:
         raise DomainError(f"rejection_prob_rho1: f0 must be finite and >= 0, got {f0!r}")
-    return _rho1_point_prob(proc, float(f0))
-
-
-def hybrid_extra_term(f_threshold: float, crit: float, f0: float) -> float:
-    """Mass the hybrid rule adds below the F threshold at |rho| = 1.
-
-    Equals Phi(-sqrt(crit)) - Phi(-sqrt(f_threshold) - f0), floored at zero;
-    the subtracted term vanishes as f_threshold grows, leaving Phi(-sqrt(crit)).
-    """
-    _require_positive("hybrid_extra_term: crit", crit)
-    if not math.isfinite(f_threshold) or f_threshold < crit / 2.0:
-        raise DomainError(
-            f"hybrid_extra_term requires f_threshold >= crit/2, got {f_threshold!r}"
-        )
-    if not math.isfinite(f0) or f0 < 0.0:
-        raise DomainError(f"hybrid_extra_term: f0 must be >= 0, got {f0!r}")
-    term = ndtr(-math.sqrt(crit)) - ndtr(-math.sqrt(f_threshold) - f0)
-    return float(max(0.0, term))
+    _require_procedure(proc)
+    return float(proc.rho1_profile(np.array([float(f0)]))[0])
 
 
 def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
@@ -419,22 +583,6 @@ def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     return min(x, math.sqrt(proc.cvf.f_tilde), scale * gs[0] + 1.0)
 
 
-def _breakpoints(proc: Procedure, rho: float) -> list[float]:
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    pts: list[float] = []
-    if isinstance(proc, (ConventionalT, ThresholdTF, HybridAR)):
-        sc = math.sqrt(proc.crit)
-        pts.extend([sc, s * sc])
-        if isinstance(proc, (ThresholdTF, HybridAR)):
-            pts.append(math.sqrt(proc.f_threshold))
-    elif isinstance(proc, TFProcedure):
-        cvf = proc.cvf
-        pts.extend([math.sqrt(cvf.lower_support), math.sqrt(cvf.f_tilde)])
-        pts.append(_cvf_crossing(proc, 1.0))  # asymptote: f^2 = c(f^2)
-        pts.append(_cvf_crossing(proc, s))  # root birth: f = s sqrt(c)
-    return sorted({p for x in pts for p in (-x, x) if x > 0.0 and math.isfinite(x)})
-
-
 def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> SizeResult:
     """Rejection probability at p, certified to absolute accuracy tol.
 
@@ -454,19 +602,16 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     if not (isinstance(tol, (int, float)) and 1e-12 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (1e-12, 1e-3], got {tol!r}")
 
+    _require_procedure(proc)
+
     if abs(p.rho) > _RHO1_EDGE:
-        return SizeResult(prob=_rho1_point_prob(proc, p.f0), abs_err=1e-13, point=p)
+        prob = float(proc.rho1_profile(np.array([p.f0]))[0])
+        return SizeResult(prob=prob, abs_err=1e-13, point=p)
 
     rho, f0 = p.rho, p.f0
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     lo, hi = f0 - _F_WINDOW, f0 + _F_WINDOW
-    breaks = np.asarray(_breakpoints(proc, rho))
-    if isinstance(proc, TFProcedure):
-        # c(F) is linear in sqrt(F) between knots and kinks at each one; the
-        # integrand is smooth only between kinks, and |K15 - G7| measures
-        # the error only where it is smooth.
-        xs = proc.knot_arrays[0]
-        breaks = np.concatenate([breaks, xs, -xs])
+    breaks = np.concatenate([proc.breakpoints(s), proc.knot_cuts])
     inside = breaks[(breaks > lo + 1e-9) & (breaks < hi - 1e-9)]
     cuts = np.unique(np.concatenate([[lo, hi], inside]))
     width = np.diff(cuts)
@@ -485,7 +630,7 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
             )
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         f = (mid[:, None] + half[:, None] * _GK_X).ravel()
-        vals = _weighted_rejection(_node_regions(proc, f, rho), f - f0, rho, s)
+        vals = _weighted_rejection(proc.regions(f, rho), f - f0, rho, s)
         vals = vals.reshape(a.size, _GK_X.size)
         k15 = half * (vals @ _GK_WK)
         gap = np.abs(k15 - half * (vals @ _GK_WG))
@@ -567,43 +712,10 @@ def _t_region_tables(
     return base, sign, lo, hi
 
 
-def _node_regions(
-    proc: Procedure, f: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    n = f.size
-    if isinstance(proc, PureAR):
-        sc = math.sqrt(proc.crit)
-        return (
-            np.ones(n),
-            np.full(n, -1.0),
-            np.full(n, -sc),
-            np.full(n, sc),
-        )
-    if isinstance(proc, TFProcedure):
-        sq_c = np.asarray(proc.cvf.sqrt_crit_profile(np.abs(f)), dtype=float)
-        with np.errstate(over="ignore"):
-            return _t_region_tables(f, sq_c * sq_c, rho)
-    base, sign, lo, hi = _t_region_tables(f, np.full(n, proc.crit), rho)
-    if isinstance(proc, (ThresholdTF, HybridAR)):
-        below = f * f <= proc.f_threshold
-        if isinstance(proc, HybridAR):
-            sc = math.sqrt(proc.crit)
-            base = np.where(below, 1.0, base)
-            sign = np.where(below, -1.0, sign)
-            lo = np.where(below, -sc, lo)
-            hi = np.where(below, sc, hi)
-        else:
-            base = np.where(below, 0.0, base)
-            sign = np.where(below, 0.0, sign)
-            lo = np.where(below, 0.0, lo)
-            hi = np.where(below, 0.0, hi)
-    return base, sign, lo, hi
-
-
 def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndarray:
     """phi(d) P(reject | f = f0 + d), zero beyond _F_WINDOW.
 
-    ``regions`` are `_node_regions` tables at the nodes f, broadcast
+    ``regions`` are a procedure's `regions` tables at the nodes f, broadcast
     against d; given f, t_ar is normal with mean rho d and sd s.
     """
     base, sign, lo, hi = regions
@@ -611,20 +723,6 @@ def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndar
     mu = rho * d
     band = ndtr((hi - mu) / s) - ndtr((lo - mu) / s)
     return dens * (base + sign * band)
-
-
-def _rho1_profile(proc: Procedure, f0s: np.ndarray) -> np.ndarray:
-    if isinstance(proc, ConventionalT):
-        return _rho1_threshold_profile(proc.crit, 0.0, f0s)
-    if isinstance(proc, ThresholdTF):
-        return _rho1_threshold_profile(proc.crit, proc.f_threshold, f0s)
-    if isinstance(proc, HybridAR):
-        return _rho1_hybrid_profile(proc.crit, proc.f_threshold, f0s)
-    if isinstance(proc, PureAR):
-        return np.full(f0s.shape, 2.0 * float(ndtr(-math.sqrt(proc.crit))))
-    if isinstance(proc, TFProcedure):
-        return np.clip(sum(_rho1_cvf_masses(*proc.knot_arrays, f0s)), 0.0, 1.0)
-    raise DomainError(f"unknown procedure {proc!r}")
 
 
 def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
@@ -639,6 +737,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     of at most _F0_CHUNK values spanning at most _F0_SPAN, and each chunk
     evaluates only the nodes within _F_WINDOW of its own f0 range.
     """
+    _require_procedure(proc)
     f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
     if f0s.size == 0:
         return np.empty(0)
@@ -648,7 +747,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
         raise DomainError("f0 values must be finite and >= 0")
 
     if abs(rho) > _RHO1_EDGE:
-        return _rho1_profile(proc, f0s)
+        return proc.rho1_profile(f0s)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     h = min(0.3, 2.4 * s)
@@ -657,8 +756,8 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     lo = float(f0_sorted[0]) - _F_WINDOW
     hi = float(f0_sorted[-1]) + _F_WINDOW
     # Panel edges are sorted and unique, so the nodes come out ascending.
-    nodes, weights = _panel_nodes(_breakpoints(proc, rho), lo, hi, h)
-    base, sign, rlo, rhi = _node_regions(proc, nodes, rho)
+    nodes, weights = _panel_nodes(proc.breakpoints(s), lo, hi, h)
+    base, sign, rlo, rhi = proc.regions(nodes, rho)
 
     out = np.empty(f0s.shape)
     start = 0

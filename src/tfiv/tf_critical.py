@@ -329,13 +329,7 @@ def cvf_eval(cvf: CriticalValueFunction, F: float) -> float:
     """
     if not (isinstance(F, (int, float)) and math.isfinite(F) and F >= 0.0):
         raise DomainError(f"F must be a finite nonneg real, got {F!r}")
-    if F < cvf.lower_support:
-        return math.inf
-    if F >= cvf.f_tilde:
-        return cvf.lower_support
-    xs, gs = cvf._arrays
-    y = float(np.interp(math.sqrt(F), xs, gs))
-    return y * y
+    return TFProcedure(cvf).crit_at(F)
 
 
 def tf_adjusted_se(se: float, F: float, cvf: CriticalValueFunction) -> float:

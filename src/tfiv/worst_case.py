@@ -43,9 +43,8 @@ from .size_engine import (
     ConventionalT,
     HybridAR,
     Procedure,
-    PureAR,
-    TFProcedure,
     ThresholdTF,
+    _require_procedure,
     rejection_prob_matrix,
     rejection_prob_profile,
 )
@@ -170,10 +169,6 @@ class HybridBoundRow:
     exceeds: bool
 
 
-def _f0_star(f_threshold: float, crit: float) -> float:
-    return f_threshold / (math.sqrt(f_threshold) + math.sqrt(crit))
-
-
 def local_max_size(f_threshold: float, crit: float) -> float:
     """Size of the threshold procedure at (rho = 1, f0 = f0*), in closed form.
 
@@ -191,29 +186,6 @@ def local_max_size(f_threshold: float, crit: float) -> float:
     u = sf * sc / denom
     w = (sf * sc + 2.0 * f_threshold) / denom
     return float(1.0 - ndtr(u) + ndtr(-w))
-
-
-def _tail_limit(proc: Procedure) -> float:
-    """Size limit as f0 -> infinity (strong instrument)."""
-    if isinstance(proc, (ConventionalT, ThresholdTF, HybridAR, PureAR)):
-        return 2.0 * float(ndtr(-math.sqrt(proc.crit)))
-    if isinstance(proc, TFProcedure):
-        return 2.0 * float(ndtr(-proc.cvf.knots[-1][1]))
-    raise DomainError(f"unknown procedure {proc!r}")
-
-
-def _ridge_f0_grid(proc: Procedure) -> np.ndarray:
-    if isinstance(proc, TFProcedure):
-        # Point-by-point scan; keep it lean, the curve is flat far out anyway.
-        grid = np.concatenate([np.arange(0.0, 40.0, 0.005), np.arange(40.0, 100.01, 0.05)])
-    else:
-        hi = 500.0
-        if isinstance(proc, (ThresholdTF, HybridAR)):
-            hi = max(hi, 3.0 * math.sqrt(proc.f_threshold) + 50.0)
-        grid = np.concatenate([np.arange(0.0, 40.0, 0.002), np.arange(40.0, hi + 1e-9, 0.02)])
-    if isinstance(proc, (ThresholdTF, HybridAR)):
-        grid = np.append(grid, _f0_star(proc.f_threshold, proc.crit))
-    return np.unique(grid)
 
 
 def _zoom_2d(
@@ -353,16 +325,16 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-4):
         raise DomainError(f"worst_case_size: tol must lie in (0, 1e-4], got {tol!r}")
 
-    if isinstance(proc, PureAR):
-        alpha = 2.0 * float(ndtr(-math.sqrt(proc.crit)))
-        return WorstCase(max_prob=alpha, arg_rho=0.0, arg_f0=0.0, certified_tol=1e-13)
+    _require_procedure(proc)
+    if proc.flat:
+        return WorstCase(max_prob=proc.tail_limit(), arg_rho=0.0, arg_f0=0.0, certified_tol=1e-13)
 
     interior = np.linspace(0.0, 1.0, 135)[:-1]
     rhos = np.unique(np.concatenate([interior, _RHO_LAYER, [1.0]]))
     f0_blocks = [np.arange(0.0, 8.0, 0.05), np.arange(8.0, 40.01, 0.25)]
-    if isinstance(proc, (ThresholdTF, HybridAR)):
+    star = proc.f0_star
+    if star is not None:
         # Resolve the transition zone (gate edge / stationary point) finely.
-        star = _f0_star(proc.f_threshold, proc.crit)
         zone_hi = min(40.0, math.sqrt(proc.f_threshold) + 2.5)
         if zone_hi > 8.0:
             f0_blocks.append(np.arange(max(0.0, star - 2.5), zone_hi, 0.04))
@@ -379,12 +351,11 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     mat[np.ix_(head, cols_c)] = rejection_prob_matrix(proc, rhos[head], f0s[cols_c])
 
     masked = np.zeros(mat.shape, dtype=bool)
-    if isinstance(proc, (ThresholdTF, HybridAR)):
+    if star is not None:
         # The ridge peaks at a slope corner (gate edge meets rejection root),
         # which the working resolution cannot bound; the rows near |rho| = 1
         # are re-audited in that pocket at h = 0.0012 below, and the grid's
         # claims there are masked.
-        star = _f0_star(proc.f_threshold, proc.crit)
         w_lo, w_hi = max(0.0, star - 0.15), star + 0.15
         near = rhos >= 0.999 - 1e-12
         masked[np.ix_(near, (f0s >= w_lo) & (f0s <= w_hi))] = True
@@ -397,7 +368,7 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     mat_far = rejection_prob_matrix(proc, rhos_far, f0s_far)
 
     # Exact ridge with analytic candidates.
-    ridge_f0 = _ridge_f0_grid(proc)
+    ridge_f0 = proc.ridge_f0_grid()
     ridge = rejection_prob_profile(proc, 1.0, ridge_f0)
 
     # Refinement: a coarse cell whose claim comes within _REFINE_MARGIN of the
@@ -447,13 +418,12 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     if r_prob >= best_prob - 1e-12:
         # Prefer the exact-ridge location on ties: the argmax is on |rho| = 1.
         best_prob, best_rho, best_f0 = max(r_prob, best_prob), 1.0, r_f0
-    if isinstance(proc, (ThresholdTF, HybridAR)):
-        f0s_star = _f0_star(proc.f_threshold, proc.crit)
-        p_star = float(rejection_prob_profile(proc, 1.0, [f0s_star])[0])
+    if star is not None:
+        p_star = float(rejection_prob_profile(proc, 1.0, [star])[0])
         if p_star >= best_prob:
-            best_prob, best_rho, best_f0 = p_star, 1.0, f0s_star
+            best_prob, best_rho, best_f0 = p_star, 1.0, star
 
-    limit = _tail_limit(proc)
+    limit = proc.tail_limit()
     if limit > best_prob:
         best_prob, best_rho, best_f0 = limit, 1.0, math.inf
 
@@ -462,7 +432,7 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     # analytic limit and the densely audited ridge.
     claims = [claims_c[~refined], fine_claims.ravel()]
     approach_viol = _final_approach_violation(mat)
-    if isinstance(proc, (ThresholdTF, HybridAR)):
+    if star is not None:
         f0s_patch = np.unique(np.append(np.arange(w_lo, w_hi, 0.0012), star))
         mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
         claims.append(_claims(mat_patch, rhos[near], f0s_patch).ravel())
@@ -498,20 +468,12 @@ def _validate_alpha(alpha: float) -> None:
 def _ridge_sup(crit: float, f_threshold: float) -> float:
     """Supremum of the rho = 1 threshold-procedure size over all f0.
 
-    Dense grid over [0, max(500, 3 sqrt(F))] plus the stationary point and
-    the f0 -> infinity limit 2 Phi(-sqrt(crit)).
+    The rule's own ridge grid, which holds the stationary point, plus the
+    f0 -> infinity limit 2 Phi(-sqrt(crit)).
     """
-    hi = max(500.0, 3.0 * math.sqrt(f_threshold) + 50.0)
-    f0s = np.concatenate(
-        [
-            np.arange(0.0, 40.0, 0.002),
-            np.arange(40.0, hi + 1e-9, 0.02),
-            [_f0_star(f_threshold, crit)],
-        ]
-    )
     proc = ThresholdTF(crit=crit, f_threshold=f_threshold)
-    vals = rejection_prob_profile(proc, 1.0, np.unique(f0s))
-    return max(float(vals.max()), 2.0 * float(ndtr(-math.sqrt(crit))))
+    vals = rejection_prob_profile(proc, 1.0, proc.ridge_f0_grid())
+    return max(float(vals.max()), proc.tail_limit())
 
 
 def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
@@ -714,7 +676,7 @@ def hybrid_nonexistence_certificate(crit: float, f_grid) -> list[HybridBoundRow]
         rows.append(
             HybridBoundRow(
                 f_threshold=f_threshold,
-                f0_star=_f0_star(f_threshold, crit),
+                f0_star=HybridAR(crit=crit, f_threshold=f_threshold).f0_star,
                 bound=bound,
                 alpha=alpha,
                 exceeds=bound > alpha,

@@ -6,73 +6,51 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from tfiv.errors import DomainError
-from tfiv.gaussian import (
-    BvnParams,
-    bvn_density,
-    chi2_quantile_1df,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from tfiv.gaussian import chi2_quantile_1df, ndtr, ndtri
+from tfiv.size_engine import _weighted_rejection
 
 
 def test_cdf_anchors():
-    assert std_normal_cdf(0.0) == 0.5
-    assert math.isclose(std_normal_cdf(1.959963984540054), 0.975, rel_tol=1e-12)
-    assert std_normal_cdf(-40.0) == 0.0
+    assert ndtr(0.0) == 0.5
+    assert math.isclose(ndtr(1.959963984540054), 0.975, rel_tol=1e-12)
+    assert ndtr(-40.0) == 0.0
 
 
 @given(st.floats(-6.0, 6.0))
 def test_quantile_inverts_cdf(x):
     # conditioning at p near 1 costs ~1/phi(x) ulps, hence the loose abs_tol
-    assert math.isclose(std_normal_quantile(std_normal_cdf(x)), x, abs_tol=1e-6)
+    assert math.isclose(ndtri(ndtr(x)), x, abs_tol=1e-6)
 
 
 @given(st.floats(-30.0, 30.0))
 def test_cdf_complement(x):
-    assert math.isclose(std_normal_cdf(x) + std_normal_cdf(-x), 1.0, abs_tol=1e-15)
+    assert math.isclose(ndtr(x) + ndtr(-x), 1.0, abs_tol=1e-15)
 
 
 def test_quantile_domain():
-    assert std_normal_quantile(0.0) == -math.inf
-    assert std_normal_quantile(1.0) == math.inf
-    for p in (-0.1, 1.1, float("nan")):
+    assert ndtri(0.0) == -math.inf
+    assert ndtri(1.0) == math.inf
+    # the package's quantile entry point refuses probabilities outside (0, 1)
+    for p in (-0.1, 1.1, float("nan"), 0.0, 1.0):
         with pytest.raises(DomainError):
-            std_normal_quantile(p)
+            chi2_quantile_1df(p)
 
 
 def test_pdf_matches_formula():
+    # The density the integrators weight by: phi(d) inside the window, with
+    # tables that reject every t_ar (base 1, no band).
     xs = np.linspace(-5, 5, 11)
     expect = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
-    assert np.allclose(std_normal_pdf(xs), expect, rtol=1e-14)
+    got = _weighted_rejection((1.0, 0.0, 0.0, 0.0), xs, 0.5, math.sqrt(0.75))
+    assert np.allclose(got, expect, rtol=1e-14)
 
 
 @given(st.floats(0.5, 0.999))
 def test_chi2_quantile_matches_normal_square(p):
-    z = std_normal_quantile(0.5 + p / 2)
+    z = ndtri(0.5 + p / 2)
     assert math.isclose(chi2_quantile_1df(p), z * z, rel_tol=1e-12)
 
 
 def test_chi2_quantile_against_scipy():
     for p in (0.90, 0.95, 0.99):
         assert math.isclose(chi2_quantile_1df(p), stats.chi2.ppf(p, 1), rel_tol=1e-12)
-
-
-def test_bvn_density_origin_and_symmetry():
-    params = BvnParams(rho=0.6)
-    at_origin = 1.0 / (2 * math.pi * math.sqrt(1 - 0.36))
-    assert math.isclose(bvn_density(0.0, 0.0, params), at_origin, rel_tol=1e-14)
-    assert bvn_density(1.2, -0.7, params) == bvn_density(-1.2, 0.7, params)
-
-
-def test_bvn_density_integrates_to_one():
-    params = BvnParams(rho=-0.4)
-    xs = np.linspace(-8, 8, 401)
-    X, Y = np.meshgrid(xs, xs)
-    total = np.trapezoid(np.trapezoid(bvn_density(X, Y, params), xs), xs)
-    assert math.isclose(total, 1.0, abs_tol=1e-8)
-
-
-def test_bvn_density_refuses_singular_rho():
-    with pytest.raises(DomainError):
-        bvn_density(0.0, 0.0, BvnParams(rho=1.0))

@@ -1,15 +1,20 @@
+"""The rejection-region kernel, `size_engine._t_region_tables`.
+
+For fixed f, {t^2 > crit} is a quadratic condition in t_ar,
+
+    h(t_ar) = t_ar^2 (1 - crit/f^2) + 2 crit rho t_ar / f - crit > 0,
+
+so the kernel's (lo, hi) must be the roots of h: between them when
+f^2 < crit (sign +1), outside them when f^2 > crit (sign -1), and sign 0
+("never") where h has no real roots or t^2 is identically 0.
+"""
+
 import math
 
-import pytest
+import numpy as np
 from hypothesis import assume, given, strategies as st
 
-from tfiv.errors import DegenerateCase, DomainError
-from tfiv.regions import (
-    RegionSpec,
-    boundary_roots,
-    quartic_t2_rho1,
-    rho1_rejection_roots,
-)
+from tfiv.size_engine import ConventionalT, _t_region_tables
 from tfiv.statistics import t_squared_identity
 
 finite_f = st.floats(-30.0, 30.0).filter(lambda v: abs(v) > 1e-3)
@@ -17,12 +22,23 @@ crits = st.floats(0.1, 30.0)
 rhos = st.floats(-1.0, 1.0)
 
 
+def _roots(f, crit, rho):
+    base, sign, lo, hi = _t_region_tables(np.array([f]), np.array([crit]), rho)
+    return float(base[0]), float(sign[0]), float(lo[0]), float(hi[0])
+
+
+def _rejects_on_rho1_line(crit, f0, zeta):
+    """The kernel's verdict at rho = 1, where t_ar = f - f0 = zeta exactly."""
+    base, sign, lo, hi = ConventionalT(crit=crit).regions(np.array([f0 + zeta]), 1.0)
+    return bool(base[0] + sign[0] * (lo[0] < zeta < hi[0]) > 0.5)
+
+
 @given(finite_f, crits, rhos)
 def test_boundary_roots_are_roots(f, crit, rho):
-    spec = RegionSpec(crit=crit, rho=rho)
     assume(abs(f * f - crit) > 1e-4 * crit)
     assume(f * f - crit * (1 - rho * rho) > 1e-8)
-    lo, hi = boundary_roots(f, spec)
+    _, sign, lo, hi = _roots(f, crit, rho)
+    assert sign == (1.0 if f * f < crit else -1.0)
     assert lo <= hi
     for r in (lo, hi):
         # the root satisfies t^2(r, f) = crit unless t is infinite there
@@ -32,95 +48,64 @@ def test_boundary_roots_are_roots(f, crit, rho):
 
 @given(finite_f, crits, rhos)
 def test_boundary_roots_antisymmetric(f, crit, rho):
-    spec = RegionSpec(crit=crit, rho=rho)
     assume(abs(f * f - crit) > 1e-4 * crit)
     assume(f * f - crit * (1 - rho * rho) > 1e-8)
-    lo, hi = boundary_roots(f, spec)
+    _, _, lo, hi = _roots(f, crit, rho)
     # (t_ar, f) -> (-t_ar, -f) preserves t^2 at the same rho ...
-    m_lo, m_hi = boundary_roots(-f, spec)
+    _, _, m_lo, m_hi = _roots(-f, crit, rho)
     assert math.isclose(lo, -m_hi, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(hi, -m_lo, rel_tol=1e-9, abs_tol=1e-12)
     # ... and (t_ar, rho) -> (-t_ar, -rho) preserves it at the same f
-    n_lo, n_hi = boundary_roots(f, RegionSpec(crit=crit, rho=-rho))
+    _, _, n_lo, n_hi = _roots(f, crit, -rho)
     assert math.isclose(lo, -n_hi, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(hi, -n_lo, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_boundary_roots_edge_cases():
-    spec = RegionSpec(crit=4.0, rho=0.5)
-    with pytest.raises(DegenerateCase):
-        boundary_roots(2.0, spec)  # f^2 = crit exactly
-    with pytest.raises(DomainError):
-        boundary_roots(1.0, spec)  # f^2 < crit (1 - rho^2) = 3
-    with pytest.raises(DomainError):
-        boundary_roots(0.0, spec)
+    # The asymptote f^2 = crit, the band f^2 < crit (1 - rho^2) = 3 where h
+    # has no real roots, f = 0, and an infinite cutoff all reject nowhere.
+    for f, crit in ((2.0, 4.0), (1.0, 4.0), (0.0, 4.0), (1.0, math.inf)):
+        assert _roots(f, crit, 0.5) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_boundary_roots_cancellation_guard():
     # just inside the guard band the rational rearrangement must keep the
     # root finite and accurate
-    crit = 4.0
-    spec = RegionSpec(crit=crit, rho=0.7)
+    crit, rho = 4.0, 0.7
     f = math.sqrt(crit) * (1.0 + 1e-9)
-    lo, hi = boundary_roots(f, spec)
+    _, _, lo, hi = _roots(f, crit, rho)
     for r in (lo, hi):
-        t2 = t_squared_identity(r, f, spec.rho)
+        t2 = t_squared_identity(r, f, rho)
         assert math.isclose(t2, crit, rel_tol=1e-5)
 
 
 @given(st.floats(-20.0, 20.0), st.floats(0.05, 15.0))
 def test_quartic_matches_identity_on_the_line(f, f0):
-    # on the rho = 1 line t_ar = f - f0, and the quartic is t^2 evaluated there
+    # on the rho = 1 line t_ar = f - f0, and t^2 collapses to the quartic
+    # f^2 (f - f0)^2 / f0^2 that the |rho| = 1 closed forms solve
     assume(abs(f) > 1e-6)
     t_ar = f - f0
-    quartic = quartic_t2_rho1(f, f0)
+    quartic = f * f * t_ar * t_ar / (f0 * f0)
     t2 = t_squared_identity(t_ar, f, 1.0)
     assert math.isclose(quartic, t2, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def test_quartic_refuses_f0_zero():
-    with pytest.raises(DegenerateCase):
-        quartic_t2_rho1(1.0, 0.0)
-
-
 @given(st.floats(0.01, 40.0), crits)
 def test_rho1_roots_partition(f0, crit):
+    # Along the rho = 1 line the kernel accepts on one interval around
+    # [-f0, 0]; the quartic's inner hump (at zeta = -f0 / 2, where it equals
+    # f0^2 / 16) splits it exactly when f0 > 4 sqrt(crit).
     assume(abs(f0 - 4.0 * math.sqrt(crit)) > 1e-9 * max(1.0, f0))
-    roots = rho1_rejection_roots(f0, crit)
-    assert roots == sorted(roots)
-    assert len(roots) in (2, 4)
-    # inner pair exists exactly when the quartic's hump reaches the cutoff
-    if f0 >= 4.0 * math.sqrt(crit):
-        assert len(roots) == 4
-    else:
-        assert len(roots) == 2
-    # each root satisfies quartic = crit (in f = f0 + t_ar)
-    for r in roots:
-        f = f0 + r
-        if abs(f) < 1e-12:
-            continue
-        assert math.isclose(quartic_t2_rho1(f, f0), crit, rel_tol=1e-7, abs_tol=1e-9)
+    far = f0 + 2.0 * math.sqrt(crit) + 10.0
+    got = [_rejects_on_rho1_line(crit, f0, z) for z in (-far, -f0, -f0 / 2, 0.0, far)]
+    assert got == [True, False, f0 > 4.0 * math.sqrt(crit), False, True]
 
 
 @given(st.floats(0.05, 40.0), crits, st.floats(-6.0, 6.0))
 def test_rho1_roots_classify_rejection(f0, crit, zeta):
-    """Between consecutive roots the quartic stays on one side of the cutoff."""
-    roots = rho1_rejection_roots(f0, crit)
+    """At rho = 1 the kernel rejects exactly where the quartic exceeds crit."""
     f = f0 + zeta
     assume(abs(f) > 1e-9)
-    assume(all(abs(zeta - r) > 1e-6 * max(1.0, abs(r)) for r in roots))
-    value = quartic_t2_rho1(f, f0)
-    # crossing parity: rejection iff zeta is outside the outer pair or inside
-    # the inner hump interval
-    below = sum(1 for r in roots if r < zeta)
-    rejects = value > crit
-    assert rejects == (below % 2 == 0)
-
-
-def test_region_spec_validation():
-    with pytest.raises(DomainError):
-        RegionSpec(crit=-1.0, rho=0.0)
-    with pytest.raises(DomainError):
-        RegionSpec(crit=4.0, rho=1.5)
-    with pytest.raises(DomainError):
-        RegionSpec(crit=math.nan, rho=0.0)
+    value = f * f * zeta * zeta / (f0 * f0)
+    assume(abs(value - crit) > 1e-6 * crit)
+    assert _rejects_on_rho1_line(crit, f0, zeta) == (value > crit)

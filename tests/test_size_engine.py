@@ -2,12 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from tfiv.errors import DomainError
-from tfiv.gaussian import std_normal_cdf
 from tfiv.size_engine import (
     ConventionalT,
     HybridAR,
@@ -18,14 +17,13 @@ from tfiv.size_engine import (
     _F0_CHUNK,
     _F_WINDOW,
     _rho1_cvf_masses,
-    hybrid_extra_term,
     rejection_prob,
     rejection_prob_matrix,
     rejection_prob_profile,
     rejection_prob_rho1,
 )
+from tfiv.statistics import t_squared_identity
 from tfiv.tf_critical import CriticalValueFunction
-from tfiv.worst_case import _ridge_f0_grid
 
 Q95 = 3.8414588206941254
 SQRT_Q95 = 1.959963984540054
@@ -57,11 +55,22 @@ def test_procedure_validation():
         TFProcedure(cvf=NotACurve())
 
 
+def test_non_procedures_raise_domain_error():
+    for call in (
+        lambda: rejection_prob("t", NuisancePoint(rho=0.5, f0=1.0)),
+        lambda: rejection_prob("t", NuisancePoint(rho=1.0, f0=1.0)),
+        lambda: rejection_prob_profile(None, 0.5, [1.0]),
+        lambda: rejection_prob_rho1(object(), 1.0),
+    ):
+        with pytest.raises(DomainError):
+            call()
+
+
 @given(st.floats(-1.0, 1.0), st.floats(0.0, 12.0), st.floats(1.0, 12.0))
 @settings(max_examples=25, deadline=None)
 def test_pure_ar_size_is_flat(rho, f0, crit):
     # The AR event ignores the nuisance point entirely.
-    expected = 2.0 * std_normal_cdf(-math.sqrt(crit))
+    expected = 2.0 * ndtr(-math.sqrt(crit))
     res = rejection_prob(PureAR(crit=crit), NuisancePoint(rho=rho, f0=f0))
     assert math.isclose(res.prob, expected, rel_tol=1e-9, abs_tol=1e-12)
 
@@ -114,22 +123,24 @@ def test_rho1_matches_quadrature_limit():
             assert math.isclose(exact, quad, rel_tol=1e-7, abs_tol=1e-9)
 
 
-def test_hybrid_extra_term_anchor():
-    f0_star = 10.0 / (math.sqrt(10.0) + SQRT_Q95)
-    extra = hybrid_extra_term(10.0, Q95, f0_star)
-    assert math.isclose(extra, 0.02499984275337247, rel_tol=1e-9)
-    with pytest.raises(DomainError):
-        hybrid_extra_term(1.0, Q95, 1.0)  # gate below the screened region
+def _hybrid_extra_term(f_threshold: float, crit: float, f0: float) -> float:
+    """Mass the hybrid rule adds below the F threshold at |rho| = 1, valid for
+    f_threshold >= crit / 2: Phi(-sqrt(crit)) - Phi(-sqrt(f_threshold) - f0),
+    floored at zero."""
+    return max(0.0, float(ndtr(-math.sqrt(crit)) - ndtr(-math.sqrt(f_threshold) - f0)))
 
 
 def test_hybrid_decomposition():
     # hybrid = screened test + AR-below-gate extra term, at rho = 1 where the
-    # extra term has its closed form.
-    f0 = 1.3
-    base = rejection_prob_rho1(ThresholdTF(crit=Q95, f_threshold=10.0), f0)
-    extra = hybrid_extra_term(10.0, Q95, f0)
-    total = rejection_prob_rho1(HybridAR(crit=Q95, f_threshold=10.0), f0)
-    assert math.isclose(total, base + extra, rel_tol=1e-9, abs_tol=1e-12)
+    # extra term has its closed form; at f0* the extra term is the anchor.
+    f0_star = 10.0 / (math.sqrt(10.0) + SQRT_Q95)
+    assert HybridAR(crit=Q95, f_threshold=10.0).f0_star == f0_star
+    assert math.isclose(_hybrid_extra_term(10.0, Q95, f0_star), 0.02499984275337247, rel_tol=1e-9)
+    for f0 in (1.3, f0_star):
+        base = rejection_prob_rho1(ThresholdTF(crit=Q95, f_threshold=10.0), f0)
+        extra = _hybrid_extra_term(10.0, Q95, f0)
+        total = rejection_prob_rho1(HybridAR(crit=Q95, f_threshold=10.0), f0)
+        assert math.isclose(total, base + extra, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_tf_procedure_quadrature_spots(cvf):
@@ -314,7 +325,7 @@ def _rho1_cvf_scanner(cvf, f0: float) -> float:
 
 def test_rho1_curve_matches_scanner_on_ridge_grid(cvf):
     proc = TFProcedure(cvf=cvf)
-    f0s = _ridge_f0_grid(proc)
+    f0s = proc.ridge_f0_grid()
     exact = rejection_prob_profile(proc, 1.0, f0s)
     scanned = np.array([_rho1_cvf_scanner(cvf, float(f0)) for f0 in f0s])
     assert float(np.max(np.abs(exact - scanned))) <= 1e-12
@@ -336,3 +347,95 @@ def test_rho1_curve_finds_hump_inside_one_scan_cell():
     assert math.isclose(float(found[0]), hump, rel_tol=1e-6)
     exact = rejection_prob_rho1(TFProcedure(cvf=cvf), f0)
     assert math.isclose(exact - _rho1_cvf_scanner(cvf, f0), hump, rel_tol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# one rule per procedure: the (t, F) decision against the region kernel
+
+
+def _kernel_rejects(proc, t_ar: float, f: float, rho: float) -> bool:
+    base, sign, lo, hi = proc.regions(np.array([f]), rho)
+    return bool(base[0] + sign[0] * (lo[0] < t_ar < hi[0]) > 0.5)
+
+
+# |f| where a rule's region changes: the 5% curve's support edge, the F > 10
+# gate, the 3.43 cutoff's asymptote and the curve's pin point sqrt(f_tilde).
+_EDGES = (SQRT_Q95, math.sqrt(10.0), 3.43, math.sqrt(104.67075419758321))
+
+
+@st.composite
+def _t_ar_f_rho(draw):
+    """(t_ar, f, rho): half the f draws sit within 0.2 of an edge; half the
+    points lie on the |rho| = 1 line at t_ar = rho f / (1 + delta), where
+    t = |f / delta| reaches every level up to a 1000-fold |f|."""
+    near = st.tuples(st.sampled_from(_EDGES), st.floats(-0.2, 0.2), st.sampled_from([-1, 1]))
+    f = draw(st.one_of(st.floats(-15.0, 15.0), near.map(lambda e: e[2] * (e[0] + e[1]))))
+    assume(abs(f) > 1e-3)
+    if draw(st.booleans()):
+        return draw(st.floats(-8.0, 8.0)), f, draw(st.floats(-1.0, 1.0))
+    rho = draw(st.sampled_from([-1.0, 1.0]))
+    delta = draw(st.floats(1e-3, 0.9)) * draw(st.sampled_from([-1.0, 1.0]))
+    return rho * f / (1.0 + delta), f, rho
+
+
+@given(st.integers(0, 3), _t_ar_f_rho())
+@settings(max_examples=400, deadline=None)
+def test_rejects_agrees_with_region_kernel(cvf, which, draw):
+    # A draw (t_ar, f) gives the published pair t^2 = t_squared_identity and
+    # F = f^2; `rejects` on that pair must match the kernel's tables at f.
+    t_ar, f, rho = draw
+    proc = (
+        ConventionalT(crit=Q95),
+        ThresholdTF(crit=Q95, f_threshold=10.0),
+        ThresholdTF(crit=3.43 * 3.43, f_threshold=10.0),
+        TFProcedure(cvf=cvf),
+    )[which]
+    assume(abs(f - rho * t_ar) > 1e-9 or abs(rho) < 1.0)
+    t2 = t_squared_identity(t_ar, f, rho)
+    F = f * f
+    crit = proc.crit_at(F) if isinstance(proc, TFProcedure) else proc.crit
+    # Stay off the boundary t^2 = c(F), the support edge and the gate, and
+    # off the asymptote F = c(F), a null line the kernel tabulates as "never".
+    assume(math.isinf(crit) or min(abs(t2 - crit), abs(F - crit)) > 1e-7 * crit)
+    assume(abs(F - 10.0) > 1e-9 and abs(F - cvf.lower_support) > 1e-9)
+    assert proc.rejects(math.sqrt(t2), F) == _kernel_rejects(proc, t_ar, f, rho)
+
+
+# ---------------------------------------------------------------------------
+# the curve path against the constant path on the same rule
+
+
+def _screen_as_curve(crit: float, f_threshold: float) -> TFProcedure:
+    """ThresholdTF(crit, f_threshold) written as a curve rule: no rejection
+    below the support F = f_threshold, flat g = sqrt(crit) above it.
+
+    The curve form needs g >= sqrt(support), i.e. crit >= f_threshold, so
+    the F > 10 screen at 3.43^2 fits and (1.96^2, 104.7) does not.
+    """
+    sq = math.sqrt(f_threshold)
+    xs = sq + 0.005 * np.arange(1, 4001)
+    g = math.sqrt(crit)
+    cvf = CriticalValueFunction(
+        alpha=0.05,
+        f_tilde=math.inf,
+        knots=tuple((float(x), g) for x in xs),
+        lower_support=f_threshold,
+    )
+    return TFProcedure(cvf=cvf)
+
+
+def test_screen_as_curve_matches_threshold_rule():
+    crit = 3.43 * 3.43
+    screen = ThresholdTF(crit=crit, f_threshold=10.0)
+    curve = _screen_as_curve(crit, 10.0)
+    f0s = np.concatenate([np.linspace(0.0, 30.0, 241), [screen.f0_star]])
+    for rho in (1.0, 0.0, 0.5, 0.9, 0.99, 0.999):
+        gap = np.abs(
+            rejection_prob_profile(curve, rho, f0s) - rejection_prob_profile(screen, rho, f0s)
+        )
+        assert float(gap.max()) <= 1e-12
+    for rho, f0 in ((0.0, 2.0), (0.5, 3.0), (0.9, 1.5), (-0.7, 4.0), (0.99, 2.5)):
+        point = NuisancePoint(rho=rho, f0=f0)
+        a = rejection_prob(curve, point, tol=1e-8).prob
+        b = rejection_prob(screen, point, tol=1e-8).prob
+        assert abs(a - b) <= 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfiv.errors import DomainError
-from tfiv.gaussian import std_normal_cdf
+from tfiv.gaussian import ndtr
 from tfiv.size_engine import (
     ConventionalT,
     PureAR,
@@ -54,12 +54,12 @@ def test_local_max_size_monotone(f_threshold, crit):
 def test_local_max_size_limits():
     # f_threshold -> infinity: one-sided tail 1 - Phi(sqrt(crit))
     assert math.isclose(
-        local_max_size(1e8, Q95), 1.0 - std_normal_cdf(SQRT_Q95), rel_tol=1e-3
+        local_max_size(1e8, Q95), 1.0 - ndtr(SQRT_Q95), rel_tol=1e-3
     )
     # crit -> infinity: both terms become the F-screen tail
     assert math.isclose(
         local_max_size(10.0, 1e6),
-        2.0 * (1.0 - std_normal_cdf(math.sqrt(10.0))),
+        2.0 * (1.0 - ndtr(math.sqrt(10.0))),
         rel_tol=1e-2,
     )
     with pytest.raises(DomainError):
@@ -114,7 +114,7 @@ def test_pure_ar_worst_case_has_no_certificate_parts():
 def test_hybrid_certificate_rows():
     rows = hybrid_nonexistence_certificate(Q95, [2.0, 10.0, 100.0, 1e4])
     assert [r.f_threshold for r in rows] == [2.0, 10.0, 100.0, 1e4]
-    alpha = 2.0 * std_normal_cdf(-SQRT_Q95)
+    alpha = 2.0 * ndtr(-SQRT_Q95)
     for row in rows:
         assert isinstance(row, HybridBoundRow)
         assert math.isclose(row.alpha, alpha, rel_tol=1e-12)

@@ -130,12 +130,27 @@ def _hybrid_extra_term(f_threshold: float, crit: float, f0: float) -> float:
     return max(0.0, float(ndtr(-math.sqrt(crit)) - ndtr(-math.sqrt(f_threshold) - f0)))
 
 
+def test_hybrid_extra_term_anchor():
+    # At f0* the mass the hybrid rule adds below the gate, read off the
+    # production rho = 1 profiles as hybrid minus screened test, is the anchor.
+    f0_star = 10.0 / (math.sqrt(10.0) + SQRT_Q95)
+    hybrid = HybridAR(crit=Q95, f_threshold=10.0)
+    assert hybrid.f0_star == f0_star
+    assert math.isclose(_hybrid_extra_term(10.0, Q95, f0_star), 0.02499984275337247, rel_tol=1e-9)
+    extra = rejection_prob_rho1(hybrid, f0_star) - rejection_prob_rho1(
+        ThresholdTF(crit=Q95, f_threshold=10.0), f0_star
+    )
+    assert math.isclose(extra, 0.02499984275337247, rel_tol=1e-9)
+    with pytest.raises(DomainError):
+        HybridAR(crit=Q95, f_threshold=0.0)  # no gate to screen below
+    with pytest.raises(DomainError):
+        rejection_prob_rho1(hybrid, -1.0)
+
+
 def test_hybrid_decomposition():
     # hybrid = screened test + AR-below-gate extra term, at rho = 1 where the
-    # extra term has its closed form; at f0* the extra term is the anchor.
+    # extra term has its closed form.
     f0_star = 10.0 / (math.sqrt(10.0) + SQRT_Q95)
-    assert HybridAR(crit=Q95, f_threshold=10.0).f0_star == f0_star
-    assert math.isclose(_hybrid_extra_term(10.0, Q95, f0_star), 0.02499984275337247, rel_tol=1e-9)
     for f0 in (1.3, f0_star):
         base = rejection_prob_rho1(ThresholdTF(crit=Q95, f_threshold=10.0), f0)
         extra = _hybrid_extra_term(10.0, Q95, f0)

@@ -374,8 +374,6 @@ _CERT_EF = (
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if not (math.isfinite(args.alpha) and 0.0 < args.alpha < 1.0):
-        raise DomainError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     mode = args.mode
     payload = {
         "command": "solve",

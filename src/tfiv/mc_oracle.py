@@ -140,7 +140,6 @@ class SyntheticDGP:
     pi: float
     rho_uv: float
     error_scale: float = 1.0
-    instrument_law: str = "standard_normal"
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_obs, int) or isinstance(self.n_obs, bool):
@@ -155,10 +154,6 @@ class SyntheticDGP:
             raise DomainError(f"rho_uv must lie in [-1, 1], got {self.rho_uv!r}")
         if self.error_scale <= 0.0:
             raise DomainError(f"error_scale must be positive, got {self.error_scale!r}")
-        if self.instrument_law != "standard_normal":
-            raise DomainError(
-                f"unsupported instrument law: {self.instrument_law!r}"
-            )
 
 
 def simulate_iv_dataset(dgp: SyntheticDGP, seed: int) -> tuple[IVSummary, CoreStats]:

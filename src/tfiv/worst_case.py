@@ -22,18 +22,18 @@ exists at a given level, and it is why the 1% problem has no solution.
 `worst_case_size` audits a (rho, f0) grid coarse to fine: one row and one
 column in four first, then the working pitch only in the boxes around
 coarse cells whose claim (value plus midpoint bound) comes within 1e-4 of
-the best value.  Around that grid sit the exact ridge, the analytic
-f0 -> infinity limit, a far-field block and local zooms; the certified
-tolerance is the largest of the parts it reports on `WorstCase`.  The
-solvers bisect on the monotone closed forms and then certify their answers
-through the full audit.
+the best value.  max_prob is the largest of the grid, a far-field block,
+the exact ridge and its zoom, and the analytic f0 -> infinity limit; the
+certified tolerance is the largest of the parts it reports on `WorstCase`.
+The solvers bisect on the monotone closed forms and then certify their
+answers through the full audit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .size_engine import (
 
 __all__ = [
     "WorstCase",
-    "GridSpec",
     "ValidityRegion",
     "HybridBoundRow",
     "worst_case_size",
@@ -110,28 +109,6 @@ class WorstCase:
     cells_refined: int = 0
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Audit grid over |rho| in [0,1] x E[F] in [ef_min, ef_max]."""
-
-    n_rho: int = 201
-    n_ef: int = 201
-    ef_min: float = 1.0
-    ef_max: float = 400.0
-
-    def __post_init__(self) -> None:
-        if self.n_rho < 100 or self.n_ef < 100:
-            raise DomainError("GridSpec: resolution must be at least 100 x 100")
-        if not (1.0 <= self.ef_min < self.ef_max):
-            raise DomainError("GridSpec: need 1 <= ef_min < ef_max")
-
-    def rho_values(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_rho)
-
-    def ef_values(self) -> np.ndarray:
-        return np.linspace(self.ef_min, self.ef_max, self.n_ef)
-
-
 @dataclass(frozen=True, eq=False)
 class ValidityRegion:
     """Boolean size-validity of the conventional t test per (|rho|, E[F]) cell.
@@ -140,7 +117,7 @@ class ValidityRegion:
     rho mirrors the positive half exactly.  ``rho_bar`` is the largest rho
     whose entire E[F] range is valid and ``ef_bar`` the smallest E[F] valid
     for every rho (None when no such value exists in the grid span) — both
-    located by off-grid bisection so they do not inherit the grid's phase.
+    grid values, so their resolution is the grid pitch.
     """
 
     alpha: float
@@ -186,28 +163,6 @@ def local_max_size(f_threshold: float, crit: float) -> float:
     u = sf * sc / denom
     w = (sf * sc + 2.0 * f_threshold) / denom
     return float(1.0 - ndtr(u) + ndtr(-w))
-
-
-def _zoom_2d(
-    proc: Procedure,
-    rho_lo: float,
-    rho_hi: float,
-    f0_lo: float,
-    f0_hi: float,
-    rounds: int = 4,
-    n: int = 13,
-) -> tuple[float, float, float]:
-    """Iteratively shrink a box around its interior size maximum."""
-    best = (-1.0, 0.0, 0.0)
-    for _ in range(rounds):
-        rhos = np.linspace(max(0.0, rho_lo), min(1.0, rho_hi), n)
-        f0s = np.linspace(max(0.0, f0_lo), f0_hi, n)
-        mat = rejection_prob_matrix(proc, rhos, f0s)
-        i, j = np.unravel_index(int(np.argmax(mat)), mat.shape)
-        best = max(best, (float(mat[i, j]), float(rhos[i]), float(f0s[j])))
-        rho_lo, rho_hi = rhos[max(i - 1, 0)], rhos[min(i + 1, n - 1)]
-        f0_lo, f0_hi = f0s[max(j - 1, 0)], f0s[min(j + 1, n - 1)]
-    return best
 
 
 def _zoom_ridge(proc: Procedure, f0_lo: float, f0_hi: float, rounds: int = 4) -> tuple[float, float]:
@@ -314,13 +269,14 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     comes within 1e-4 of the best value seen so far is re-audited at the
     working pitch over the box between its neighbouring coarse lines.  The
     last three rows are audited at every column for the monotone approach
-    check into |rho| = 1.  Around that grid sit the exact rho = 1 ridge on a
-    dense f0 grid with the analytic stationary point and the f0 -> infinity
-    limit as extra candidates, a far-field block out to f0 = 140, and local
-    zooming around the leaders.  The certified tolerance is the largest of
-    the grid excess (coarse claims of unrefined cells, fine claims of the
-    refined boxes), the far-field excess and the approach violation, floored
-    at _CERT_FLOOR; ToleranceUnmet is raised if it cannot meet tol.
+    check into |rho| = 1.  max_prob is the largest of that grid, a
+    far-field block out to f0 = 140, the exact rho = 1 ridge on a dense f0
+    grid that holds the analytic stationary point, a zoom around the ridge
+    argmax, and the f0 -> infinity limit.  The certified tolerance is the
+    largest of the grid excess (coarse claims of unrefined cells, fine
+    claims of the refined boxes), the far-field excess and the approach
+    violation, floored at _CERT_FLOOR; ToleranceUnmet is raised if it
+    cannot meet tol.
     """
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-4):
         raise DomainError(f"worst_case_size: tol must lie in (0, 1e-4], got {tol!r}")
@@ -406,22 +362,12 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     if float(ridge[k]) >= best_prob:
         best_prob, best_rho, best_f0 = float(ridge[k]), 1.0, float(ridge_f0[k])
 
-    # Local refinement: zoom the 2-D leader and polish the ridge argmax.
-    lo_i, hi_i = max(i - 1, 0), min(i + 1, n_rho - 1)
-    lo_j, hi_j = max(j - 1, 0), min(j + 1, n_f0 - 1)
-    z_prob, z_rho, z_f0 = _zoom_2d(proc, rhos[lo_i], rhos[hi_i], f0s[lo_j], f0s[hi_j])
-    if z_prob > best_prob:
-        best_prob, best_rho, best_f0 = z_prob, z_rho, z_f0
+    # Polish the ridge argmax; the ridge grid already holds f0*.
     r_prob, r_f0 = _zoom_ridge(
         proc, ridge_f0[max(k - 1, 0)], ridge_f0[min(k + 1, len(ridge_f0) - 1)]
     )
-    if r_prob >= best_prob - 1e-12:
-        # Prefer the exact-ridge location on ties: the argmax is on |rho| = 1.
-        best_prob, best_rho, best_f0 = max(r_prob, best_prob), 1.0, r_f0
-    if star is not None:
-        p_star = float(rejection_prob_profile(proc, 1.0, [star])[0])
-        if p_star >= best_prob:
-            best_prob, best_rho, best_f0 = p_star, 1.0, star
+    if r_prob > best_prob:
+        best_prob, best_rho, best_f0 = r_prob, 1.0, r_f0
 
     limit = proc.tail_limit()
     if limit > best_prob:
@@ -586,14 +532,13 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
     return crit_star
 
 
-def validity_region(
-    crit: float, alpha: float, grid_spec: Optional[GridSpec] = None
-) -> ValidityRegion:
+def validity_region(crit: float, alpha: float) -> ValidityRegion:
     """Map where the conventional t test at crit has size <= alpha.
 
-    Evaluates the size on the grid (the rho = 1 column in closed form, the
-    rest via the panel engine) and marks a cell valid when size <= alpha +
-    1e-9 (the engine is accurate to ~1e-10 there).  The extracted bounds are
+    Evaluates the size on a 201 x 201 grid of |rho| in [0, 1] by E[F] in
+    [1, 400] (the rho = 1 column in closed form, the rest via the panel
+    engine) and marks a cell valid when size <= alpha + 1e-9 (the engine
+    is accurate to ~1e-10 there).  The extracted bounds are
     grid quantities: rho_bar is the largest grid rho whose whole column is
     valid (0.0 when no column is), ef_bar the smallest grid E[F] whose whole
     row is valid (None when every row has a violation).  Off-grid excursions
@@ -604,9 +549,8 @@ def validity_region(
         raise DomainError(f"validity_region: crit > 0 required, got {crit!r}")
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"validity_region: alpha in (0, 1) required, got {alpha!r}")
-    spec = grid_spec or GridSpec()
-    rhos = spec.rho_values()
-    efs = spec.ef_values()
+    rhos = np.linspace(0.0, 1.0, 201)
+    efs = np.linspace(1.0, 400.0, 201)
     f0s = np.sqrt(efs - 1.0)
     proc = ConventionalT(crit=crit)
 

@@ -35,7 +35,6 @@ from tfiv.size_engine import (
 from tfiv.statistics import t_squared_identity
 from tfiv.tf_critical import build_cvf, emit_table3, tf_adjusted_se
 from tfiv.worst_case import (
-    GridSpec,
     hybrid_nonexistence_certificate,
     solve_critical_value,
     solve_threshold_F,
@@ -173,9 +172,8 @@ def test_no_finite_hybrid_threshold_exists():
     )
     bound_ok = all(row.bound > 0.05 and row.exceeds for row in rows)
 
-    spec = GridSpec()
-    rhos = np.linspace(-1.0, 1.0, spec.n_rho)
-    f0s = np.sqrt(np.linspace(spec.ef_min, spec.ef_max, spec.n_ef) - 1.0)
+    rhos = np.linspace(-1.0, 1.0, 201)
+    f0s = np.sqrt(np.linspace(1.0, 400.0, 201) - 1.0)
     hyb = rejection_prob_matrix(HybridAR(crit=CRIT_196, f_threshold=10.0), rhos, f0s)
     thr = rejection_prob_matrix(
         ThresholdTF(crit=CRIT_196, f_threshold=10.0), rhos, f0s
@@ -204,9 +202,8 @@ def test_adaptive_curve_pins_at_104_7_and_matches_table():
         and table[0, 5] == 2.16  # sqrt(F) = 7.0
     )
     t0 = time.perf_counter()
-    spec = GridSpec()
-    rhos = np.linspace(-1.0, 1.0, spec.n_rho)
-    f0s = np.sqrt(np.linspace(spec.ef_min, spec.ef_max, spec.n_ef) - 1.0)
+    rhos = np.linspace(-1.0, 1.0, 201)
+    f0s = np.sqrt(np.linspace(1.0, 400.0, 201) - 1.0)
     sizes = rejection_prob_matrix(TFProcedure(cvf=curve), rhos, f0s)
     audit_elapsed = time.perf_counter() - t0
     max_size = float(sizes.max())

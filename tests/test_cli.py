@@ -357,8 +357,13 @@ def test_usage_errors_exit_2(cli_env, capsys):
         assert json.loads(err)["error"]["type"] == "UsageError"
 
 
-def test_alpha_out_of_range_exits_1(cli_env, capsys):
-    code, _, err = run_cli(["cv", "--f", "6.25", "--alpha", "1.5"], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [["cv", "--f", "6.25"], ["solve", "--mode", "critical-value", "--fbar", "10"]],
+    ids=["cv", "solve"],
+)
+def test_alpha_out_of_range_exits_1(cli_env, capsys, argv):
+    code, _, err = run_cli(argv + ["--alpha", "1.5"], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "DomainError"
 

@@ -38,10 +38,6 @@ def test_dgp_validation():
         SyntheticDGP(n_obs=100, beta=0.0, pi=1.0, rho_uv=1.2)
     with pytest.raises(DomainError):
         SyntheticDGP(n_obs=100, beta=0.0, pi=1.0, rho_uv=0.3, error_scale=0.0)
-    with pytest.raises(DomainError):
-        SyntheticDGP(
-            n_obs=100, beta=0.0, pi=1.0, rho_uv=0.3, instrument_law="cauchy"
-        )
 
 
 def test_mc_is_deterministic():

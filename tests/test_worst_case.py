@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from tfiv.errors import DomainError
 from tfiv.gaussian import ndtr
+from tfiv import size_engine, worst_case
 from tfiv.size_engine import (
     ConventionalT,
+    HybridAR,
     PureAR,
     TFProcedure,
     ThresholdTF,
     rejection_prob_rho1,
 )
 from tfiv.worst_case import (
-    GridSpec,
     HybridBoundRow,
     WorstCase,
     hybrid_nonexistence_certificate,
@@ -68,18 +69,6 @@ def test_local_max_size_limits():
         local_max_size(10.0, -1.0)
 
 
-def test_grid_spec_validation():
-    GridSpec()  # defaults are valid
-    with pytest.raises(DomainError):
-        GridSpec(n_rho=99, n_ef=201)
-    with pytest.raises(DomainError):
-        GridSpec(n_rho=201, n_ef=50)
-    with pytest.raises(DomainError):
-        GridSpec(ef_min=5.0, ef_max=2.0)
-    with pytest.raises(DomainError):
-        GridSpec(ef_min=0.5, ef_max=400.0)
-
-
 def test_worst_case_container_fields():
     wc = WorstCase(max_prob=0.1, arg_rho=1.0, arg_f0=2.0, certified_tol=1e-4)
     assert wc.max_prob == 0.1 and wc.arg_rho == 1.0
@@ -93,11 +82,29 @@ def test_worst_case_container_fields():
         # The only refined cell is the corner (rho = 1, f0 = 0), whose box
         # must be widened to three rows to carry a midpoint bound.
         (lambda cvf: ConventionalT(Q95), (1.0, 1.0, 0.0, 1e-06), 1),
+        # The gated rule's argmax is f0*, found on the ridge grid alone.
+        (
+            lambda cvf: HybridAR(Q95, 10.0),
+            (0.13813802562292885, 1.0, 1.9522702546316941, 6.911999999870133e-05),
+            1,
+        ),
     ],
-    ids=["tf", "conventional"],
+    ids=["tf", "conventional", "hybrid"],
 )
-def test_worst_case_size_pins_the_audit(cvf, make, expected, refined):
+def test_worst_case_size_pins_the_audit(cvf, make, expected, refined, monkeypatch):
+    # Record every profile row.  The strip 1 - 5e-5 < |rho| < 1 is certified
+    # by the monotone approach check, so the audit must never integrate it.
+    seen = []
+    profile = size_engine.rejection_prob_profile
+
+    def recording(proc, rho, f0s):
+        seen.append(abs(rho))
+        return profile(proc, rho, f0s)
+
+    monkeypatch.setattr(size_engine, "rejection_prob_profile", recording)
+    monkeypatch.setattr(worst_case, "rejection_prob_profile", recording)
     wc = worst_case_size(make(cvf))
+    assert seen and not [r for r in seen if 1.0 - 5e-5 < r < 1.0]
     assert (wc.max_prob, wc.arg_rho, wc.arg_f0, wc.certified_tol) == expected
     assert wc.cells_refined == refined
     assert wc.certified_tol == max(

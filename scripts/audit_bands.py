@@ -1,0 +1,93 @@
+"""Where the worst-case audit spends its time, by |rho| band.
+
+Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
+1.96^2 cutoff, with `rejection_prob_profile` and the dense panel kernel
+`_weighted_rejection` wrapped from outside, and prints per |rho| band
+(< 0.99, < 0.999, >= 0.999 and = 1): the profile calls, the f0 points they
+evaluated, their seconds, and the node-f0 pairs the dense kernel evaluated.
+
+    PYTHONPATH=src python scripts/audit_bands.py
+"""
+
+import math
+import time
+
+import numpy as np
+
+from tfiv import size_engine, worst_case
+from tfiv.gaussian import Q95
+from tfiv.size_engine import ThresholdTF, TFProcedure
+from tfiv.tf_critical import build_cvf
+
+BANDS = ("< 0.99", "< 0.999", ">= 0.999", "= 1")
+
+
+def _band(rho: float) -> str:
+    a = abs(rho)
+    if a < 0.99:
+        return BANDS[0]
+    if a < 0.999:
+        return BANDS[1]
+    return BANDS[2] if a < 1.0 else BANDS[3]
+
+
+def audit_bands(proc) -> tuple[dict, float]:
+    """Per-band [calls, f0 points, seconds, dense evaluations], and the audit's seconds."""
+    stats = {b: [0, 0, 0.0, 0] for b in BANDS}
+    current = []
+    profile, kernel = size_engine.rejection_prob_profile, size_engine._weighted_rejection
+
+    def timed_profile(proc, rho, f0s):
+        row = stats[_band(rho)]
+        current.append(row)
+        t0 = time.perf_counter()
+        try:
+            out = profile(proc, rho, f0s)
+        finally:
+            row[2] += time.perf_counter() - t0
+            current.pop()
+        row[0] += 1
+        row[1] += np.size(f0s)
+        return out
+
+    def counted_kernel(regions, d, rho, s):
+        if current:
+            current[-1][3] += math.prod(np.broadcast_shapes(np.shape(d), *map(np.shape, regions)))
+        return kernel(regions, d, rho, s)
+
+    patches = [
+        (size_engine, "rejection_prob_profile", timed_profile),
+        (worst_case, "rejection_prob_profile", timed_profile),
+        (size_engine, "_weighted_rejection", counted_kernel),
+    ]
+    saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
+    for mod, name, fn in patches:
+        setattr(mod, name, fn)
+    try:
+        t0 = time.perf_counter()
+        worst_case.worst_case_size(proc)
+        total = time.perf_counter() - t0
+    finally:
+        for mod, name, fn in saved:
+            setattr(mod, name, fn)
+    return stats, total
+
+
+def main() -> None:
+    rules = {
+        "tF rule, 5%": lambda: TFProcedure(build_cvf(0.05)),
+        "F > 10 screen, 1.96^2": lambda: ThresholdTF(Q95, 10.0),
+    }
+    for label, make in rules.items():
+        stats, total = audit_bands(make())
+        print(f"{label}: worst_case_size {total:.2f} s")
+        print(f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8} {'dense evals':>12}")
+        for band in BANDS:
+            calls, points, secs, evals = stats[band]
+            print(f"  {band:>9} {calls:6d} {points:10d} {secs:8.3f} {evals:12,d}")
+        evals = sum(row[3] for row in stats.values())
+        print(f"  {'all':>9} {'':6} {'':10} {'':8} {evals:12,d}")
+
+
+if __name__ == "__main__":
+    main()

@@ -31,7 +31,13 @@ of width ~s.  `rejection_prob` integrates one nuisance point adaptively with
 a vectorised Gauss-Kronrod G7/K15 pair and reports the error it measured;
 `rejection_prob_profile` and `rejection_prob_matrix` evaluate many nuisance
 points at once on fixed Gauss-Legendre panels graded towards the
-breakpoints, which is what makes dense nuisance grids affordable.
+breakpoints, which is what makes dense nuisance grids affordable.  Where
+every node of a panel keeps both edges of its conditional rejection set at
+least 9 conditional sds from the conditional mean, for every f0 of a chunk,
+the conditional probability is one constant 0 or 1 across the panel to
+within Phi(-9) = 1.1e-19; the profile integrates such saturated panels
+exactly, as P (Phi(b - f0) - Phi(a - f0)), and sends only the others through
+the kernel.  Near |rho| = 1 that is most of them.
 
 At |rho| = 1 the conditional law degenerates to the point t_ar = +-(f - f0)
 and everything collapses to exact univariate normal computations (the
@@ -93,6 +99,13 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 # 2 * _F_WINDOW every f0 needs.
 _F0_CHUNK = 64
 _F0_SPAN = 0.5
+# A conditional edge at least this many conditional sds from the conditional
+# mean is saturated: Phi there is 0 or 1 to within Phi(-9) = 1.1e-19.
+_SAT_Z = 9.0
+# A chunk integrates its saturated panels exactly only when that spares at
+# least this many dense node-f0 evaluations: the split route costs about as
+# much as 500-600 of them (gathering the live panels, the exact runs).
+_SAT_MIN_PAIRS = 1000
 # Gauss-Kronrod G7/K15 pair on [-1, 1], from QUADPACK's qk15 (Piessens et
 # al. 1983): the Kronrod nodes from -1 to the centre, their K15 weights, and
 # the G7 weights, zero on the nodes that only the Kronrod rule uses.
@@ -659,14 +672,15 @@ def _segment_edges(a: float, b: float, h: float) -> np.ndarray:
 
 def _panel_nodes(
     breaks: list[float], lo: float, hi: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(panel edges, GL nodes, GL weights); panel k holds nodes 24 k to 24 k + 23."""
     cuts = [lo] + [b for b in sorted(set(breaks)) if lo < b < hi] + [hi]
     edges = np.unique(np.concatenate([_segment_edges(a, b, h) for a, b in zip(cuts, cuts[1:])]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halfs[:, None] * _GL_X[None, :]).ravel()
     weights = (halfs[:, None] * _GL_W[None, :]).ravel()
-    return nodes, weights
+    return edges, nodes, weights
 
 
 def _t_region_tables(
@@ -725,6 +739,100 @@ def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndar
     return dens * (base + sign * band)
 
 
+def _saturation_hulls(
+    nodes: np.ndarray, tables: _Tables, rho: float, s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per GL panel: its (base, sign) and the f0 hulls outside which it saturates.
+
+    At a node f an edge e of the conditional rejection set sits
+    z = rho (f0 - c) / s conditional sds from the mean, c = f - e / rho, so
+    |z| >= _SAT_Z exactly when f0 lies outside c -+ r, r = _SAT_Z s / |rho|.
+    Row 0 of (low, high) bounds those intervals of the upper edge over the
+    panel's nodes, row 1 those of the lower edge.  For f0 outside both hulls
+    every Phi is 0 or 1 to within Phi(-_SAT_Z), the same one on every node.
+    A panel whose nodes differ in (base, sign), or with a hull bound that is
+    not finite (a NaN is never read as saturated), gets hulls (-inf, inf)
+    and stays live for every f0; a panel that never rejects gets (inf, inf).
+    """
+    # One row per GL node, one column per panel, so the reductions run fast.
+    f, base, sign, lo, hi = (t.reshape(-1, _GL_X.size).T.copy() for t in (nodes, *tables))
+    r = _SAT_Z * s / abs(rho)
+    low, high = np.empty((2, 2, f.shape[1]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for row, edge in enumerate((hi, lo)):
+            c = f - edge / rho
+            low[row], high[row] = c.min(0) - r, c.max(0) + r
+    pbase, psign = base[0], sign[0]
+    uniform = ((base == pbase) & (sign == psign)).all(0)
+    live = ~(uniform & np.isfinite(low).all(0) & np.isfinite(high).all(0))
+    low[:, live], high[:, live] = -math.inf, math.inf
+    dead = uniform & (psign == 0.0)
+    low[:, dead] = high[:, dead] = math.inf
+    return pbase, psign, low, high
+
+
+def _run_mass(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Phi(xb) - Phi(xa) for xa <= xb, taken in the lower tail to keep its digits."""
+    upper = xa > 0.0
+    return ndtr(np.where(upper, -xa, xb)) - ndtr(np.where(upper, -xb, xa))
+
+
+def _saturation_plan(
+    edges: np.ndarray,
+    nodes: np.ndarray,
+    tables: _Tables,
+    rho: float,
+    s: float,
+    f0_sorted: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    node_a: np.ndarray,
+    node_b: np.ndarray,
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Which chunks skip their saturated panels, and what those panels add.
+
+    Chunk k holds the sorted f0 values [starts[k], stops[k]) and the panels
+    of its node slice [node_a[k], node_b[k]).  A panel saturates on a chunk
+    whose f0 range lies outside both of its hulls.  A chunk is split only
+    when that spares at least _SAT_MIN_PAIRS dense node-f0 evaluations,
+    since the split route has a fixed cost.  Returns None when no chunk is
+    split, else (split, live, live_at, exact): a flag per chunk, the live
+    panels of split chunk k in live[live_at[k]:live_at[k + 1]], and per
+    sorted f0 the exact mass of its chunk's saturated panels with
+    probability 1, whose runs telescope.
+    """
+    n = _GL_X.size
+    pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
+    fa, fb = f0_sorted[starts], f0_sorted[stops - 1]
+    sizes = stops - starts
+    # Every (chunk, panel) pair of the sweep, chunk-major.
+    k, p = _range_pairs(node_a // n, -(-node_b // n))
+    fa_k, fb_k = fa[k], fb[k]
+    below = [fb_k <= bound[p] for bound in low]
+    above = [fa_k >= bound[p] for bound in high]
+    sat = (below[0] | above[0]) & (below[1] | above[1])
+    split = np.bincount(k, sat, minlength=starts.size) * n * sizes >= _SAT_MIN_PAIRS
+    if not split.any():
+        return None
+    in_split = split[k]
+    on = above if rho > 0.0 else below  # Phi = 1 at that edge
+    ones = in_split & sat & (pbase[p] + psign[p] * (1.0 * on[0] - on[1]) == 1.0)
+    # Runs of P = 1 panels within a chunk span [edges[p_begin], edges[p_end + 1]].
+    same = k[1:] == k[:-1]
+    begin, end = ones.copy(), ones.copy()
+    begin[1:] &= ~(ones[:-1] & same)
+    end[:-1] &= ~(ones[1:] & same)
+    run_a, run_b = edges[p[begin]], edges[p[end] + 1]
+    chunks = np.arange(starts.size + 1)
+    runs_at = np.searchsorted(k[begin], chunks)
+    chunk = np.repeat(chunks[:-1], sizes)
+    i, j = _range_pairs(runs_at[chunk], runs_at[chunk + 1])
+    x = np.clip(np.stack([run_a[j], run_b[j]]) - f0_sorted[i], -_F_WINDOW, _F_WINDOW)
+    exact = np.bincount(i, _run_mass(*x), minlength=f0_sorted.size)
+    live = in_split & ~sat
+    return split, p[live], np.searchsorted(k[live], chunks), exact
+
+
 def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     """Rejection probabilities at one rho across an array of f0 values.
 
@@ -736,6 +844,18 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     nodes within _F_WINDOW of it: the f0 values are swept in ascending chunks
     of at most _F0_CHUNK values spanning at most _F0_SPAN, and each chunk
     evaluates only the nodes within _F_WINDOW of its own f0 range.
+
+    Panels are integrated exactly where the conditional law is saturated.
+    For rho != 0 a panel saturates on a chunk when every node either never
+    rejects or keeps both edges of its conditional rejection set at least
+    _SAT_Z = 9 conditional sds from the conditional mean for every f0 of
+    the chunk (see `_saturation_hulls`).  Its conditional rejection
+    probability is then one constant P, 0 or 1, to within
+    Phi(-9) = 1.1e-19, so it contributes P (Phi(b - f0) - Phi(a - f0)) over
+    its edges [a, b] clipped to the window: what its 24 nodes sum to, up to
+    rounding.  Runs of P = 1 panels telescope, and only the other panels go
+    through the dense kernel.  A chunk takes that route only when it spares
+    at least _SAT_MIN_PAIRS kernel evaluations; rho = 0 never does.
     """
     _require_procedure(proc)
     f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
@@ -756,22 +876,39 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     lo = float(f0_sorted[0]) - _F_WINDOW
     hi = float(f0_sorted[-1]) + _F_WINDOW
     # Panel edges are sorted and unique, so the nodes come out ascending.
-    nodes, weights = _panel_nodes(proc.breakpoints(s), lo, hi, h)
-    base, sign, rlo, rhi = proc.regions(nodes, rho)
+    edges, nodes, weights = _panel_nodes(proc.breakpoints(s), lo, hi, h)
+    tables = proc.regions(nodes, rho)
+    base, sign, rlo, rhi = tables
+
+    # Ascending chunks of at most _F0_CHUNK f0 values spanning at most _F0_SPAN.
+    bounds = [0]
+    while bounds[-1] < f0s.size:
+        i = bounds[-1]
+        span_end = np.searchsorted(f0_sorted, f0_sorted[i] + _F0_SPAN, side="right")
+        bounds.append(min(i + _F0_CHUNK, int(span_end)))
+    starts, stops = np.array(bounds[:-1]), np.array(bounds[1:])
+    node_a = np.searchsorted(nodes, f0_sorted[starts] - _F_WINDOW, side="left")
+    node_b = np.searchsorted(nodes, f0_sorted[stops - 1] + _F_WINDOW, side="right")
+    plan = None
+    if rho != 0.0:
+        plan = _saturation_plan(
+            edges, nodes, tables, rho, s, f0_sorted, starts, stops, node_a, node_b
+        )
+    if plan is not None:
+        split, live, live_at, exact = plan
+        # Nodes, weights and tables panel by panel, to gather live panels from.
+        by_panel = np.stack([nodes, weights, *tables]).reshape(6, -1, _GL_X.size)
 
     out = np.empty(f0s.shape)
-    start = 0
-    while start < f0s.size:
-        span_end = np.searchsorted(f0_sorted, f0_sorted[start] + _F0_SPAN, side="right")
-        stop = min(start + _F0_CHUNK, int(span_end))
-        idx = order[start:stop]
-        f0c = f0_sorted[start:stop]
-        start = stop
-        a = np.searchsorted(nodes, f0c[0] - _F_WINDOW, side="left")
-        b = np.searchsorted(nodes, f0c[-1] + _F_WINDOW, side="right")
-        d = nodes[None, a:b] - f0c[:, None]
-        window = (base[None, a:b], sign[None, a:b], rlo[None, a:b], rhi[None, a:b])
-        out[idx] = _weighted_rejection(window, d, rho, s) @ weights[a:b]
+    for k, (i, j, a, b) in enumerate(zip(starts, stops, node_a, node_b)):
+        f0c = f0_sorted[i:j, None]
+        if plan is not None and split[k]:
+            f, w, *window = by_panel[:, live[live_at[k] : live_at[k + 1]]].reshape(6, -1)
+            prob = exact[i:j] + _weighted_rejection(window, f - f0c, rho, s) @ w
+        else:
+            window = (base[a:b], sign[a:b], rlo[a:b], rhi[a:b])
+            prob = _weighted_rejection(window, nodes[a:b] - f0c, rho, s) @ weights[a:b]
+        out[order[i:j]] = prob
     return np.clip(out, 0.0, 1.0)
 
 

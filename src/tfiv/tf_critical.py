@@ -41,7 +41,6 @@ import os
 import uuid
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -182,11 +181,11 @@ def _initial_curve(xs: np.ndarray, alpha: float, q: float) -> np.ndarray:
     return out
 
 
-def build_cvf(alpha: float, grid: Optional[Sequence[float]] = None) -> CriticalValueFunction:
+def build_cvf(alpha: float) -> CriticalValueFunction:
     """Construct the F-adaptive critical-value curve at level alpha.
 
-    Runs the fixed-point sweep described in the module docstring on the knot
-    ``grid`` (default: 0.005 pitch from just above sqrt(q) to 12), extracts
+    Runs the fixed-point sweep described in the module docstring on the
+    `default_knot_grid` (0.005 pitch from just above sqrt(q) to 12), extracts
     f_tilde as the point where the requirement envelope crosses sqrt(q)
     (+inf if it never does inside the grid), pins the curve beyond it, and
     self-audits the result on the ridge: |size - alpha| <= 1e-4 on the band
@@ -202,20 +201,7 @@ def build_cvf(alpha: float, grid: Optional[Sequence[float]] = None) -> CriticalV
         raise DomainError(f"alpha must be a float in (0, 0.25], got {alpha!r}")
     q = chi2_quantile_1df(1.0 - alpha)
     sq = math.sqrt(q)
-    if grid is None:
-        xs = default_knot_grid(alpha)
-    else:
-        xs = np.asarray(list(grid), dtype=float)
-        if xs.ndim != 1 or xs.size < 50:
-            raise DomainError("grid must be a 1-d sequence of at least 50 knots")
-        if np.any(~np.isfinite(xs)) or np.any(np.diff(xs) <= 0.0):
-            raise DomainError("grid must be finite and strictly increasing")
-        if xs[0] <= sq or xs[0] > sq + 0.05:
-            raise DomainError("grid must start just above sqrt(q)")
-        if np.max(np.diff(xs)) > 0.02:
-            raise DomainError("grid too coarse: max knot step is 0.02")
-        if xs[-1] < sq + 8.5:
-            raise DomainError("grid must extend at least 8.5 beyond sqrt(q)")
+    xs = default_knot_grid(alpha)
 
     f0s = np.arange(0.02, sq + 8.8, _SWEEP_PITCH)
     gs = _initial_curve(xs, alpha, q)

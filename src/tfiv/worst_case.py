@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ToleranceUnmet
-from .gaussian import chi2_quantile_1df, ndtr
+from .gaussian import Q95, chi2_quantile_1df, ndtr
 from .size_engine import (
     ConventionalT,
     HybridAR,
@@ -165,8 +165,8 @@ def local_max_size(f_threshold: float, crit: float) -> float:
     return float(1.0 - ndtr(u) + ndtr(-w))
 
 
-def _zoom_ridge(proc: Procedure, f0_lo: float, f0_hi: float, rounds: int = 4) -> tuple[float, float]:
-    for _ in range(rounds):
+def _zoom_ridge(proc: Procedure, f0_lo: float, f0_hi: float) -> tuple[float, float]:
+    for _ in range(4):
         f0s = np.linspace(max(0.0, f0_lo), f0_hi, 33)
         vals = rejection_prob_profile(proc, 1.0, f0s)
         j = int(np.argmax(vals))
@@ -595,11 +595,10 @@ def hybrid_nonexistence_certificate(crit: float, f_grid) -> list[HybridBoundRow]
     strictly for every finite F because the first argument stays below
     sqrt(crit), and only tends to alpha as F -> infinity.
     """
-    q_two_sided_5 = 3.8414588206941254  # two-sided 5% chi-square quantile
-    if not (math.isfinite(crit) and abs(crit - q_two_sided_5) < 2e-4):
+    if not (math.isfinite(crit) and abs(crit - Q95) < 2e-4):
         raise DomainError(
             "hybrid_nonexistence_certificate covers the two-sided 5% case; "
-            f"crit must be approximately {q_two_sided_5:.4f}, got {crit!r}"
+            f"crit must be approximately {Q95:.4f}, got {crit!r}"
         )
     grid = [float(v) for v in f_grid]
     if not grid or any(not math.isfinite(v) or v <= 0.0 for v in grid):

@@ -400,3 +400,20 @@ def test_cli_loads_special_on_first_use_and_size_never_loads_integrate():
     )
     assert out.stderr.split() == ["False", "False"]
     assert out.stdout.strip()
+
+
+def test_audit_and_conventional_test_leave_special_unloaded(cli_env, fixture_corpus):
+    # At the 5% level both read the chi-square quantile as the stored Q95, so
+    # on a warm cache neither loads scipy.special.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, tfiv.cli; "
+        f"assert tfiv.cli.main(['audit', '--input', {str(fixture_corpus)!r}, '--format', 'json']) == 0; "
+        "assert tfiv.cli.main(['test', '--t', '2.5', '--f', '30', '--procedure', 'conventional']) == 0; "
+        "print('scipy.special' in sys.modules, file=sys.stderr)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stderr.split() == ["False"]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from tfiv.errors import DomainError
-from tfiv.gaussian import chi2_quantile_1df, ndtr, ndtri
+from tfiv.gaussian import Q95, chi2_quantile_1df, ndtr, ndtri
 from tfiv.size_engine import _weighted_rejection
 
 
@@ -34,6 +34,14 @@ def test_quantile_domain():
     for p in (-0.1, 1.1, float("nan"), 0.0, 1.0):
         with pytest.raises(DomainError):
             chi2_quantile_1df(p)
+
+
+def test_stored_q95_is_the_ndtri_quantile():
+    # Q95 stands in for ndtri(0.975)**2 without loading scipy.special; it
+    # must be that value to the last bit, or every tF knot would move.
+    assert Q95 == float(ndtri(0.975)) ** 2
+    assert chi2_quantile_1df(0.95) == Q95
+    assert chi2_quantile_1df(1.0 - 0.05) == Q95
 
 
 def test_pdf_matches_formula():

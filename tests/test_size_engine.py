@@ -15,8 +15,13 @@ from tfiv.size_engine import (
     ThresholdTF,
     TFProcedure,
     _F0_CHUNK,
+    _F0_SPAN,
     _F_WINDOW,
+    _GL_X,
+    _panel_nodes,
     _rho1_cvf_masses,
+    _saturation_hulls,
+    _weighted_rejection,
     rejection_prob,
     rejection_prob_matrix,
     rejection_prob_profile,
@@ -454,3 +459,159 @@ def test_screen_as_curve_matches_threshold_rule():
         a = rejection_prob(curve, point, tol=1e-8).prob
         b = rejection_prob(screen, point, tol=1e-8).prob
         assert abs(a - b) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# saturated panels
+
+
+def _dense_profile(proc, rho, f0s):
+    """The profile sweep with every panel node through the dense kernel.
+
+    A copy of `rejection_prob_profile` before it integrated saturated panels
+    exactly, kept here as the reference those panels must reproduce.  Also
+    returns the number of node-f0 pairs it evaluated.
+    """
+    f0s = np.asarray(f0s, dtype=float)
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    h = min(0.3, 2.4 * s)
+    order = np.argsort(f0s)
+    f0_sorted = f0s[order]
+    lo = float(f0_sorted[0]) - _F_WINDOW
+    hi = float(f0_sorted[-1]) + _F_WINDOW
+    _, nodes, weights = _panel_nodes(proc.breakpoints(s), lo, hi, h)
+    base, sign, rlo, rhi = proc.regions(nodes, rho)
+    out = np.empty(f0s.shape)
+    pairs = start = 0
+    while start < f0s.size:
+        span_end = np.searchsorted(f0_sorted, f0_sorted[start] + _F0_SPAN, side="right")
+        stop = min(start + _F0_CHUNK, int(span_end))
+        idx = order[start:stop]
+        f0c = f0_sorted[start:stop]
+        start = stop
+        a = np.searchsorted(nodes, f0c[0] - _F_WINDOW, side="left")
+        b = np.searchsorted(nodes, f0c[-1] + _F_WINDOW, side="right")
+        d = nodes[None, a:b] - f0c[:, None]
+        window = (base[None, a:b], sign[None, a:b], rlo[None, a:b], rhi[None, a:b])
+        out[idx] = _weighted_rejection(window, d, rho, s) @ weights[a:b]
+        pairs += d.size
+    return np.clip(out, 0.0, 1.0), pairs
+
+
+# Several chunks (0.5 apart at most), spaced chunks beyond, shuffled.
+_SWEEP = np.random.default_rng(5).permutation(
+    np.concatenate([np.linspace(0.0, 6.0, 97), [9.5, 14.25, 26.4, 38.0]])
+)
+_SWEEP_RHOS = (0.0, 0.5, -0.9, 0.99, -0.999, 0.9999, 0.99995)
+
+
+def _dense_pairs(monkeypatch):
+    """Count the node-f0 pairs `rejection_prob_profile` sends through the kernel."""
+    import tfiv.size_engine as engine
+
+    seen = [0]
+
+    def counted(regions, d, rho, s):
+        seen[0] += d.size
+        return _weighted_rejection(regions, d, rho, s)
+
+    monkeypatch.setattr(engine, "_weighted_rejection", counted)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "which",
+    ["conventional", "threshold", "hybrid", "ar", "tf", "threshold-104.65", "conventional-3.43"],
+)
+def test_saturated_panels_match_dense_sweep(cvf, which, monkeypatch):
+    proc = {
+        "conventional": ConventionalT(crit=Q95),
+        "threshold": ThresholdTF(crit=Q95, f_threshold=10.0),
+        "hybrid": HybridAR(crit=Q95, f_threshold=10.0),
+        "ar": PureAR(crit=Q95),
+        "tf": TFProcedure(cvf=cvf),
+        "threshold-104.65": ThresholdTF(crit=1.96**2, f_threshold=104.65),
+        "conventional-3.43": ConventionalT(crit=3.43**2),
+    }[which]
+    assert np.ptp(_SWEEP) > _F0_SPAN
+    seen = _dense_pairs(monkeypatch)
+    for rho in _SWEEP_RHOS:
+        seen[0] = 0
+        prof = rejection_prob_profile(proc, rho, _SWEEP)
+        dense, dense_pairs = _dense_profile(proc, rho, _SWEEP)
+        np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)
+        if abs(rho) >= 0.999:
+            # Near |rho| = 1 most panels are saturated and skip the kernel.
+            assert seen[0] < 0.25 * dense_pairs
+
+
+class _Patched:
+    """A rule whose region tables ``patch`` rewrites, to plant edge cases."""
+
+    def __init__(self, proc, patch):
+        self.proc, self.patch = proc, patch
+
+    def breakpoints(self, s):
+        return self.proc.breakpoints(s)
+
+    def regions(self, f, rho):
+        base, sign, lo, hi = (np.array(t, dtype=float) for t in self.proc.regions(f, rho))
+        self.patch(f, base, sign, lo, hi)
+        return base, sign, lo, hi
+
+
+def _plant(value, column):
+    def patch(f, base, sign, lo, hi):
+        hit = (np.abs(f - 7.0) < 0.05) & (sign != 0.0)
+        (lo, hi)[column][hit] = value
+
+    return patch
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [0, 1], ids=["lo", "hi"])
+def test_non_finite_edges_keep_their_panels_live(value, column):
+    # A panel with a NaN or infinite edge, or so a non-finite c = f - e / rho,
+    # must go through the kernel: read as saturated, a NaN would vanish.
+    proc = _Patched(ConventionalT(crit=Q95), _plant(value, column))
+    for rho in (0.9999, -0.999):
+        prof = rejection_prob_profile(proc, rho, _SWEEP)
+        dense, _ = _dense_profile(proc, rho, _SWEEP)
+        np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)
+        if math.isnan(value):
+            assert np.isnan(prof).any() and not np.isnan(prof).all()
+
+
+def test_saturation_hulls_edge_cases():
+    n = _GL_X.size
+    nodes = np.repeat([0.5, 3.0, 6.0, 9.0, 12.0], n) + np.tile(0.01 * np.arange(n), 5)
+    base, sign = np.zeros(nodes.size), np.ones(nodes.size)
+    lo, hi = np.full(nodes.size, -1.0), np.full(nodes.size, 1.0)
+    sign[n : n + 5] = 0.0  # panel 1 mixes never-reject and active nodes
+    lo[n : n + 5] = hi[n : n + 5] = 0.0
+    sign[2 * n : 3 * n] = lo[2 * n : 3 * n] = hi[2 * n : 3 * n] = 0.0  # panel 2 never rejects
+    hi[3 * n + 7] = math.nan  # panel 3 has a NaN edge
+    nodes[4 * n + 3] = math.inf  # panel 4 has a non-finite c
+    pbase, psign, low, high = _saturation_hulls(nodes, (base, sign, lo, hi), 0.99, 0.14)
+    r = 9.0 * 0.14 / 0.99
+    f = nodes[:n]
+    assert np.allclose(low[:, 0], [f.min() - 1.0 / 0.99 - r, f.min() + 1.0 / 0.99 - r])
+    assert np.allclose(high[:, 0], [f.max() - 1.0 / 0.99 + r, f.max() + 1.0 / 0.99 + r])
+    for live in (1, 3, 4):
+        assert np.all(low[:, live] == -math.inf) and np.all(high[:, live] == math.inf)
+    assert np.all(low[:, 2] == math.inf) and np.all(high[:, 2] == math.inf)
+    assert list(psign) == [1.0, 0.0, 0.0, 1.0, 1.0]
+
+
+def test_mixed_panels_match_dense_sweep():
+    # Every other node of a stretch never rejects: those panels mix
+    # (base, sign) and must stay on the kernel.
+    def patch(f, base, sign, lo, hi):
+        hit = (np.abs(f - 4.0) < 0.6) & (np.arange(f.size) % 2 == 0)
+        base[hit] = sign[hit] = lo[hit] = hi[hit] = 0.0
+
+    proc = _Patched(ThresholdTF(crit=Q95, f_threshold=10.0), patch)
+    for rho in (0.9999, -0.99):
+        prof = rejection_prob_profile(proc, rho, _SWEEP)
+        dense, _ = _dense_profile(proc, rho, _SWEEP)
+        np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)

@@ -17,13 +17,13 @@ The threshold presets are 5%-specific by construction (the pairs
 (1.96^2, 104.7) and (3.43^2, 10) have no analogue at other levels), so any
 subcommand asked to combine them with a different ``--alpha`` refuses.
 
-Start-up is mostly imports, and scipy.special is loaded only when a command
-evaluates Phi.  From a warm cache, ``cv``, ``test --procedure tf``, ``ci``,
-``table3`` and ``mc`` take 0.34-0.39 s; ``size`` 0.71 s, ``audit`` and
-``test --procedure conventional`` 0.67-0.69 s (medians of 7 processes on a
-2-core Intel Xeon).  Building a curve needs Phi and takes about 0.3 s more,
-so a cold ``tfiv cv`` takes 1.3 s; set ``TF_CACHE_DIR`` to keep the knot
-files on disk between invocations.  Cache files are versioned and
+Start-up is mostly imports.  scipy.special is loaded only when a command
+evaluates Phi, and no command loads scipy.optimize or scipy.integrate.  From
+a warm cache, ``cv``, ``test``, ``ci``, ``table3`` and ``audit`` take
+0.28-0.32 s, ``mc`` 0.39 s and ``size`` 0.61 s (medians of 7 processes from
+``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building a curve needs
+Phi, so a cold ``tfiv cv`` takes 0.66 s; set ``TF_CACHE_DIR`` to keep the
+knot files on disk between invocations.  Cache files are versioned and
 checksummed, and a stale or corrupt file is silently rebuilt.
 """
 

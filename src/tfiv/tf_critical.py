@@ -18,8 +18,11 @@ above the support edge still yields size below alpha.  Beyond sqrt(f_tilde)
 the curve pins to exactly sqrt(q).  Linear interpolation between knots
 overstates the convex true curve, so between-knot queries are conservative.
 
-Construction is a fixed point.  Each sweep computes, for every f0 on a dense
-grid, the mass the current curve already rejects on the lower tail
+Construction is a fixed point.  It starts from the constant critical value
+that would hold each knot's F threshold at level alpha on the ridge (the
+solve that gives 3.43 at F = 10), found for every knot at once in one
+vector root solve, `worst_case._brentq`.  Each sweep computes, for every f0
+on a dense grid, the mass the current curve already rejects on the lower tail
 (f <= -sqrt(q)) and on the interior hump (sqrt(q) < f < f0), converts the
 remaining allowance into the upper-tail boundary zeta = z, and records the
 requirement (x, y) = (f0 + z, (f0 + z) z / f0): the curve value at x that
@@ -47,7 +50,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .gaussian import chi2_quantile_1df, ndtri
 from .size_engine import TFProcedure, _rho1_cvf_masses, rejection_prob_profile
-from .worst_case import local_max_size
+from .worst_case import _brentq, _local_max_size
 
 __all__ = [
     "CriticalValueFunction",
@@ -160,24 +163,26 @@ def _upper_envelope(ry: np.ndarray) -> np.ndarray:
 
 
 def _initial_curve(xs: np.ndarray, alpha: float, q: float) -> np.ndarray:
-    """Constant-critical-value solution per knot, capped and clamped."""
-    from scipy.optimize import brentq
+    """Constant-critical-value solution per knot, capped and clamped.
 
-    sq = math.sqrt(q)
-    out = np.empty_like(xs)
+    At each knot x the critical value c that brings `local_max_size(x^2, c)`
+    to alpha: sqrt(q) where q already does, the cap where the cap still
+    cannot, and otherwise the root on [q, cap^2], all found in one vector
+    solve over the bracketed knots.
+    """
+    f_threshold = xs * xs
     cap_c = _SQRT_CRIT_CAP * _SQRT_CRIT_CAP
-    for i, x in enumerate(xs):
-        f_threshold = x * x
-
-        def gap(c: float) -> float:
-            return local_max_size(f_threshold, c) - alpha
-
-        if gap(q) <= 0.0:
-            out[i] = sq
-        elif gap(cap_c) >= 0.0:
-            out[i] = _SQRT_CRIT_CAP
-        else:
-            out[i] = math.sqrt(brentq(gap, q, cap_c, xtol=1e-10, rtol=1e-12))
+    gap_q = _local_max_size(f_threshold, q) - alpha
+    gap_cap = _local_max_size(f_threshold, cap_c) - alpha
+    out = np.where(gap_q <= 0.0, math.sqrt(q), _SQRT_CRIT_CAP)
+    bracketed = (gap_q > 0.0) & (gap_cap < 0.0)
+    f_live = f_threshold[bracketed]
+    n = f_live.size
+    roots = _brentq(
+        lambda c, k: _local_max_size(f_live[k], c) - alpha,
+        np.full(n, q), np.full(n, cap_c), xtol=1e-10, rtol=1e-12,
+    )
+    out[bracketed] = np.sqrt(roots)
     return out
 
 

@@ -79,6 +79,8 @@ _COARSE_STRIDE = 4
 # re-audited at the working pitch.  It is the largest tol `worst_case_size`
 # accepts, so an unrefined cell can never bind the certificate.
 _REFINE_MARGIN = 1e-4
+# Iteration cap of `_brentq`, the default of the scipy routine it ports.
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,16 @@ class HybridBoundRow:
     exceeds: bool
 
 
+def _local_max_size(f_threshold, crit):
+    """The closed form of `local_max_size`, elementwise and unchecked."""
+    sf = np.sqrt(f_threshold)
+    sc = np.sqrt(crit)
+    denom = sf + sc
+    u = sf * sc / denom
+    w = (sf * sc + 2.0 * f_threshold) / denom
+    return 1.0 - ndtr(u) + ndtr(-w)
+
+
 def local_max_size(f_threshold: float, crit: float) -> float:
     """Size of the threshold procedure at (rho = 1, f0 = f0*), in closed form.
 
@@ -157,12 +169,97 @@ def local_max_size(f_threshold: float, crit: float) -> float:
         raise DomainError(f"local_max_size: f_threshold > 0 required, got {f_threshold!r}")
     if not (math.isfinite(crit) and crit > 0.0):
         raise DomainError(f"local_max_size: crit > 0 required, got {crit!r}")
-    sf = math.sqrt(f_threshold)
-    sc = math.sqrt(crit)
-    denom = sf + sc
-    u = sf * sc / denom
-    w = (sf * sc + 2.0 * f_threshold) / denom
-    return float(1.0 - ndtr(u) + ndtr(-w))
+    return float(_local_max_size(f_threshold, crit))
+
+
+def _brentq(f, a, b, xtol: float, rtol: float) -> np.ndarray:
+    """Roots of f on independent brackets [a[k], b[k]], by Brent's method.
+
+    A step-for-step port of scipy's ``brentq`` (its ``brentq.c``, after
+    Brent 1973, Ch. 4), vectorised over brackets: each bracket takes its own
+    branch through masks, with the same IEEE operations in the same order,
+    so every root equals scipy's bit for bit.  ``f(x, k)`` returns the
+    values at points x of the brackets numbered k; it is called only for
+    brackets still open.  A bracket whose end is an exact zero returns that
+    end (a first).  Raises DomainError for a bracket whose ends share a sign
+    or for a NaN value, and ToleranceUnmet for a bracket still open after
+    _BRENT_MAXITER iterations.
+    """
+    xpre = np.array(a, dtype=float, ndmin=1)
+    xcur = np.array(b, dtype=float, ndmin=1)
+
+    def values(x, k):
+        fx = np.array(np.broadcast_to(f(x, k), x.shape), dtype=float)
+        if np.isnan(fx).any():
+            raise DomainError(f"brentq: NaN function value at x={x[np.isnan(fx)][0]!r}")
+        return fx
+
+    k = np.arange(xcur.size)
+    fpre = values(xpre, k)
+    fcur = values(xcur, k)
+    root = np.where(fpre == 0.0, xpre, xcur)
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+        raise DomainError("brentq: f(a) and f(b) must have different signs")
+    k, xpre, xcur, fpre, fcur = k[live], xpre[live], xcur[live], fpre[live], fcur[live]
+    if not k.size:
+        return root
+    xblk = fblk = spre = scur = np.zeros(k.size)
+    for _ in range(_BRENT_MAXITER):
+        # The bracket is [xblk, xcur]; xpre is the previous iterate.
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        # Make xcur the end with the smaller |f|.
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (
+            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        )
+        fpre, fcur, fblk = (
+            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        )
+
+        delta = (xtol + rtol * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            root[k[done]] = xcur[done]
+            open_ = ~done
+            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[open_] for v in (k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+            if not k.size:
+                return root
+
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # Secant step where xpre == xblk, inverse quadratic otherwise.
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            short = (
+                (np.abs(spre) > delta)
+                & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+            )
+        spre = np.where(short, scur, sbis)  # otherwise bisect
+        scur = np.where(short, stry, sbis)
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = values(xcur, k)
+    raise ToleranceUnmet(
+        f"brentq: {k.size} bracket(s) still open after {_BRENT_MAXITER} iterations"
+    )
+
+
+def _scalar_root(gap, lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """The root of a scalar function on the one bracket [lo, hi]."""
+    return float(_brentq(lambda x, _k: gap(float(x[0])), lo, hi, xtol, rtol)[0])
 
 
 def _zoom_ridge(proc: Procedure, f0_lo: float, f0_hi: float) -> tuple[float, float]:
@@ -443,8 +540,6 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     if 1.0 - float(ndtr(math.sqrt(crit))) >= alpha:
         return None
 
-    from scipy.optimize import brentq
-
     def gap(f_threshold: float) -> float:
         return local_max_size(f_threshold, crit) - alpha
 
@@ -455,7 +550,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         hi *= 16.0
     if gap(lo) < 0.0 or gap(hi) > 0.0:
         return None
-    f_star = float(brentq(gap, lo, hi, xtol=1e-10, rtol=1e-14))
+    f_star = _scalar_root(gap, lo, hi, xtol=1e-10, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     if audit.max_prob <= alpha + _CERT_SLACK:
@@ -472,7 +567,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         r_lo, r_hi = r_hi, 4.0 * r_hi
     if ridge_gap(r_hi) > 0.0:
         return None
-    f_star = float(brentq(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12))
+    f_star = _scalar_root(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12)
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     if audit.max_prob > alpha + _CERT_SLACK:
         return None
@@ -502,8 +597,6 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             f"f_threshold={f_threshold} (floor {floor:.6f})"
         )
 
-    from scipy.optimize import brentq
-
     q_alpha = chi2_quantile_1df(1.0 - alpha)
 
     def gap(crit: float) -> float:
@@ -521,7 +614,7 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             raise DomainError(
                 "solve_critical_value: no critical value reaches the requested level"
             )
-        crit_star = float(brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14))
+        crit_star = _scalar_root(gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit_star, f_threshold=f_threshold))
     if audit.max_prob > alpha + _CERT_SLACK:

@@ -369,8 +369,9 @@ def test_alpha_out_of_range_exits_1(cli_env, capsys, argv):
 
 
 def test_cli_import_leaves_integrate_and_optimize_unloaded():
-    # Only `size` and `solve` reach quad or brentq; every other subcommand
-    # must not pay for importing them.
+    # The package integrates on its own panel kernel and finds roots with
+    # its own port of Brent's method, so importing the CLI must load
+    # neither scipy.integrate nor scipy.optimize.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -381,6 +382,22 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_curve_build_and_solver_leave_optimize_unloaded():
+    # `build_cvf` solves its initial curve and `solve_critical_value` its
+    # ridge gap with `worst_case._brentq`, never with scipy.optimize.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from tfiv import build_cvf, solve_critical_value; "
+        "build_cvf(0.05); solve_critical_value(10.0, 0.05); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_cli_loads_special_on_first_use_and_size_never_loads_integrate():

@@ -3,8 +3,11 @@
 Covers: the worst-case size of the (1.96^2, F > 10) threshold rule, the
 corrected threshold 104.7, the corrected critical value 3.43, the validity
 bounds (142.6, 0.565) at the 5% level and (none, 0.43) at the 1% level, and
-the hybrid-rule nonexistence bound.  Runtime is a couple of minutes, almost
-all of it in the two validity-region grids.
+the hybrid-rule nonexistence bound.  It ends with the threshold solver at
+the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99 (where the
+ridge-supremum stage binds) and the critical-value solver's floor case, all
+in repr, so two trees can be diffed for bit identity.  Runtime is a couple
+of minutes, almost all of it in the two validity-region grids.
 """
 
 import math
@@ -12,6 +15,7 @@ import time
 
 import numpy as np
 
+from tfiv.gaussian import chi2_quantile_1df, ndtr
 from tfiv.size_engine import ThresholdTF
 from tfiv.worst_case import (
     hybrid_nonexistence_certificate,
@@ -71,6 +75,17 @@ def main() -> None:
     )
     worst = min(r.bound for r in rows)
     print(f"    min size bound over thresholds = {worst:.6f} (> 0.05: {worst > 0.05})")
+
+    print("solver answers in repr:")
+    for alpha in (0.05, 0.10, 0.20, 0.01):
+        q = chi2_quantile_1df(1.0 - alpha)
+        fbar_q = timed(f"solve_threshold_F({q!r}, {alpha})", solve_threshold_F, q, alpha)
+        print(f"    {fbar_q!r}")
+    alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
+    fbar_hump = timed(f"solve_threshold_F(3.99, {alpha!r})", solve_threshold_F, 3.99, alpha)
+    print(f"    {fbar_hump!r}")
+    floor = timed("solve_critical_value(200.0, 0.05)", solve_critical_value, 200.0, 0.05)
+    print(f"    {floor!r}")
 
 
 if __name__ == "__main__":

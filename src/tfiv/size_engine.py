@@ -50,14 +50,17 @@ Each procedure class carries its whole rule: the (t, F) decision
 (`rejects`) that the corpus audit and the CLI apply, its `regions`,
 `breakpoints` and `knot_cuts` for the integrators, its `rho1_profile`, and
 the `tail_limit`, `ridge_f0_grid` and `f0_star` the worst-case audit uses.
-`knot_cuts` is empty and `f0_star` None for rules without curve knots or
-an F gate; `flat` marks the AR rule, whose size is the same everywhere.
+The four constant-cutoff rules take all but `rejects` and `regions` from
+one private base, where an ungated rule is a gate at F = 0; the gated base
+adds the `f_threshold` field and f0*.  The public classes stay siblings, so
+that `mc_oracle`, the independent check, can tell them apart by type.
+`flat` marks the AR rule, whose size is the same everywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional, Union
 
@@ -184,29 +187,91 @@ def _ar_band(crit: float) -> tuple[float, float, float, float]:
     return 1.0, -1.0, -sc, sc
 
 
-def _gated(tables: _Tables, below: np.ndarray, fill: tuple) -> _Tables:
-    """``tables`` with the nodes at or below the F gate set to ``fill``."""
-    return tuple(np.where(below, v, t) for t, v in zip(tables, fill))
-
-
-def _ridge_grid(hi: float, extra=()) -> np.ndarray:
-    """|rho| = 1 audit grid of the constant-cutoff rules, out to f0 = hi."""
-    return np.unique(
-        np.concatenate([np.arange(0.0, 40.0, 0.002), np.arange(40.0, hi + 1e-9, 0.02), extra])
-    )
-
-
 @dataclass(frozen=True)
-class ConventionalT:
-    """Reject when t^2 > crit, regardless of the first stage."""
+class _ConstantCutoff:
+    """t^2 > crit with a constant cutoff; f_threshold = 0 is the ungated rule.
+
+    Subclasses add `rejects` and `regions`, and `_GatedCutoff` the F gate.
+    """
 
     crit: float
+    f_threshold = 0.0
     flat = False
     knot_cuts = ()
     f0_star = None
 
     def __post_init__(self) -> None:
-        _require_positive("ConventionalT.crit", self.crit)
+        _require_positive(f"{type(self).__name__}.crit", self.crit)
+
+    def breakpoints(self, s: float) -> list[float]:
+        sc = math.sqrt(self.crit)
+        return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
+
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        """P(t^2 > crit, F > f_threshold) at |rho| = 1.
+
+        |z (z + f0)| > f0 sqrt(crit) has an outer root pair (always real) and
+        an inner pair that exists iff f0 >= 4 sqrt(crit); at f0 = 0 the outer
+        pair collapses to [0, 0], which reproduces the correct degenerate
+        limits (t is infinite wherever t_ar != 0).
+        """
+        sc = math.sqrt(self.crit)
+        sf = math.sqrt(self.f_threshold)
+        f0s = np.asarray(f0s, dtype=float)
+        outer = np.sqrt(f0s * f0s + 4.0 * f0s * sc)
+        ra_hi = 0.5 * (-f0s + outer)
+        ra_lo = 0.5 * (-f0s - outer)
+        upper_cut = sf - f0s
+        lower_cut = -sf - f0s
+        p = 1.0 - ndtr(np.maximum(ra_hi, upper_cut)) + ndtr(np.minimum(ra_lo, lower_cut))
+        disc = f0s * f0s - 4.0 * f0s * sc
+        inner = np.sqrt(np.maximum(disc, 0.0))
+        rb_hi = 0.5 * (-f0s + inner)
+        rb_lo = 0.5 * (-f0s - inner)
+        mid = np.where(
+            (disc >= 0.0) & (upper_cut < rb_hi),
+            ndtr(rb_hi) - ndtr(np.maximum(rb_lo, upper_cut)),
+            0.0,
+        )
+        return np.clip(p + mid, 0.0, 1.0)
+
+    def tail_limit(self) -> float:
+        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
+
+    def ridge_f0_grid(self) -> np.ndarray:
+        """|rho| = 1 audit grid out to max(500, 3 sqrt(F) + 50), with f0*."""
+        hi = max(500.0, 3.0 * math.sqrt(self.f_threshold) + 50.0)
+        star = () if self.f0_star is None else [self.f0_star]
+        return np.unique(
+            np.concatenate([np.arange(0.0, 40.0, 0.002), np.arange(40.0, hi + 1e-9, 0.02), star])
+        )
+
+
+@dataclass(frozen=True)
+class _GatedCutoff(_ConstantCutoff):
+    """A constant-cutoff rule whose t test applies only when F > f_threshold."""
+
+    # A bare annotation would take the inherited 0.0 as its default.
+    f_threshold: float = field()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        _require_positive(f"{type(self).__name__}.f_threshold", self.f_threshold)
+
+    @property
+    def f0_star(self) -> float:
+        """The |rho| = 1 stationary point, where the gate edge meets a rejection root."""
+        return self.f_threshold / (math.sqrt(self.f_threshold) + math.sqrt(self.crit))
+
+    def _gated_tables(self, f: np.ndarray, rho: float, fill: tuple) -> _Tables:
+        """The t test's region tables, set to ``fill`` at nodes with F <= f_threshold."""
+        tables = _t_region_tables(f, np.full(f.size, self.crit), rho)
+        return tuple(np.where(f * f <= self.f_threshold, v, t) for t, v in zip(tables, fill))
+
+
+@dataclass(frozen=True)
+class ConventionalT(_ConstantCutoff):
+    """Reject when t^2 > crit, regardless of the first stage."""
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         return None if t is None else t * t > self.crit
@@ -214,71 +279,21 @@ class ConventionalT:
     def regions(self, f: np.ndarray, rho: float) -> _Tables:
         return _t_region_tables(f, np.full(f.size, self.crit), rho)
 
-    def breakpoints(self, s: float) -> list[float]:
-        sc = math.sqrt(self.crit)
-        return _mirrored([sc, s * sc])
-
-    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
-        return _rho1_threshold_profile(self.crit, 0.0, f0s)
-
-    def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
-
-    def ridge_f0_grid(self) -> np.ndarray:
-        return _ridge_grid(500.0)
-
 
 @dataclass(frozen=True)
-class ThresholdTF:
+class ThresholdTF(_GatedCutoff):
     """Reject when t^2 > crit and additionally F > f_threshold."""
-
-    crit: float
-    f_threshold: float
-    flat = False
-    knot_cuts = ()
-
-    def __post_init__(self) -> None:
-        _require_positive("ThresholdTF.crit", self.crit)
-        _require_positive("ThresholdTF.f_threshold", self.f_threshold)
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         return None if t is None or F is None else t * t > self.crit and F > self.f_threshold
 
     def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        tables = _t_region_tables(f, np.full(f.size, self.crit), rho)
-        return _gated(tables, f * f <= self.f_threshold, (0.0, 0.0, 0.0, 0.0))
-
-    def breakpoints(self, s: float) -> list[float]:
-        sc = math.sqrt(self.crit)
-        return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
-
-    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
-        return _rho1_threshold_profile(self.crit, self.f_threshold, f0s)
-
-    def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
-
-    def ridge_f0_grid(self) -> np.ndarray:
-        hi = max(500.0, 3.0 * math.sqrt(self.f_threshold) + 50.0)
-        return _ridge_grid(hi, [self.f0_star])
-
-    @property
-    def f0_star(self) -> float:
-        return self.f_threshold / (math.sqrt(self.f_threshold) + math.sqrt(self.crit))
+        return self._gated_tables(f, rho, (0.0, 0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
-class HybridAR:
+class HybridAR(_GatedCutoff):
     """Threshold rule above f_threshold, AR rule (t_ar^2 > crit) below it."""
-
-    crit: float
-    f_threshold: float
-    flat = False
-    knot_cuts = ()
-
-    def __post_init__(self) -> None:
-        _require_positive("HybridAR.crit", self.crit)
-        _require_positive("HybridAR.f_threshold", self.f_threshold)
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         # Below the gate the rule reads the AR statistic, which (t, F) lacks.
@@ -287,15 +302,10 @@ class HybridAR:
         return t * t > self.crit
 
     def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        tables = _t_region_tables(f, np.full(f.size, self.crit), rho)
-        return _gated(tables, f * f <= self.f_threshold, _ar_band(self.crit))
-
-    def breakpoints(self, s: float) -> list[float]:
-        sc = math.sqrt(self.crit)
-        return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
+        return self._gated_tables(f, rho, _ar_band(self.crit))
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
-        base = _rho1_threshold_profile(self.crit, self.f_threshold, f0s)
+        base = super().rho1_profile(f0s)
         sc = math.sqrt(self.crit)
         sf = math.sqrt(self.f_threshold)
         upper_cut = sf - f0s
@@ -305,29 +315,12 @@ class HybridAR:
         lower = np.maximum(0.0, ndtr(np.minimum(-sc, upper_cut)) - ndtr(lower_cut))
         return np.clip(base + upper + lower, 0.0, 1.0)
 
-    def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
-
-    def ridge_f0_grid(self) -> np.ndarray:
-        hi = max(500.0, 3.0 * math.sqrt(self.f_threshold) + 50.0)
-        return _ridge_grid(hi, [self.f0_star])
-
-    @property
-    def f0_star(self) -> float:
-        return self.f_threshold / (math.sqrt(self.f_threshold) + math.sqrt(self.crit))
-
 
 @dataclass(frozen=True)
-class PureAR:
+class PureAR(_ConstantCutoff):
     """Reject when t_ar^2 > crit; exact size 2 Phi(-sqrt(crit)) everywhere."""
 
-    crit: float
     flat = True
-    knot_cuts = ()
-    f0_star = None
-
-    def __post_init__(self) -> None:
-        _require_positive("PureAR.crit", self.crit)
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         return None  # (t, F) does not carry the AR statistic
@@ -340,12 +333,6 @@ class PureAR:
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         return np.full(f0s.shape, self.tail_limit())
-
-    def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
-
-    def ridge_f0_grid(self) -> np.ndarray:
-        return _ridge_grid(500.0)
 
 
 @dataclass(frozen=True)
@@ -448,33 +435,8 @@ class SizeResult:
 #
 # At rho = +-1, write f = f0 + z with z standard normal; then t_ar = +-z and
 # t^2 = z^2 (f0 + z)^2 / f0^2, so every event is a union of z-intervals with
-# endpoints that solve quadratics.  |z (z + f0)| > f0 sqrt(crit) has an outer
-# root pair (always real) and an inner pair that exists iff f0 >= 4 sqrt(crit);
-# at f0 = 0 the outer pair collapses to [0, 0], which reproduces the correct
-# degenerate limits (t is infinite wherever t_ar != 0).
-
-
-def _rho1_threshold_profile(crit: float, f_threshold: float, f0s: np.ndarray) -> np.ndarray:
-    """P(t^2 > crit, F > f_threshold) at |rho| = 1; f_threshold = 0 drops the F gate."""
-    sc = math.sqrt(crit)
-    sf = math.sqrt(f_threshold) if f_threshold > 0.0 else 0.0
-    f0s = np.asarray(f0s, dtype=float)
-    outer = np.sqrt(f0s * f0s + 4.0 * f0s * sc)
-    ra_hi = 0.5 * (-f0s + outer)
-    ra_lo = 0.5 * (-f0s - outer)
-    upper_cut = sf - f0s
-    lower_cut = -sf - f0s
-    p = 1.0 - ndtr(np.maximum(ra_hi, upper_cut)) + ndtr(np.minimum(ra_lo, lower_cut))
-    disc = f0s * f0s - 4.0 * f0s * sc
-    inner = np.sqrt(np.maximum(disc, 0.0))
-    rb_hi = 0.5 * (-f0s + inner)
-    rb_lo = 0.5 * (-f0s - inner)
-    mid = np.where(
-        (disc >= 0.0) & (upper_cut < rb_hi),
-        ndtr(rb_hi) - ndtr(np.maximum(rb_lo, upper_cut)),
-        0.0,
-    )
-    return np.clip(p + mid, 0.0, 1.0)
+# endpoints that solve quadratics (`_ConstantCutoff.rho1_profile` above for
+# a constant cutoff, `_rho1_cvf_masses` for the curve).
 
 
 def _range_pairs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -72,6 +72,12 @@ _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
 _CERT_FLOOR = 1e-6
 # Slack used when a solver checks its candidate against the global audit.
 _CERT_SLACK = 3e-5
+# `solve_threshold_F` gives up when the ridge limit tops alpha by more than
+# this many ulps of alpha (it is 0 to 6 off at the quantiles of 1-20%) ...
+_LIMIT_ULPS = 64
+# ... or when a ridge hump needs a gate above this.  `worst_case_size`
+# certifies no gate past F ~ 1,400, whose fine zone sqrt(F) + 2.5 > 40.
+_RIDGE_F_CAP = 1e4
 # The coarse audit pass keeps every _COARSE_STRIDE-th interior rho row and
 # f0 column of the working grid.
 _COARSE_STRIDE = 4
@@ -522,22 +528,21 @@ def _ridge_sup(crit: float, f_threshold: float) -> float:
 def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     """Smallest F threshold making the threshold procedure size-alpha.
 
-    Bisects the strictly decreasing local_max_size(., crit) to alpha, then
-    certifies the candidate globally with worst_case_size.  For crit < 4 a
-    finite solution always exists: the rho = 1 ridge approaches its limit
-    2 Phi(-sqrt(crit)) < alpha from below, so if an interior ridge hump
-    still exceeds alpha at the closed-form candidate (it does when crit sits
-    just under 4), the threshold is pushed up by bisecting the exact ridge
-    supremum itself until the gate swallows the hump.  Returns None when no
-    finite threshold exists: either the closed form never reaches alpha (its
-    limit 1 - Phi(sqrt(crit)) is >= alpha), or crit >= 4, in which case the
-    ridge approaches its limit from above and stays above alpha beyond every
-    finite threshold whenever the closed-form candidate fails certification.
+    Returns None at once when the rho = 1 ridge's f0 -> infinity limit
+    2 Phi(-sqrt(crit)), which no gate lowers, exceeds alpha.  Otherwise
+    bisects the strictly decreasing local_max_size(., crit) to alpha and
+    certifies the candidate with worst_case_size.  If that fails for
+    crit < 4, an interior ridge hump is still above alpha past the gate
+    (as at crit = 3.99, alpha = limit + 1e-4), and the exact ridge supremum
+    is bisected instead until the gate swallows the hump; ToleranceUnmet
+    when that needs a gate above _RIDGE_F_CAP.  A failed candidate gives
+    None for crit >= 4, where the ridge nears its limit from above.
     """
     if not (math.isfinite(crit) and crit > 0.0):
         raise DomainError(f"solve_threshold_F: crit > 0 required, got {crit!r}")
     _validate_alpha(alpha)
-    if 1.0 - float(ndtr(math.sqrt(crit))) >= alpha:
+    # The threshold rule's limit, whatever its gate.
+    if ConventionalT(crit).tail_limit() - alpha > _LIMIT_ULPS * math.ulp(alpha):
         return None
 
     def gap(f_threshold: float) -> float:
@@ -563,10 +568,13 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         return _ridge_sup(crit, f_threshold) - alpha
 
     r_lo, r_hi = f_star, 4.0 * f_star
-    while ridge_gap(r_hi) > 0.0 and r_hi < 1e12:
+    while r_hi <= _RIDGE_F_CAP and ridge_gap(r_hi) > 0.0:
         r_lo, r_hi = r_hi, 4.0 * r_hi
-    if ridge_gap(r_hi) > 0.0:
-        return None
+    if r_hi > _RIDGE_F_CAP:
+        raise ToleranceUnmet(
+            f"solve_threshold_F: the rho = 1 ridge stays above alpha = {alpha!r} past "
+            f"F = {r_lo:.6g}, beyond which no gate can be certified"
+        )
     f_star = _scalar_root(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12)
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     if audit.max_prob > alpha + _CERT_SLACK:

@@ -232,6 +232,20 @@ def test_solve_max_rho(cli_env, capsys, schema):
     assert math.isclose(doc["result"], 0.565, abs_tol=5e-4)
 
 
+@pytest.mark.parametrize("crit, alpha", [("0.74", "0.2"), ("1.0", "0.3")])
+def test_solve_threshold_f_none_when_limit_exceeds_alpha(cli_env, capsys, schema, crit, alpha):
+    # 2 Phi(-sqrt(crit)) > alpha > 1 - Phi(sqrt(crit)): the strong-instrument
+    # limit is above alpha, so no gate helps, though the one-sided closed
+    # form still offers a candidate.
+    code, out, _ = run_cli(
+        ["solve", "--mode", "threshold-F", "--crit", crit, "--alpha", alpha, "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = check_json(out, schema)
+    assert doc["exists"] is False and doc["result"] is None
+
+
 def test_solve_flag_pairing(cli_env, capsys):
     code, _, err = run_cli(["solve", "--mode", "threshold-F"], capsys)
     assert code == 1

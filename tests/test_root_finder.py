@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from tfiv import worst_case
 from tfiv.errors import DomainError, TfivError, ToleranceUnmet
-from tfiv.gaussian import Q95, chi2_quantile_1df
+from tfiv.gaussian import Q95, chi2_quantile_1df, ndtr
 from tfiv.tf_critical import _SQRT_CRIT_CAP, _initial_curve, default_knot_grid
 from tfiv.worst_case import _brentq, _ridge_sup, local_max_size
 
@@ -71,7 +71,12 @@ def test_solver_gaps_match_scipy(monkeypatch):
     assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404113
     worst_case.solve_threshold_F(chi2_quantile_1df(0.90), 0.10)
     worst_case.solve_critical_value(10.0, 0.10)
-    assert len(seen) == 5
+    # At crit = 3.99 the closed-form gate 117.13789084712506 leaves a ridge
+    # hump above alpha, so the ridge-supremum stage binds.
+    alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
+    assert worst_case.solve_threshold_F(3.99, alpha) == 156.5268968577954
+    assert seen[-2][0] == 117.13789084712506
+    assert len(seen) == 7
     assert all(same_bits(ours, theirs) for ours, theirs in seen)
 
 

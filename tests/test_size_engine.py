@@ -46,18 +46,42 @@ def test_nuisance_point_validation():
 
 
 def test_procedure_validation():
-    with pytest.raises(DomainError):
-        ConventionalT(crit=0.0)
-    with pytest.raises(DomainError):
-        ThresholdTF(crit=Q95, f_threshold=-1.0)
-    with pytest.raises(DomainError):
-        PureAR(crit=math.inf)
+    # The checks live in a shared base; each message names the concrete class.
+    for make, name in (
+        (lambda: ConventionalT(crit=0.0), "ConventionalT.crit"),
+        (lambda: ThresholdTF(crit=Q95, f_threshold=-1.0), "ThresholdTF.f_threshold"),
+        (lambda: ThresholdTF(Q95, 0.0), "ThresholdTF.f_threshold"),
+        (lambda: HybridAR(math.nan, 10.0), "HybridAR.crit"),
+        (lambda: HybridAR(Q95, math.inf), "HybridAR.f_threshold"),
+        (lambda: PureAR(crit=math.inf), "PureAR.crit"),
+    ):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            make()
 
     class NotACurve:
         pass
 
     with pytest.raises(DomainError):
         TFProcedure(cvf=NotACurve())
+
+
+def test_constant_rules_stay_distinct_siblings():
+    conv, ar = ConventionalT(Q95), PureAR(Q95)
+    assert conv != ar
+    assert len({conv: "t", ar: "ar"}) == 2
+    assert ThresholdTF(Q95, 10.0) != HybridAR(Q95, 10.0)
+    assert ThresholdTF(1.0, 10.0) == ThresholdTF(crit=1.0, f_threshold=10.0)
+    assert repr(ThresholdTF(1.0, 10.0)) == "ThresholdTF(crit=1.0, f_threshold=10.0)"
+    assert repr(HybridAR(Q95, 10.0)) == f"HybridAR(crit={Q95!r}, f_threshold=10.0)"
+    assert repr(conv) == f"ConventionalT(crit={Q95!r})"
+    assert repr(ar) == f"PureAR(crit={Q95!r})"
+    with pytest.raises(TypeError):
+        ThresholdTF(Q95)  # the gate has no default
+    # mc_oracle dispatches on isinstance, so no rule may pass for another.
+    rules = (ConventionalT, ThresholdTF, HybridAR, PureAR)
+    instances = (conv, ThresholdTF(Q95, 10.0), HybridAR(Q95, 10.0), ar)
+    for cls in rules:
+        assert [isinstance(p, cls) for p in instances] == [r is cls for r in rules]
 
 
 def test_non_procedures_raise_domain_error():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfiv.errors import DomainError
+from tfiv.errors import DomainError, ToleranceUnmet
 from tfiv.gaussian import ndtr
 from tfiv import size_engine, worst_case
 from tfiv.size_engine import (
@@ -150,3 +150,21 @@ def test_hybrid_certificate_validation():
         hybrid_nonexistence_certificate(Q95, [1.0])  # below the validity cut
     with pytest.raises(DomainError):
         hybrid_nonexistence_certificate(Q95, [10.0, math.inf])
+
+
+def test_critical_value_floors_at_the_quantile(monkeypatch):
+    # With a gate this high the ridge supremum is already at alpha at the
+    # chi-square quantile, so no root is solved.
+    calls = []
+    monkeypatch.setattr(worst_case, "_scalar_root", lambda *args: calls.append(args))
+    assert worst_case.solve_critical_value(200.0, 0.05) == Q95
+    assert calls == []
+
+
+def test_threshold_search_stops_at_the_gate_cap(monkeypatch):
+    # At crit = 3.99 the ridge-supremum stage needs a gate near 157; below
+    # the cap the search must fail loudly rather than answer None.
+    monkeypatch.setattr(worst_case, "_RIDGE_F_CAP", 200.0)
+    alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
+    with pytest.raises(ToleranceUnmet, match="no gate can be certified"):
+        worst_case.solve_threshold_F(3.99, alpha)

@@ -23,19 +23,19 @@ is then a 1-D integral over f of smooth CDF differences:
     p = Int phi(f - f0) * P(reject | f) df,    truncated to |f - f0| <= 8.5
         (discarded tail mass < 2e-17).
 
-Both evaluators integrate that kernel on panels cut at the geometry's
-breakpoints (+-sqrt(crit) asymptotes, +-s sqrt(crit) root-birth points,
-+-sqrt(f_threshold), and the curve procedure's support/crossing points) no
-wider than min(0.3, 2.4 s), so that they resolve the conditional law's edges
-of width ~s.  `rejection_prob` integrates one nuisance point adaptively with
-a vectorised Gauss-Kronrod G7/K15 pair and reports the error it measured;
-`rejection_prob_profile` and `rejection_prob_matrix` evaluate many nuisance
-points at once on fixed Gauss-Legendre panels graded towards the
-breakpoints, which is what makes dense nuisance grids affordable.  Where
-every node of a panel keeps both edges of its conditional rejection set at
-least 9 conditional sds from the conditional mean, for every f0 of a chunk,
-the conditional probability is one constant 0 or 1 across the panel to
-within Phi(-9) = 1.1e-19; the profile integrates such saturated panels
+Both evaluators integrate that kernel with a vectorised Gauss-Kronrod
+G7/K15 pair on panels cut at the geometry's breakpoints (+-sqrt(crit)
+asymptotes, +-s sqrt(crit) root-birth points, +-sqrt(f_threshold), and the
+curve procedure's support/crossing points), no wider than 2.4 s to resolve
+the conditional law's edges of width ~s.  `rejection_prob` integrates one
+nuisance point adaptively from panels no wider than min(0.3, 2.4 s) and
+reports the error it measured; `rejection_prob_profile` and
+`rejection_prob_matrix` evaluate many nuisance points at once on fixed
+panels graded towards the breakpoints, which makes dense grids affordable.
+Where every node of a panel keeps both edges of its conditional rejection
+set at least 9 conditional sds from the conditional mean, for every f0 of a
+chunk, the conditional probability is one constant 0 or 1 across the panel
+to within Phi(-9) = 1.1e-19; the profile integrates such saturated panels
 exactly, as P (Phi(b - f0) - Phi(a - f0)), and sends only the others through
 the kernel.  Near |rho| = 1 that is most of them.
 
@@ -95,8 +95,10 @@ _RHO1_EDGE = 1.0 - 1e-6
 # Geometric ladder of panel-edge offsets laid down on both sides of every
 # breakpoint; root positions behave like sqrt(distance) at a root-birth
 # point, so panels must shrink towards the kink.
-_GRADED_OFFSETS = (1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2)
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_GRADED_OFFSETS = np.array([1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2])
+# Profiles of the curve rule also cut at its knots below this |x|, where c(F)
+# has 5,801 of the 5% curve's total slope change of 5,805 (in sqrt F).
+_KNOT_CUT_X = 2.5
 # A profile sweep evaluates at most _F0_CHUNK f0 values at a time, spanning
 # at most _F0_SPAN, so that each chunk's node slice stays close to the
 # 2 * _F_WINDOW every f0 needs.
@@ -558,6 +560,16 @@ def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     return min(x, math.sqrt(proc.cvf.f_tilde), scale * gs[0] + 1.0)
 
 
+def _panel_edges(breaks: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
+    """Edges of [lo, hi] cut at the breaks inside it, each piece split evenly to width <= h."""
+    inside = breaks[(breaks > lo + 1e-9) & (breaks < hi - 1e-9)]
+    cuts = np.unique(np.concatenate([[lo, hi], inside]))
+    width = np.diff(cuts)
+    n = np.ceil(width / h).astype(int)
+    piece, k = _range_pairs(np.zeros_like(n), n)
+    return np.append(cuts[piece] + width[piece] * k / n[piece], hi)
+
+
 def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> SizeResult:
     """Rejection probability at p, certified to absolute accuracy tol.
 
@@ -587,12 +599,7 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     lo, hi = f0 - _F_WINDOW, f0 + _F_WINDOW
     breaks = np.concatenate([proc.breakpoints(s), proc.knot_cuts])
-    inside = breaks[(breaks > lo + 1e-9) & (breaks < hi - 1e-9)]
-    cuts = np.unique(np.concatenate([[lo, hi], inside]))
-    width = np.diff(cuts)
-    n = np.ceil(width / min(0.3, 2.4 * s)).astype(int)
-    piece, k = _range_pairs(np.zeros_like(n), n)
-    edges = np.append(cuts[piece] + width[piece] * k / n[piece], hi)
+    edges = _panel_edges(breaks, lo, hi, min(0.3, 2.4 * s))
     a, b = edges[:-1], edges[1:]
     per_width = 0.5 * tol / (2.0 * _F_WINDOW)
     value = err = 0.0
@@ -617,32 +624,25 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
 
 
 # ---------------------------------------------------------------------------
-# vectorised profiles: many f0 at once on Gauss-Legendre panels
+# vectorised profiles: many f0 at once on fixed K15 panels
 
 
-def _segment_edges(a: float, b: float, h: float) -> np.ndarray:
-    length = b - a
-    offs = [d for d in _GRADED_OFFSETS if d < 0.45 * length]
-    left = [a + d for d in offs]
-    right = [b - d for d in reversed(offs)]
-    core_a = left[-1] if left else a
-    core_b = right[0] if right else b
-    n = max(1, int(math.ceil((core_b - core_a) / h)))
-    core = np.linspace(core_a, core_b, n + 1)
-    return np.unique(np.concatenate([[a], left, core, right, [b]]))
-
-
-def _panel_nodes(
-    breaks: list[float], lo: float, hi: float, h: float
+def _profile_panels(
+    proc: Procedure, s: float, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(panel edges, GL nodes, GL weights); panel k holds nodes 24 k to 24 k + 23."""
-    cuts = [lo] + [b for b in sorted(set(breaks)) if lo < b < hi] + [hi]
-    edges = np.unique(np.concatenate([_segment_edges(a, b, h) for a, b in zip(cuts, cuts[1:])]))
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halfs[:, None] * _GL_X[None, :]).ravel()
-    weights = (halfs[:, None] * _GL_W[None, :]).ravel()
-    return edges, nodes, weights
+    """A profile's (panel edges, K15 nodes, K15 weights) on [lo, hi], nodes ascending.
+
+    Cut at the breakpoints, graded on both sides, and at the knots below
+    _KNOT_CUT_X; each piece is split evenly to width <= 2.4 s.
+    """
+    breaks = np.asarray(proc.breakpoints(s), dtype=float)
+    knots = np.asarray(proc.knot_cuts, dtype=float)
+    graded = breaks[:, None] + np.concatenate([-_GRADED_OFFSETS, _GRADED_OFFSETS])
+    cuts = np.concatenate([breaks, graded.ravel(), knots[np.abs(knots) < _KNOT_CUT_X]])
+    edges = _panel_edges(cuts, lo, hi, 2.4 * s)
+    mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = (mids[:, None] + halfs[:, None] * _GK_X).ravel()
+    return edges, nodes, (halfs[:, None] * _GK_WK).ravel()
 
 
 def _t_region_tables(
@@ -704,7 +704,7 @@ def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndar
 def _saturation_hulls(
     nodes: np.ndarray, tables: _Tables, rho: float, s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per GL panel: its (base, sign) and the f0 hulls outside which it saturates.
+    """Per K15 panel: its (base, sign) and the f0 hulls outside which it saturates.
 
     At a node f an edge e of the conditional rejection set sits
     z = rho (f0 - c) / s conditional sds from the mean, c = f - e / rho, so
@@ -716,8 +716,8 @@ def _saturation_hulls(
     not finite (a NaN is never read as saturated), gets hulls (-inf, inf)
     and stays live for every f0; a panel that never rejects gets (inf, inf).
     """
-    # One row per GL node, one column per panel, so the reductions run fast.
-    f, base, sign, lo, hi = (t.reshape(-1, _GL_X.size).T.copy() for t in (nodes, *tables))
+    # One row per K15 node, one column per panel, so the reductions run fast.
+    f, base, sign, lo, hi = (t.reshape(-1, _GK_X.size).T.copy() for t in (nodes, *tables))
     r = _SAT_Z * s / abs(rho)
     low, high = np.empty((2, 2, f.shape[1]))
     with np.errstate(invalid="ignore", over="ignore"):
@@ -763,7 +763,7 @@ def _saturation_plan(
     sorted f0 the exact mass of its chunk's saturated panels with
     probability 1, whose runs telescope.
     """
-    n = _GL_X.size
+    n = _GK_X.size
     pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
     fa, fb = f0_sorted[starts], f0_sorted[stops - 1]
     sizes = stops - starts
@@ -798,11 +798,13 @@ def _saturation_plan(
 def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     """Rejection probabilities at one rho across an array of f0 values.
 
-    Fixed Gauss-Legendre panels shared by every f0 in the sweep, no wider
-    than 2.4 times the conditional sd s = sqrt(1 - rho^2), so that they
-    resolve the conditional law's edges of width ~s; accuracy is a few parts
-    in 1e6 for |rho| <= 1 - 1e-6, beyond which the degenerate closed forms
-    take over, as in `rejection_prob`.  Each f0 is integrated only over the
+    Fixed K15 panels shared by every f0 in the sweep (`_profile_panels`),
+    no wider than 2.4 times the conditional sd s = sqrt(1 - rho^2).  The
+    error is not measured per f0; against `rejection_prob(tol=1e-10)` it was
+    at most 4.7e-8 for the 5% curve rule (rho 0.9 to 0.9999, f0 <= 1.95) and
+    6.1e-8 for the conventional rules at Q95 and 3.43^2 (rho 0 to 0.99).
+    For |rho| > 1 - 1e-6 the degenerate closed forms take over, as in
+    `rejection_prob`.  Each f0 is integrated only over the
     nodes within _F_WINDOW of it: the f0 values are swept in ascending chunks
     of at most _F0_CHUNK values spanning at most _F0_SPAN, and each chunk
     evaluates only the nodes within _F_WINDOW of its own f0 range.
@@ -814,7 +816,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     the chunk (see `_saturation_hulls`).  Its conditional rejection
     probability is then one constant P, 0 or 1, to within
     Phi(-9) = 1.1e-19, so it contributes P (Phi(b - f0) - Phi(a - f0)) over
-    its edges [a, b] clipped to the window: what its 24 nodes sum to, up to
+    its edges [a, b] clipped to the window: what its 15 nodes sum to, up to
     rounding.  Runs of P = 1 panels telescope, and only the other panels go
     through the dense kernel.  A chunk takes that route only when it spares
     at least _SAT_MIN_PAIRS kernel evaluations; rho = 0 never does.
@@ -832,13 +834,11 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
         return proc.rho1_profile(f0s)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    h = min(0.3, 2.4 * s)
     order = np.argsort(f0s)
     f0_sorted = f0s[order]
     lo = float(f0_sorted[0]) - _F_WINDOW
     hi = float(f0_sorted[-1]) + _F_WINDOW
-    # Panel edges are sorted and unique, so the nodes come out ascending.
-    edges, nodes, weights = _panel_nodes(proc.breakpoints(s), lo, hi, h)
+    edges, nodes, weights = _profile_panels(proc, s, lo, hi)
     tables = proc.regions(nodes, rho)
     base, sign, rlo, rhi = tables
 
@@ -859,7 +859,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     if plan is not None:
         split, live, live_at, exact = plan
         # Nodes, weights and tables panel by panel, to gather live panels from.
-        by_panel = np.stack([nodes, weights, *tables]).reshape(6, -1, _GL_X.size)
+        by_panel = np.stack([nodes, weights, *tables]).reshape(6, -1, _GK_X.size)
 
     out = np.empty(f0s.shape)
     for k, (i, j, a, b) in enumerate(zip(starts, stops, node_a, node_b)):

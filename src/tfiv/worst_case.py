@@ -66,9 +66,9 @@ __all__ = [
 # the conditional width s), so the spacing must shrink geometrically there.
 _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
 # Certification never claims better than this.  It is a floor, not a bound
-# on the panel engine's error: for the tF rule at rho = 0.9995, f0 = 0.25 the
-# fixed-panel profile is 1.27e-6 off `rejection_prob(tol=1e-10)`.  A measured
-# integration error should replace it (ROADMAP.md, open item 1).
+# on the profile's error, which is not measured per f0: it was up to 4.7e-8
+# off `rejection_prob(tol=1e-10)` for the tF rule and 6.1e-8 for the
+# conventional rule.  A measured error should replace it (ROADMAP.md, item 3).
 _CERT_FLOOR = 1e-6
 # Slack used when a solver checks its candidate against the global audit.
 _CERT_SLACK = 3e-5

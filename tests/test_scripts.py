@@ -18,9 +18,32 @@ def test_scripts_are_found():
     assert len(SCRIPTS) >= 4
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
-def test_script_imports(path):
+def _load(path):
     spec = importlib.util.spec_from_file_location(f"scripts_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_imports(path):
+    assert callable(_load(path).main)
+
+
+def test_bench_pairs_summary():
+    bench_pairs = _load(Path(__file__).parent.parent / "scripts" / "bench_pairs.py")
+    assert bench_pairs.parse_seeds("401-403,7") == [401, 402, 403, 7]
+
+    def summary(run_s, rss):
+        metrics = {"run_s": {"value": run_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics}
+
+    pairs = [
+        {"parent": summary(p, 80.0), "change": summary(c, r)}
+        for p, c, r in ((1.0, 0.5, 79.0), (0.9, 0.6, 80.0), (0.8, 0.9, 81.0), (1.1, 0.4, 78.0))
+    ]
+    out = bench_pairs.summarise(pairs, {"run_s": "lower"})
+    assert out["run_s"]["change_wins"] == 3 and out["run_s"]["pairs"] == 4
+    assert out["run_s"]["parent"] == {"median": 0.95, "q1": 0.875, "q3": 1.025}
+    assert out["run_s"]["change"]["median"] == 0.55
+    assert out["peak_rss_mb"]["change_wins"] == 2  # a tie is no win

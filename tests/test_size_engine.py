@@ -17,8 +17,8 @@ from tfiv.size_engine import (
     _F0_CHUNK,
     _F0_SPAN,
     _F_WINDOW,
-    _GL_X,
-    _panel_nodes,
+    _GK_X,
+    _profile_panels,
     _rho1_cvf_masses,
     _saturation_hulls,
     _weighted_rejection,
@@ -29,6 +29,7 @@ from tfiv.size_engine import (
 )
 from tfiv.statistics import t_squared_identity
 from tfiv.tf_critical import CriticalValueFunction
+from tfiv.worst_case import worst_case_size
 
 Q95 = 3.8414588206941254
 SQRT_Q95 = 1.959963984540054
@@ -307,6 +308,26 @@ def test_reported_error_covers_tighter_integral(cvf, which, rho, f0, tol):
     assert abs(loose.prob - tight.prob) <= loose.abs_err + tight.abs_err
 
 
+def test_profile_matches_tight_pointwise_integral(cvf):
+    # The curve's kinks below sqrt(F) = 2.5 sit next to the support edge, and
+    # a profile that does not cut at them is about 1e-6 off near rho = 1.
+    # Worst errors measured here: 4.7e-8 (tF) and 6.1e-8 (conventional, at
+    # rho = 0.87, f0 = 1.95).  The conventional half takes every third f0.
+    f0s = np.arange(40) * 0.05
+    tf = TFProcedure(cvf=cvf)
+    for rho in (0.9, 0.99, 0.999, 0.9995, 0.9999):
+        tight = [rejection_prob(tf, NuisancePoint(rho, float(f0)), tol=1e-10).prob for f0 in f0s]
+        gap = np.abs(rejection_prob_profile(tf, rho, f0s) - tight)
+        assert float(gap.max()) <= 2e-7, (rho, f0s[gap.argmax()])
+    f0s = f0s[::3]
+    for proc in (ConventionalT(crit=Q95), ConventionalT(crit=3.43**2)):
+        for rho in np.arange(34) * 0.03:
+            points = [NuisancePoint(float(rho), float(f0)) for f0 in f0s]
+            tight = [rejection_prob(proc, point, tol=1e-10).prob for point in points]
+            gap = np.abs(rejection_prob_profile(proc, float(rho), f0s) - tight)
+            assert float(gap.max()) <= 1e-7, (proc, rho, f0s[gap.argmax()])
+
+
 # ---------------------------------------------------------------------------
 # independent |rho| = 1 oracle for the curve rule: a sign scan plus brentq
 
@@ -492,18 +513,19 @@ def test_screen_as_curve_matches_threshold_rule():
 def _dense_profile(proc, rho, f0s):
     """The profile sweep with every panel node through the dense kernel.
 
-    A copy of `rejection_prob_profile` before it integrated saturated panels
-    exactly, kept here as the reference those panels must reproduce.  Also
-    returns the number of node-f0 pairs it evaluated.
+    `rejection_prob_profile` without its exact integration of saturated
+    panels, on the same K15 panels (`_profile_panels`), kept here as the
+    reference those panels must reproduce; it mirrors the profile's panel
+    layout and is no independent check of its accuracy.  Also returns the
+    number of node-f0 pairs it evaluated.
     """
     f0s = np.asarray(f0s, dtype=float)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    h = min(0.3, 2.4 * s)
     order = np.argsort(f0s)
     f0_sorted = f0s[order]
     lo = float(f0_sorted[0]) - _F_WINDOW
     hi = float(f0_sorted[-1]) + _F_WINDOW
-    _, nodes, weights = _panel_nodes(proc.breakpoints(s), lo, hi, h)
+    _, nodes, weights = _profile_panels(proc, s, lo, hi)
     base, sign, rlo, rhi = proc.regions(nodes, rho)
     out = np.empty(f0s.shape)
     pairs = start = 0
@@ -569,11 +591,20 @@ def test_saturated_panels_match_dense_sweep(cvf, which, monkeypatch):
             assert seen[0] < 0.25 * dense_pairs
 
 
+def test_tf_audit_kernel_work(cvf, monkeypatch):
+    # K15 panels up to 2.4 s wide, with no 0.3 cap: the 5% curve's audit sends
+    # 2.52M node-f0 pairs through the kernel, against 7.23M on GL-24 panels.
+    seen = _dense_pairs(monkeypatch)
+    worst_case_size(TFProcedure(cvf=cvf))
+    assert seen[0] <= 3.0e6
+
+
 class _Patched:
     """A rule whose region tables ``patch`` rewrites, to plant edge cases."""
 
     def __init__(self, proc, patch):
         self.proc, self.patch = proc, patch
+        self.knot_cuts = proc.knot_cuts
 
     def breakpoints(self, s):
         return self.proc.breakpoints(s)
@@ -607,7 +638,7 @@ def test_non_finite_edges_keep_their_panels_live(value, column):
 
 
 def test_saturation_hulls_edge_cases():
-    n = _GL_X.size
+    n = _GK_X.size
     nodes = np.repeat([0.5, 3.0, 6.0, 9.0, 12.0], n) + np.tile(0.01 * np.arange(n), 5)
     base, sign = np.zeros(nodes.size), np.ones(nodes.size)
     lo, hi = np.full(nodes.size, -1.0), np.full(nodes.size, 1.0)

@@ -2,17 +2,17 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR \\
         --workload tf-curve --seeds 401-410 [--workload cli-session --seeds 411-415] \\
-        [--seconds 25] --out BENCH_12.json
+        --out BENCH_12.json
 
 Each seed is one pair: `python3 bench/run.py --workload W --seed N
---seconds S --trace 0` runs once in each checkout, from its root, the
-parent first in even-numbered pairs and the change first in odd ones.  The
-JSON summary on the last line of each run's standard output is kept.  For
-every end-to-end metric the file records both sides' median and quartiles
-and how many pairs the change won, in the direction that the change's
-BENCHMARK.json gives (lower is better for metrics it does not list), with
-each run's correct/attempted/failed counts.  The script uses only the
-standard library.
+--seconds S --trace 0` runs once in each checkout, from its root, with S
+the run_seconds of the change's BENCHMARK.json; the parent runs first in
+even-numbered pairs and the change first in odd ones.  The JSON summary on
+the last line of each run's standard output is kept.  For every end-to-end
+metric the file records both sides' median and quartiles and how many
+pairs the change won, in the direction that the change's BENCHMARK.json
+gives, with each run's correct/attempted/failed counts.  Each workload
+needs at least two seeds.  The script uses only the standard library.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         side = {k: [p[k]["metrics"][name]["value"] for p in pairs] for k in ("parent", "change")}
-        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        sign = -1.0 if better[name] == "lower" else 1.0
         wins = sum(sign * (c - p) > 0.0 for p, c in zip(side["parent"], side["change"]))
         out[name] = {
             "unit": pairs[0]["parent"]["metrics"][name]["unit"],
-            "better": better.get(name, "lower"),
+            "better": better[name],
             "parent": spread(side["parent"]),
             "change": spread(side["change"]),
             "change_wins": wins,
@@ -86,15 +86,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="checkout of the change")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", action="append", required=True, type=parse_seeds,
-                    help="one per --workload, e.g. 401-410")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run budget; default: run_seconds from the change's BENCHMARK.json")
+                    help="one per --workload, at least two seeds each, e.g. 401-410")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if len(args.seeds) != len(args.workload):
         ap.error("give one --seeds per --workload")
+    if min(map(len, args.seeds)) < 2:
+        ap.error("give each workload at least two seeds")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else float(spec["run_seconds"])
+    seconds = float(spec["run_seconds"])
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
     result = {

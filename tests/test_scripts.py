@@ -42,8 +42,15 @@ def test_bench_pairs_summary():
         {"parent": summary(p, 80.0), "change": summary(c, r)}
         for p, c, r in ((1.0, 0.5, 79.0), (0.9, 0.6, 80.0), (0.8, 0.9, 81.0), (1.1, 0.4, 78.0))
     ]
-    out = bench_pairs.summarise(pairs, {"run_s": "lower"})
+    with pytest.raises(KeyError):  # a metric that BENCHMARK.json does not list
+        bench_pairs.summarise(pairs, {"run_s": "lower"})
+    out = bench_pairs.summarise(pairs, {"run_s": "lower", "peak_rss_mb": "lower"})
     assert out["run_s"]["change_wins"] == 3 and out["run_s"]["pairs"] == 4
     assert out["run_s"]["parent"] == {"median": 0.95, "q1": 0.875, "q3": 1.025}
     assert out["run_s"]["change"]["median"] == 0.55
     assert out["peak_rss_mb"]["change_wins"] == 2  # a tie is no win
+    # one seed gives no quartiles, so it is refused before any run starts
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "tf-curve",
+                          "--seeds", "401", "--out", "unused.json"])
+    assert exit_info.value.code == 2

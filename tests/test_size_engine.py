@@ -312,14 +312,17 @@ def test_profile_matches_tight_pointwise_integral(cvf):
     # The curve's kinks below sqrt(F) = 2.5 sit next to the support edge, and
     # a profile that does not cut at them is about 1e-6 off near rho = 1.
     # Worst errors measured here: 4.7e-8 (tF) and 6.1e-8 (conventional, at
-    # rho = 0.87, f0 = 1.95).  The conventional half takes every third f0.
-    f0s = np.arange(40) * 0.05
+    # rho = 0.87, f0 = 1.95).  The conventional half takes every third f0
+    # below 2; both halves add f0 = 3, 5, 8 and 20, where the wider panels
+    # of the far field apply (worst measured there: 4.2e-9).
+    far = np.array([3.0, 5.0, 8.0, 20.0])
+    f0s = np.concatenate([np.arange(40) * 0.05, far])
     tf = TFProcedure(cvf=cvf)
-    for rho in (0.9, 0.99, 0.999, 0.9995, 0.9999):
+    for rho in (0.0, 0.5, 0.9, 0.99, 0.999, 0.9995, 0.9999):
         tight = [rejection_prob(tf, NuisancePoint(rho, float(f0)), tol=1e-10).prob for f0 in f0s]
         gap = np.abs(rejection_prob_profile(tf, rho, f0s) - tight)
         assert float(gap.max()) <= 2e-7, (rho, f0s[gap.argmax()])
-    f0s = f0s[::3]
+    f0s = np.concatenate([f0s[:40:3], far])
     for proc in (ConventionalT(crit=Q95), ConventionalT(crit=3.43**2)):
         for rho in np.arange(34) * 0.03:
             points = [NuisancePoint(float(rho), float(f0)) for f0 in f0s]

@@ -4,7 +4,8 @@ Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
 1.96^2 cutoff, with `rejection_prob_profile` and the dense panel kernel
 `_weighted_rejection` wrapped from outside, and prints per |rho| band
 (< 0.99, < 0.999, >= 0.999 and = 1): the profile calls, the f0 points they
-evaluated, their seconds, and the node-f0 pairs the dense kernel evaluated.
+evaluated, their seconds, the dense kernel's calls and the node-f0 pairs it
+evaluated.
 
     PYTHONPATH=src python scripts/audit_bands.py
 """
@@ -32,8 +33,8 @@ def _band(rho: float) -> str:
 
 
 def audit_bands(proc) -> tuple[dict, float]:
-    """Per-band [calls, f0 points, seconds, dense evaluations], and the audit's seconds."""
-    stats = {b: [0, 0, 0.0, 0] for b in BANDS}
+    """Per-band [calls, f0 points, seconds, kernel calls, dense evaluations], and total seconds."""
+    stats = {b: [0, 0, 0.0, 0, 0] for b in BANDS}
     current = []
     profile, kernel = size_engine.rejection_prob_profile, size_engine._weighted_rejection
 
@@ -52,7 +53,8 @@ def audit_bands(proc) -> tuple[dict, float]:
 
     def counted_kernel(regions, d, rho, s):
         if current:
-            current[-1][3] += math.prod(np.broadcast_shapes(np.shape(d), *map(np.shape, regions)))
+            current[-1][3] += 1
+            current[-1][4] += math.prod(np.broadcast_shapes(np.shape(d), *map(np.shape, regions)))
         return kernel(regions, d, rho, s)
 
     patches = [
@@ -81,12 +83,19 @@ def main() -> None:
     for label, make in rules.items():
         stats, total = audit_bands(make())
         print(f"{label}: worst_case_size {total:.2f} s")
-        print(f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8} {'dense evals':>12}")
+        print(
+            f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8}"
+            f" {'kernel calls':>12} {'dense evals':>12}"
+        )
         for band in BANDS:
-            calls, points, secs, evals = stats[band]
-            print(f"  {band:>9} {calls:6d} {points:10d} {secs:8.3f} {evals:12,d}")
-        evals = sum(row[3] for row in stats.values())
-        print(f"  {'all':>9} {'':6} {'':10} {'':8} {evals:12,d}")
+            calls, points, secs, kernel_calls, evals = stats[band]
+            print(
+                f"  {band:>9} {calls:6d} {points:10d} {secs:8.3f}"
+                f" {kernel_calls:12,d} {evals:12,d}"
+            )
+        kernel_calls = sum(row[3] for row in stats.values())
+        evals = sum(row[4] for row in stats.values())
+        print(f"  {'all':>9} {'':6} {'':10} {'':8} {kernel_calls:12,d} {evals:12,d}")
 
 
 if __name__ == "__main__":

@@ -32,12 +32,14 @@ nuisance point adaptively from panels no wider than min(0.3, 2.4 s) and
 reports the error it measured; `rejection_prob_profile` and
 `rejection_prob_matrix` evaluate many nuisance points at once on fixed
 panels graded towards the breakpoints, which makes dense grids affordable.
-Where every node of a panel keeps both edges of its conditional rejection
-set at least 9 conditional sds from the conditional mean, for every f0 of a
-chunk, the conditional probability is one constant 0 or 1 across the panel
-to within Phi(-9) = 1.1e-19; the profile integrates such saturated panels
-exactly, as P (Phi(b - f0) - Phi(a - f0)), and sends only the others through
-the kernel.  Near |rho| = 1 that is most of them.
+A profile pairs each f0 with the panels in its window.  Where every node of
+a panel keeps both edges of its conditional rejection set at least 9
+conditional sds from the conditional mean at that f0, the conditional
+probability is one constant 0 or 1 across the panel to within
+Phi(-9) = 1.1e-19; the profile integrates such saturated pairs exactly, as
+P (Phi(b - f0) - Phi(a - f0)), and sends only the others through the kernel,
+in flat blocks of at most 16,384 node-f0 pairs.  Near |rho| = 1 most pairs
+are saturated.
 
 At |rho| = 1 the conditional law degenerates to the point t_ar = +-(f - f0)
 and everything collapses to exact univariate normal computations (the
@@ -99,18 +101,14 @@ _GRADED_OFFSETS = np.array([1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2])
 # Profiles of the curve rule also cut at its knots below this |x|, where c(F)
 # has 5,801 of the 5% curve's total slope change of 5,805 (in sqrt F).
 _KNOT_CUT_X = 2.5
-# A profile sweep evaluates at most _F0_CHUNK f0 values at a time, spanning
-# at most _F0_SPAN, so that each chunk's node slice stays close to the
-# 2 * _F_WINDOW every f0 needs.
-_F0_CHUNK = 64
-_F0_SPAN = 0.5
+# A profile sends its live node-f0 pairs through the kernel in blocks of at
+# most this many, and builds its (f0, panel) pairs in groups of f0 of about
+# this many.  Blocks of 2^14 to 2^17 ran the tF audit equally fast; from 2^15
+# up the profile's own peak memory grows.
+_BLOCK = 1 << 14
 # A conditional edge at least this many conditional sds from the conditional
 # mean is saturated: Phi there is 0 or 1 to within Phi(-9) = 1.1e-19.
 _SAT_Z = 9.0
-# A chunk integrates its saturated panels exactly only when that spares at
-# least this many dense node-f0 evaluations: the split route costs about as
-# much as 500-600 of them (gathering the live panels, the exact runs).
-_SAT_MIN_PAIRS = 1000
 # Gauss-Kronrod G7/K15 pair on [-1, 1], from QUADPACK's qk15 (Piessens et
 # al. 1983): the Kronrod nodes from -1 to the centre, their K15 weights, and
 # the G7 weights, zero on the nodes that only the Kronrod rule uses.
@@ -739,139 +737,88 @@ def _run_mass(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return ndtr(np.where(upper, -xa, xb)) - ndtr(np.where(upper, -xb, xa))
 
 
-def _saturation_plan(
-    edges: np.ndarray,
-    nodes: np.ndarray,
-    tables: _Tables,
-    rho: float,
-    s: float,
-    f0_sorted: np.ndarray,
-    starts: np.ndarray,
-    stops: np.ndarray,
-    node_a: np.ndarray,
-    node_b: np.ndarray,
-) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Which chunks skip their saturated panels, and what those panels add.
-
-    Chunk k holds the sorted f0 values [starts[k], stops[k]) and the panels
-    of its node slice [node_a[k], node_b[k]).  A panel saturates on a chunk
-    whose f0 range lies outside both of its hulls.  A chunk is split only
-    when that spares at least _SAT_MIN_PAIRS dense node-f0 evaluations,
-    since the split route has a fixed cost.  Returns None when no chunk is
-    split, else (split, live, live_at, exact): a flag per chunk, the live
-    panels of split chunk k in live[live_at[k]:live_at[k + 1]], and per
-    sorted f0 the exact mass of its chunk's saturated panels with
-    probability 1, whose runs telescope.
-    """
-    n = _GK_X.size
-    pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
-    fa, fb = f0_sorted[starts], f0_sorted[stops - 1]
-    sizes = stops - starts
-    # Every (chunk, panel) pair of the sweep, chunk-major.
-    k, p = _range_pairs(node_a // n, -(-node_b // n))
-    fa_k, fb_k = fa[k], fb[k]
-    below = [fb_k <= bound[p] for bound in low]
-    above = [fa_k >= bound[p] for bound in high]
-    sat = (below[0] | above[0]) & (below[1] | above[1])
-    split = np.bincount(k, sat, minlength=starts.size) * n * sizes >= _SAT_MIN_PAIRS
-    if not split.any():
-        return None
-    in_split = split[k]
-    on = above if rho > 0.0 else below  # Phi = 1 at that edge
-    ones = in_split & sat & (pbase[p] + psign[p] * (1.0 * on[0] - on[1]) == 1.0)
-    # Runs of P = 1 panels within a chunk span [edges[p_begin], edges[p_end + 1]].
-    same = k[1:] == k[:-1]
-    begin, end = ones.copy(), ones.copy()
-    begin[1:] &= ~(ones[:-1] & same)
-    end[:-1] &= ~(ones[1:] & same)
-    run_a, run_b = edges[p[begin]], edges[p[end] + 1]
-    chunks = np.arange(starts.size + 1)
-    runs_at = np.searchsorted(k[begin], chunks)
-    chunk = np.repeat(chunks[:-1], sizes)
-    i, j = _range_pairs(runs_at[chunk], runs_at[chunk + 1])
-    x = np.clip(np.stack([run_a[j], run_b[j]]) - f0_sorted[i], -_F_WINDOW, _F_WINDOW)
-    exact = np.bincount(i, _run_mass(*x), minlength=f0_sorted.size)
-    live = in_split & ~sat
-    return split, p[live], np.searchsorted(k[live], chunks), exact
-
-
 def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     """Rejection probabilities at one rho across an array of f0 values.
 
-    Fixed K15 panels shared by every f0 in the sweep (`_profile_panels`),
-    no wider than 2.4 times the conditional sd s = sqrt(1 - rho^2).  The
-    error is not measured per f0; against `rejection_prob(tol=1e-10)` it was
-    at most 4.7e-8 for the 5% curve rule (rho 0.9 to 0.9999, f0 <= 1.95) and
-    6.1e-8 for the conventional rules at Q95 and 3.43^2 (rho 0 to 0.99).
-    For |rho| > 1 - 1e-6 the degenerate closed forms take over, as in
-    `rejection_prob`.  Each f0 is integrated only over the
-    nodes within _F_WINDOW of it: the f0 values are swept in ascending chunks
-    of at most _F0_CHUNK values spanning at most _F0_SPAN, and each chunk
-    evaluates only the nodes within _F_WINDOW of its own f0 range.
+    Returns an array of the shape of ``f0s``.  Fixed K15 panels shared by
+    every f0 (`_profile_panels`), no wider than 2.4 times the conditional
+    sd s = sqrt(1 - rho^2).  The error is not measured per f0; against
+    `rejection_prob(tol=1e-10)` it was at most 4.7e-8 for the 5% curve rule
+    (rho 0.9 to 0.9999, f0 <= 1.95) and 6.1e-8 for the conventional rules at
+    Q95 and 3.43^2 (rho 0 to 0.99).  For |rho| > 1 - 1e-6 the degenerate
+    closed forms take over, as in `rejection_prob`.
 
-    Panels are integrated exactly where the conditional law is saturated.
-    For rho != 0 a panel saturates on a chunk when every node either never
-    rejects or keeps both edges of its conditional rejection set at least
-    _SAT_Z = 9 conditional sds from the conditional mean for every f0 of
-    the chunk (see `_saturation_hulls`).  Its conditional rejection
-    probability is then one constant P, 0 or 1, to within
-    Phi(-9) = 1.1e-19, so it contributes P (Phi(b - f0) - Phi(a - f0)) over
-    its edges [a, b] clipped to the window: what its 15 nodes sum to, up to
-    rounding.  Runs of P = 1 panels telescope, and only the other panels go
-    through the dense kernel.  A chunk takes that route only when it spares
-    at least _SAT_MIN_PAIRS kernel evaluations; rho = 0 never does.
+    Each f0 is integrated over the panels that meet [f0 - _F_WINDOW,
+    f0 + _F_WINDOW], one (f0, panel) pair each.  For rho != 0 a pair is
+    saturated when every node of the panel either never rejects or keeps
+    both edges of its conditional rejection set at least _SAT_Z = 9
+    conditional sds from the conditional mean at that f0 (see
+    `_saturation_hulls`).  The panel's conditional rejection probability is
+    then one constant P, 0 or 1, to within Phi(-9) = 1.1e-19, so it
+    contributes P (Phi(b - f0) - Phi(a - f0)) over its edges [a, b] clipped
+    to the window: what its 15 nodes sum to, up to rounding.  Runs of P = 1
+    panels of one f0 telescope.  The other pairs go through the dense
+    kernel as their 15 node pairs, in flat blocks of at most _BLOCK node
+    pairs, and `np.bincount` sums each block into its f0 values.  The
+    (f0, panel) pairs are built in groups of f0 of about _BLOCK pairs, so
+    no temporary grows with the profile.
     """
     _require_procedure(proc)
     f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
+    shape, f0s = f0s.shape, f0s.ravel()
     if f0s.size == 0:
-        return np.empty(0)
+        return np.empty(shape)
     if not math.isfinite(rho) or abs(rho) > 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho!r}")
     if not np.all(np.isfinite(f0s)) or np.any(f0s < 0.0):
         raise DomainError("f0 values must be finite and >= 0")
 
     if abs(rho) > _RHO1_EDGE:
-        return proc.rho1_profile(f0s)
+        return proc.rho1_profile(f0s).reshape(shape)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    order = np.argsort(f0s)
-    f0_sorted = f0s[order]
-    lo = float(f0_sorted[0]) - _F_WINDOW
-    hi = float(f0_sorted[-1]) + _F_WINDOW
+    lo, hi = float(f0s.min()) - _F_WINDOW, float(f0s.max()) + _F_WINDOW
     edges, nodes, weights = _profile_panels(proc, s, lo, hi)
     tables = proc.regions(nodes, rho)
-    base, sign, rlo, rhi = tables
-
-    # Ascending chunks of at most _F0_CHUNK f0 values spanning at most _F0_SPAN.
-    bounds = [0]
-    while bounds[-1] < f0s.size:
-        i = bounds[-1]
-        span_end = np.searchsorted(f0_sorted, f0_sorted[i] + _F0_SPAN, side="right")
-        bounds.append(min(i + _F0_CHUNK, int(span_end)))
-    starts, stops = np.array(bounds[:-1]), np.array(bounds[1:])
-    node_a = np.searchsorted(nodes, f0_sorted[starts] - _F_WINDOW, side="left")
-    node_b = np.searchsorted(nodes, f0_sorted[stops - 1] + _F_WINDOW, side="right")
-    plan = None
     if rho != 0.0:
-        plan = _saturation_plan(
-            edges, nodes, tables, rho, s, f0_sorted, starts, stops, node_a, node_b
-        )
-    if plan is not None:
-        split, live, live_at, exact = plan
-        # Nodes, weights and tables panel by panel, to gather live panels from.
-        by_panel = np.stack([nodes, weights, *tables]).reshape(6, -1, _GK_X.size)
+        pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
+    # Nodes, weights and tables panel by panel, to gather live panels from.
+    by_panel = np.stack([nodes, weights, *tables]).reshape(6, -1, _GK_X.size)
+    per_block = _BLOCK // _GK_X.size
 
-    out = np.empty(f0s.shape)
-    for k, (i, j, a, b) in enumerate(zip(starts, stops, node_a, node_b)):
-        f0c = f0_sorted[i:j, None]
-        if plan is not None and split[k]:
-            f, w, *window = by_panel[:, live[live_at[k] : live_at[k + 1]]].reshape(6, -1)
-            prob = exact[i:j] + _weighted_rejection(window, f - f0c, rho, s) @ w
-        else:
-            window = (base[a:b], sign[a:b], rlo[a:b], rhi[a:b])
-            prob = _weighted_rejection(window, nodes[a:b] - f0c, rho, s) @ weights[a:b]
-        out[order[i:j]] = prob
-    return np.clip(out, 0.0, 1.0)
+    # The panels [first, stop) meet an f0's window; a group of f0 begins at
+    # every _BLOCK-th (f0, panel) pair.
+    first = np.searchsorted(edges[1:], f0s - _F_WINDOW, side="right")
+    stop = np.searchsorted(edges[:-1], f0s + _F_WINDOW, side="left")
+    counts = stop - first
+    ahead = np.cumsum(counts) - counts
+    groups = np.searchsorted(ahead, np.arange(0, ahead[-1] + 1, _BLOCK))
+    groups = np.unique(np.append(groups, f0s.size))
+    out = np.zeros(f0s.size)
+    for a, b in zip(groups[:-1], groups[1:]):
+        i, p = _range_pairs(first[a:b], stop[a:b])
+        f0 = f0s[a:b][i]
+        if rho != 0.0:
+            below = [f0 <= bound[p] for bound in low]
+            above = [f0 >= bound[p] for bound in high]
+            sat = (below[0] | above[0]) & (below[1] | above[1])
+            on = above if rho > 0.0 else below  # Phi = 1 at that edge
+            ones = sat & (pbase[p] + psign[p] * (1.0 * on[0] - on[1]) == 1.0)
+            # Runs of P = 1 panels of one f0 span [edges[p_begin], edges[p_end + 1]].
+            same = i[1:] == i[:-1]
+            begin, end = ones.copy(), ones.copy()
+            begin[1:] &= ~(ones[:-1] & same)
+            end[:-1] &= ~(ones[1:] & same)
+            x = np.stack([edges[p[begin]], edges[p[end] + 1]]) - f0[begin]
+            x = np.clip(x, -_F_WINDOW, _F_WINDOW)
+            out[a:b] += np.bincount(i[begin], _run_mass(*x), minlength=b - a)
+            i, p, f0 = i[~sat], p[~sat], f0[~sat]
+        for k in range(0, i.size, per_block):
+            block = np.s_[k : k + per_block]
+            f, w, *window = by_panel[:, p[block]]
+            vals = _weighted_rejection(window, f - f0[block, None], rho, s)
+            out[a:b] += np.bincount(i[block], np.einsum("ij,ij->i", vals, w), minlength=b - a)
+    return np.clip(out, 0.0, 1.0).reshape(shape)
 
 
 def rejection_prob_matrix(proc: Procedure, rhos, f0s) -> np.ndarray:

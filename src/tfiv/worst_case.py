@@ -280,10 +280,11 @@ def _zoom_ridge(proc: Procedure, f0_lo: float, f0_hi: float) -> tuple[float, flo
 def _midpoint_bound(
     mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool = False
 ) -> np.ndarray:
-    """Per-cell bound on off-grid excess along one (possibly uneven) axis.
+    """Per-cell estimate of off-grid excess along one (possibly uneven) axis.
 
-    Uses the divided-difference curvature estimate and the h^2/8 midpoint
-    rule per interval; each cell inherits the worse of its two intervals.
+    h^2/8 times a divided-difference curvature per interval; each cell
+    inherits the worse of its two intervals.  The curvature is itself read
+    off the grid values, so this is an estimate, not a bound.
     With open_end the final interval contributes nothing — used for the rho
     axis, whose last stretch into |rho| = 1 is certified by the monotone
     approach check instead (curvature diverges like s^-3 there).
@@ -331,7 +332,11 @@ def _final_approach_violation(mat: np.ndarray) -> float:
 def _claims(
     mat: np.ndarray, rhos: np.ndarray, f0s: np.ndarray, open_end: bool = True
 ) -> np.ndarray:
-    """Per-cell upper claims: value plus both axes' midpoint bounds, capped at 1."""
+    """Per-cell claims: value plus both axes' midpoint estimates, capped at 1.
+
+    The h^2/8 midpoint terms are estimates (see `_midpoint_bound`), so a
+    claim is an estimated, not a proven, upper bound on the cell.
+    """
     return np.minimum(
         mat
         + _midpoint_bound(mat, rhos, 0, open_end=open_end)
@@ -368,9 +373,10 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     itself) by 289 or more f0 columns on [0, 40].  The grid is audited
     coarse to fine: first every 4th interior row plus the last interior
     row, every boundary-layer row and rho = 1, by every 4th column plus the
-    last; then every coarse cell whose claim (value plus midpoint bound)
-    comes within 1e-4 of the best value seen so far is re-audited at the
-    working pitch over the box between its neighbouring coarse lines.  The
+    last; then every coarse cell whose claim (value plus the h^2/8 midpoint
+    estimates of `_midpoint_bound`) comes within 1e-4 of the best value seen
+    so far is re-audited at the working pitch over the box between its
+    neighbouring coarse lines.  The
     last three rows are audited at every column for the monotone approach
     check into |rho| = 1.  max_prob is the largest of that grid, a
     far-field block out to f0 = 140, the exact rho = 1 ridge on a dense f0
@@ -379,7 +385,9 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     largest of the grid excess (coarse claims of unrefined cells, fine
     claims of the refined boxes), the far-field excess and the approach
     violation, floored at _CERT_FLOOR; ToleranceUnmet is raised if it
-    cannot meet tol.
+    cannot meet tol.  The grid and far-field excesses rest on the midpoint
+    terms, which estimate the off-grid excess from divided differences and
+    do not bound it, so the certificate is an estimate too.
     """
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-4):
         raise DomainError(f"worst_case_size: tol must lie in (0, 1e-4], got {tol!r}")

@@ -14,8 +14,7 @@ from tfiv.size_engine import (
     PureAR,
     ThresholdTF,
     TFProcedure,
-    _F0_CHUNK,
-    _F0_SPAN,
+    _BLOCK,
     _F_WINDOW,
     _GK_X,
     _profile_panels,
@@ -208,15 +207,17 @@ def test_tf_procedure_never_exceeds_level_on_ridge(cvf):
         assert rejection_prob_rho1(proc, f0) <= 0.05 + 1e-7
 
 
-def test_profile_matches_pointwise():
+def test_profile_matches_pointwise(monkeypatch):
     proc = ThresholdTF(crit=Q95, f_threshold=10.0)
-    # More f0 values than one sweep chunk, out of order and spanning more
-    # than two integration windows, so each chunk integrates its own slice
-    # of the nodes and the results must land back in the caller's order.
-    spread = np.random.default_rng(11).permutation(np.linspace(0.0, 30.0, 77))
+    # f0 values out of order, spanning more than two integration windows and
+    # filling more than one kernel block, so the blocks must sum back into
+    # the caller's order.
+    spread = np.random.default_rng(11).permutation(np.linspace(0.0, 30.0, 200))
     f0s = np.concatenate([[0.5, 1.0, 2.0, 4.0], spread])
-    assert f0s.size > _F0_CHUNK and np.ptp(f0s) > 2.0 * _F_WINDOW
+    assert np.ptp(f0s) > 2.0 * _F_WINDOW
+    seen = _dense_pairs(monkeypatch)
     prof = rejection_prob_profile(proc, 0.7, f0s)
+    assert seen.calls >= 2 and seen.pairs > _BLOCK
     assert prof.shape == f0s.shape
     for i, f0 in enumerate(f0s):
         direct = rejection_prob(proc, NuisancePoint(rho=0.7, f0=float(f0))).prob
@@ -242,8 +243,8 @@ def test_rejection_prob_rho1_rejects_bad_f0():
 
 
 def test_profile_matches_pointwise_on_coarse_sweep():
-    # Step-1 f0 values: a chunk cut by count alone would span 63 units here,
-    # so this exercises the chunks that end on their f0 span instead.
+    # Step-1 f0 values, as in the audit's far field: neighbouring windows
+    # share only part of their panels, so each f0 must sum its own.
     proc = ThresholdTF(crit=Q95, f_threshold=10.0)
     f0s = np.arange(40.0, 140.01, 1.0)
     for rho in (0.7, 0.99):
@@ -514,54 +515,52 @@ def test_screen_as_curve_matches_threshold_rule():
 
 
 def _dense_profile(proc, rho, f0s):
-    """The profile sweep with every panel node through the dense kernel.
+    """A reference profile that sends every node in each f0's window through the kernel.
 
-    `rejection_prob_profile` without its exact integration of saturated
-    panels, on the same K15 panels (`_profile_panels`), kept here as the
-    reference those panels must reproduce; it mirrors the profile's panel
-    layout and is no independent check of its accuracy.  Also returns the
-    number of node-f0 pairs it evaluated.
+    It goes f0 by f0, with no saturated panels, no blocks and no bincount,
+    on the same K15 panels (`_profile_panels`).  So it checks that the exact
+    route for saturated panels and the blocked sums reproduce the dense
+    kernel on those panels; it mirrors the profile's panel layout and is no
+    independent check of its accuracy.  Also returns the number of node-f0
+    pairs it evaluated.
     """
     f0s = np.asarray(f0s, dtype=float)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    order = np.argsort(f0s)
-    f0_sorted = f0s[order]
-    lo = float(f0_sorted[0]) - _F_WINDOW
-    hi = float(f0_sorted[-1]) + _F_WINDOW
+    lo = float(f0s.min()) - _F_WINDOW
+    hi = float(f0s.max()) + _F_WINDOW
     _, nodes, weights = _profile_panels(proc, s, lo, hi)
-    base, sign, rlo, rhi = proc.regions(nodes, rho)
+    tables = proc.regions(nodes, rho)
     out = np.empty(f0s.shape)
-    pairs = start = 0
-    while start < f0s.size:
-        span_end = np.searchsorted(f0_sorted, f0_sorted[start] + _F0_SPAN, side="right")
-        stop = min(start + _F0_CHUNK, int(span_end))
-        idx = order[start:stop]
-        f0c = f0_sorted[start:stop]
-        start = stop
-        a = np.searchsorted(nodes, f0c[0] - _F_WINDOW, side="left")
-        b = np.searchsorted(nodes, f0c[-1] + _F_WINDOW, side="right")
-        d = nodes[None, a:b] - f0c[:, None]
-        window = (base[None, a:b], sign[None, a:b], rlo[None, a:b], rhi[None, a:b])
-        out[idx] = _weighted_rejection(window, d, rho, s) @ weights[a:b]
-        pairs += d.size
+    pairs = 0
+    for k, f0 in enumerate(f0s):
+        a = np.searchsorted(nodes, f0 - _F_WINDOW, side="left")
+        b = np.searchsorted(nodes, f0 + _F_WINDOW, side="right")
+        window = tuple(t[a:b] for t in tables)
+        out[k] = _weighted_rejection(window, nodes[a:b] - f0, rho, s) @ weights[a:b]
+        pairs += b - a
     return np.clip(out, 0.0, 1.0), pairs
 
 
-# Several chunks (0.5 apart at most), spaced chunks beyond, shuffled.
+# A dense stretch of f0 values, spaced ones beyond, shuffled.
 _SWEEP = np.random.default_rng(5).permutation(
     np.concatenate([np.linspace(0.0, 6.0, 97), [9.5, 14.25, 26.4, 38.0]])
 )
 _SWEEP_RHOS = (0.0, 0.5, -0.9, 0.99, -0.999, 0.9999, 0.99995)
 
 
+class _KernelCount:
+    calls = pairs = 0
+
+
 def _dense_pairs(monkeypatch):
-    """Count the node-f0 pairs `rejection_prob_profile` sends through the kernel."""
+    """Count the kernel calls of `rejection_prob_profile` and the node-f0 pairs they take."""
     import tfiv.size_engine as engine
 
-    seen = [0]
+    seen = _KernelCount()
 
     def counted(regions, d, rho, s):
-        seen[0] += d.size
+        seen.calls += 1
+        seen.pairs += d.size
         return _weighted_rejection(regions, d, rho, s)
 
     monkeypatch.setattr(engine, "_weighted_rejection", counted)
@@ -582,24 +581,44 @@ def test_saturated_panels_match_dense_sweep(cvf, which, monkeypatch):
         "threshold-104.65": ThresholdTF(crit=1.96**2, f_threshold=104.65),
         "conventional-3.43": ConventionalT(crit=3.43**2),
     }[which]
-    assert np.ptp(_SWEEP) > _F0_SPAN
     seen = _dense_pairs(monkeypatch)
     for rho in _SWEEP_RHOS:
-        seen[0] = 0
+        seen.pairs = 0
         prof = rejection_prob_profile(proc, rho, _SWEEP)
         dense, dense_pairs = _dense_profile(proc, rho, _SWEEP)
         np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)
         if abs(rho) >= 0.999:
             # Near |rho| = 1 most panels are saturated and skip the kernel.
-            assert seen[0] < 0.25 * dense_pairs
+            assert seen.pairs < 0.25 * dense_pairs
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.9, -0.999])
+def test_block_edges_inside_one_f0(cvf, rho, monkeypatch):
+    # Blocks of 7 panels and groups of about 105 (f0, panel) pairs: each f0
+    # meets more panels than that, so block and group edges fall inside the
+    # pairs of one f0, whose sum must come out as with the default blocks.
+    import tfiv.size_engine as engine
+
+    proc = TFProcedure(cvf=cvf)
+    whole = rejection_prob_profile(proc, rho, _SWEEP)
+    monkeypatch.setattr(engine, "_BLOCK", 7 * _GK_X.size)
+    seen = _dense_pairs(monkeypatch)
+    split = rejection_prob_profile(proc, rho, _SWEEP)
+    # Each call takes a run of the f0-major pairs; more calls than f0 values
+    # means some f0 was split between two of them.
+    assert seen.calls > _SWEEP.size
+    np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(split, _dense_profile(proc, rho, _SWEEP)[0], rtol=0.0, atol=1e-14)
 
 
 def test_tf_audit_kernel_work(cvf, monkeypatch):
     # K15 panels up to 2.4 s wide, with no 0.3 cap: the 5% curve's audit sends
-    # 2.52M node-f0 pairs through the kernel, against 7.23M on GL-24 panels.
+    # 2.02M node-f0 pairs through the kernel (7.23M on GL-24 panels), in 180
+    # blocks (4,298 calls when each f0 chunk made its own).
     seen = _dense_pairs(monkeypatch)
     worst_case_size(TFProcedure(cvf=cvf))
-    assert seen[0] <= 3.0e6
+    assert seen.pairs <= 3.0e6
+    assert seen.calls <= 300
 
 
 class _Patched:
@@ -638,6 +657,18 @@ def test_non_finite_edges_keep_their_panels_live(value, column):
         np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)
         if math.isnan(value):
             assert np.isnan(prof).any() and not np.isnan(prof).all()
+
+
+def test_profile_keeps_the_shape_of_f0s():
+    # The quadrature route and the |rho| = 1 closed forms both return an
+    # array of the input's shape.
+    proc = ThresholdTF(crit=Q95, f_threshold=10.0)
+    grid = [[1.0, 2.0], [3.0, 4.0]]
+    for rho in (0.5, 1.0):
+        prof = rejection_prob_profile(proc, rho, grid)
+        assert prof.shape == (2, 2)
+        flat = rejection_prob_profile(proc, rho, np.ravel(grid))
+        np.testing.assert_array_equal(prof.ravel(), flat)
 
 
 def test_saturation_hulls_edge_cases():

@@ -782,8 +782,8 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     tables = proc.regions(nodes, rho)
     if rho != 0.0:
         pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
-    # Nodes, weights and tables panel by panel, to gather live panels from.
-    by_panel = np.stack([nodes, weights, *tables]).reshape(6, -1, _GK_X.size)
+    # Nodes, weights and tables with one row per panel, to gather live panels from.
+    rows = [t.reshape(-1, _GK_X.size) for t in (nodes, weights, *tables)]
     per_block = _BLOCK // _GK_X.size
 
     # The panels [first, stop) meet an f0's window; a group of f0 begins at
@@ -815,7 +815,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
             i, p, f0 = i[~sat], p[~sat], f0[~sat]
         for k in range(0, i.size, per_block):
             block = np.s_[k : k + per_block]
-            f, w, *window = by_panel[:, p[block]]
+            f, w, *window = (t[p[block]] for t in rows)
             vals = _weighted_rejection(window, f - f0[block, None], rho, s)
             out[a:b] += np.bincount(i[block], np.einsum("ij,ij->i", vals, w), minlength=b - a)
     return np.clip(out, 0.0, 1.0).reshape(shape)

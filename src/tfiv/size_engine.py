@@ -815,7 +815,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
             i, p, f0 = i[~sat], p[~sat], f0[~sat]
         for k in range(0, i.size, per_block):
             block = np.s_[k : k + per_block]
-            f, w, *window = (t[p[block]] for t in rows)
+            f, w, *window = (np.take(t, p[block], axis=0) for t in rows)
             vals = _weighted_rejection(window, f - f0[block, None], rho, s)
             out[a:b] += np.bincount(i[block], np.einsum("ij,ij->i", vals, w), minlength=b - a)
     return np.clip(out, 0.0, 1.0).reshape(shape)

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -548,15 +549,11 @@ _SWEEP = np.random.default_rng(5).permutation(
 _SWEEP_RHOS = (0.0, 0.5, -0.9, 0.99, -0.999, 0.9999, 0.99995)
 
 
-class _KernelCount:
-    calls = pairs = 0
-
-
 def _dense_pairs(monkeypatch):
     """Count the kernel calls of `rejection_prob_profile` and the node-f0 pairs they take."""
     import tfiv.size_engine as engine
 
-    seen = _KernelCount()
+    seen = SimpleNamespace(calls=0, pairs=0)
 
     def counted(regions, d, rho, s):
         seen.calls += 1

@@ -5,9 +5,10 @@ corrected threshold 104.7, the corrected critical value 3.43, the validity
 bounds (142.6, 0.565) at the 5% level and (none, 0.43) at the 1% level, and
 the hybrid-rule nonexistence bound.  It ends with the threshold solver at
 the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99 (where the
-ridge-supremum stage binds) and the critical-value solver's floor case, all
-in repr, so two trees can be diffed for bit identity.  It takes about 10 s
-on a 2-core Intel Xeon, a quarter of it in the two validity-region grids.
+ridge-supremum stage binds), the critical-value solver's floor case and
+every `worst_case_size` field of the 5% tF rule, all in repr, so two trees
+can be diffed for bit identity.  It takes about 10 s on a 2-core Intel
+Xeon, a quarter of it in the two validity-region grids.
 """
 
 import math
@@ -16,7 +17,8 @@ import time
 import numpy as np
 
 from tfiv.gaussian import chi2_quantile_1df, ndtr
-from tfiv.size_engine import ThresholdTF
+from tfiv.size_engine import TFProcedure, ThresholdTF
+from tfiv.tf_critical import build_cvf
 from tfiv.worst_case import (
     hybrid_nonexistence_certificate,
     solve_critical_value,
@@ -86,6 +88,9 @@ def main() -> None:
     print(f"    {fbar_hump!r}")
     floor = timed("solve_critical_value(200.0, 0.05)", solve_critical_value, 200.0, 0.05)
     print(f"    {floor!r}")
+    cvf = timed("build_cvf(0.05)", build_cvf, 0.05)
+    wc_tf = timed("worst_case_size(TFProcedure(cvf))", worst_case_size, TFProcedure(cvf))
+    print(f"    {wc_tf!r}")
 
 
 if __name__ == "__main__":

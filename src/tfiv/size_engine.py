@@ -406,11 +406,18 @@ class TFProcedure:
         return 2.0 * float(ndtr(-self.cvf.knots[-1][1]))
 
     def ridge_f0_grid(self) -> np.ndarray:
-        # Cost does not set this pitch (the ridge is vectorised: 43,001 points
-        # take under 20 ms); the constant rules' finer grid would move the 5%
-        # curve's audited arg_f0 by 1 ulp, and that value is pinned in tests.
+        """|rho| = 1 audit grid out to 100, with the cap edge, where the ridge peaks.
+
+        Up to f0 = sq^2 / (sq + g0), sq = sqrt(lower_support) and g0 the first
+        knot value, the whole upper tail f >= sq rejects (up_ratio[0] in
+        `_rho1_cvf_masses`).
+        """
+        # Cost sets the pitch: on a 2-core Intel Xeon the ridge takes 4 ms on
+        # this grid and 15 ms on the constant rules' (0.002 pitch, out to 500).
+        _, gs, sq = self.knot_arrays
+        edge = sq * sq / (sq + gs[0])
         return np.unique(
-            np.concatenate([np.arange(0.0, 40.0, 0.005), np.arange(40.0, 100.01, 0.05)])
+            np.concatenate([np.arange(0.0, 40.0, 0.005), np.arange(40.0, 100.01, 0.05), [edge]])
         )
 
 
@@ -702,25 +709,26 @@ def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndar
 def _saturation_hulls(
     nodes: np.ndarray, tables: _Tables, rho: float, s: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per K15 panel: its (base, sign) and the f0 hulls outside which it saturates.
+    """Per K15 panel: its (base, sign) and the u = rho f0 hulls outside which it saturates.
 
     At a node f an edge e of the conditional rejection set sits
-    z = rho (f0 - c) / s conditional sds from the mean, c = f - e / rho, so
-    |z| >= _SAT_Z exactly when f0 lies outside c -+ r, r = _SAT_Z s / |rho|.
-    Row 0 of (low, high) bounds those intervals of the upper edge over the
-    panel's nodes, row 1 those of the lower edge.  For f0 outside both hulls
-    every Phi is 0 or 1 to within Phi(-_SAT_Z), the same one on every node.
+    z = (u - c) / s conditional sds from the mean rho f - u, c = rho f - e, so
+    |z| >= _SAT_Z exactly when u lies outside c -+ r, r = _SAT_Z s, and Phi
+    at that edge is 1 above the interval and 0 below it.  Row 0 of
+    (low, high) bounds those intervals of the upper edge over the panel's
+    nodes, row 1 those of the lower edge.  For u outside both hulls every
+    Phi is 0 or 1 to within Phi(-_SAT_Z), the same one on every node.
     A panel whose nodes differ in (base, sign), or with a hull bound that is
     not finite (a NaN is never read as saturated), gets hulls (-inf, inf)
-    and stays live for every f0; a panel that never rejects gets (inf, inf).
+    and stays live for every u; a panel that never rejects gets (inf, inf).
     """
     # One row per K15 node, one column per panel, so the reductions run fast.
     f, base, sign, lo, hi = (t.reshape(-1, _GK_X.size).T.copy() for t in (nodes, *tables))
-    r = _SAT_Z * s / abs(rho)
+    r = _SAT_Z * s
     low, high = np.empty((2, 2, f.shape[1]))
     with np.errstate(invalid="ignore", over="ignore"):
         for row, edge in enumerate((hi, lo)):
-            c = f - edge / rho
+            c = rho * f - edge
             low[row], high[row] = c.min(0) - r, c.max(0) + r
     pbase, psign = base[0], sign[0]
     uniform = ((base == pbase) & (sign == psign)).all(0)
@@ -749,15 +757,16 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     closed forms take over, as in `rejection_prob`.
 
     Each f0 is integrated over the panels that meet [f0 - _F_WINDOW,
-    f0 + _F_WINDOW], one (f0, panel) pair each.  For rho != 0 a pair is
-    saturated when every node of the panel either never rejects or keeps
-    both edges of its conditional rejection set at least _SAT_Z = 9
-    conditional sds from the conditional mean at that f0 (see
-    `_saturation_hulls`).  The panel's conditional rejection probability is
-    then one constant P, 0 or 1, to within Phi(-9) = 1.1e-19, so it
-    contributes P (Phi(b - f0) - Phi(a - f0)) over its edges [a, b] clipped
-    to the window: what its 15 nodes sum to, up to rounding.  Runs of P = 1
-    panels of one f0 telescope.  The other pairs go through the dense
+    f0 + _F_WINDOW], one (f0, panel) pair each.  A pair is saturated when
+    every node of the panel either never rejects or keeps both edges of its
+    conditional rejection set at least _SAT_Z = 9 conditional sds from the
+    conditional mean rho f - u, u = rho f0; that is, when u lies outside
+    both of the panel's hulls (`_saturation_hulls`), at every rho, 0
+    included.  The panel's conditional rejection probability is then one
+    constant P, 0 or 1, to within Phi(-9) = 1.1e-19, so it contributes
+    P (Phi(b - f0) - Phi(a - f0)) over its edges [a, b] clipped to the
+    window: what its 15 nodes sum to, up to rounding.  Runs of P = 1 panels
+    of one f0 telescope.  The other pairs go through the dense
     kernel as their 15 node pairs, in flat blocks of at most _BLOCK node
     pairs, and `np.bincount` sums each block into its f0 values.  The
     (f0, panel) pairs are built in groups of f0 of about _BLOCK pairs, so
@@ -780,8 +789,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     lo, hi = float(f0s.min()) - _F_WINDOW, float(f0s.max()) + _F_WINDOW
     edges, nodes, weights = _profile_panels(proc, s, lo, hi)
     tables = proc.regions(nodes, rho)
-    if rho != 0.0:
-        pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
+    pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
     # Nodes, weights and tables with one row per panel, to gather live panels from.
     rows = [t.reshape(-1, _GK_X.size) for t in (nodes, weights, *tables)]
     per_block = _BLOCK // _GK_X.size
@@ -798,21 +806,20 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     for a, b in zip(groups[:-1], groups[1:]):
         i, p = _range_pairs(first[a:b], stop[a:b])
         f0 = f0s[a:b][i]
-        if rho != 0.0:
-            below = [f0 <= bound[p] for bound in low]
-            above = [f0 >= bound[p] for bound in high]
-            sat = (below[0] | above[0]) & (below[1] | above[1])
-            on = above if rho > 0.0 else below  # Phi = 1 at that edge
-            ones = sat & (pbase[p] + psign[p] * (1.0 * on[0] - on[1]) == 1.0)
-            # Runs of P = 1 panels of one f0 span [edges[p_begin], edges[p_end + 1]].
-            same = i[1:] == i[:-1]
-            begin, end = ones.copy(), ones.copy()
-            begin[1:] &= ~(ones[:-1] & same)
-            end[:-1] &= ~(ones[1:] & same)
-            x = np.stack([edges[p[begin]], edges[p[end] + 1]]) - f0[begin]
-            x = np.clip(x, -_F_WINDOW, _F_WINDOW)
-            out[a:b] += np.bincount(i[begin], _run_mass(*x), minlength=b - a)
-            i, p, f0 = i[~sat], p[~sat], f0[~sat]
+        u = rho * f0
+        below = [u <= bound[p] for bound in low]
+        above = [u >= bound[p] for bound in high]  # Phi = 1 at that edge
+        sat = (below[0] | above[0]) & (below[1] | above[1])
+        ones = sat & (pbase[p] + psign[p] * (1.0 * above[0] - above[1]) == 1.0)
+        # Runs of P = 1 panels of one f0 span [edges[p_begin], edges[p_end + 1]].
+        same = i[1:] == i[:-1]
+        begin, end = ones.copy(), ones.copy()
+        begin[1:] &= ~(ones[:-1] & same)
+        end[:-1] &= ~(ones[1:] & same)
+        x = np.stack([edges[p[begin]], edges[p[end] + 1]]) - f0[begin]
+        x = np.clip(x, -_F_WINDOW, _F_WINDOW)
+        out[a:b] += np.bincount(i[begin], _run_mass(*x), minlength=b - a)
+        i, p, f0 = i[~sat], p[~sat], f0[~sat]
         for k in range(0, i.size, per_block):
             block = np.s_[k : k + per_block]
             f, w, *window = (np.take(t, p[block], axis=0) for t in rows)
@@ -822,6 +829,6 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
 
 
 def rejection_prob_matrix(proc: Procedure, rhos, f0s) -> np.ndarray:
-    """len(rhos) x len(f0s) grid of rejection probabilities."""
+    """Rejection probabilities of shape len(rhos) x f0s.shape, one profile per rho."""
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    return np.vstack([rejection_prob_profile(proc, float(r), f0s) for r in rhos])
+    return np.stack([rejection_prob_profile(proc, float(r), f0s) for r in rhos])

@@ -23,8 +23,10 @@ exists at a given level, and it is why the 1% problem has no solution.
 column in four first, then the working pitch only in the boxes around
 coarse cells whose claim (value plus midpoint bound) comes within 1e-4 of
 the best value.  max_prob is the largest of the grid, a far-field block,
-the exact ridge and its zoom, and the analytic f0 -> infinity limit; the
-certified tolerance is the largest of the parts it reports on `WorstCase`.
+the exact ridge on a dense grid that holds the analytic ridge peaks (f0* of
+a gated rule, 0 of the conventional rule, the cap edge of the curve rule),
+and the analytic f0 -> infinity limit; the certified tolerance is the
+largest of the parts it reports on `WorstCase`.
 The solvers bisect on the monotone closed forms and then certify their
 answers through the full audit.
 """
@@ -268,15 +270,6 @@ def _scalar_root(gap, lo: float, hi: float, xtol: float, rtol: float) -> float:
     return float(_brentq(lambda x, _k: gap(float(x[0])), lo, hi, xtol, rtol)[0])
 
 
-def _zoom_ridge(proc: Procedure, f0_lo: float, f0_hi: float) -> tuple[float, float]:
-    for _ in range(4):
-        f0s = np.linspace(max(0.0, f0_lo), f0_hi, 33)
-        vals = rejection_prob_profile(proc, 1.0, f0s)
-        j = int(np.argmax(vals))
-        f0_lo, f0_hi = f0s[max(j - 1, 0)], f0s[min(j + 1, 32)]
-    return float(vals[j]), float(f0s[j])
-
-
 def _midpoint_bound(
     mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool = False
 ) -> np.ndarray:
@@ -379,13 +372,13 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     neighbouring coarse lines.  The
     last three rows are audited at every column for the monotone approach
     check into |rho| = 1.  max_prob is the largest of that grid, a
-    far-field block out to f0 = 140, the exact rho = 1 ridge on a dense f0
-    grid that holds the analytic stationary point, a zoom around the ridge
-    argmax, and the f0 -> infinity limit.  The certified tolerance is the
-    largest of the grid excess (coarse claims of unrefined cells, fine
-    claims of the refined boxes), the far-field excess and the approach
-    violation, floored at _CERT_FLOOR; ToleranceUnmet is raised if it
-    cannot meet tol.  The grid and far-field excesses rest on the midpoint
+    far-field block out to f0 = 140, the exact rho = 1 ridge on the rule's
+    dense f0 grid (`ridge_f0_grid`, which holds f0* of a gated rule and the
+    cap edge of the curve rule), and the f0 -> infinity limit.  The
+    certified tolerance is the largest of the grid excess (coarse claims of
+    unrefined cells, fine claims of the refined boxes), the far-field excess
+    and the approach violation, floored at _CERT_FLOOR; ToleranceUnmet is
+    raised if it cannot meet tol.  The grid and far-field excesses rest on the midpoint
     terms, which estimate the off-grid excess from divided differences and
     do not bound it, so the certificate is an estimate too.
     """
@@ -472,13 +465,6 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     k = int(np.argmax(ridge))
     if float(ridge[k]) >= best_prob:
         best_prob, best_rho, best_f0 = float(ridge[k]), 1.0, float(ridge_f0[k])
-
-    # Polish the ridge argmax; the ridge grid already holds f0*.
-    r_prob, r_f0 = _zoom_ridge(
-        proc, ridge_f0[max(k - 1, 0)], ridge_f0[min(k + 1, len(ridge_f0) - 1)]
-    )
-    if r_prob > best_prob:
-        best_prob, best_rho, best_f0 = r_prob, 1.0, r_f0
 
     limit = proc.tail_limit()
     if limit > best_prob:

@@ -234,6 +234,12 @@ def test_matrix_shape_and_content():
     assert np.all((m >= 0.0) & (m <= 1.0))
     # rho rows are mirror images for the conventional test
     assert np.allclose(m[0], m[2], rtol=1e-8, atol=1e-10)
+    # An n-D f0s keeps its shape behind the rho axis.
+    grid = np.array([[1.0, 2.0], [3.0, 4.0]])
+    m2 = rejection_prob_matrix(proc, rhos[:2], grid)
+    assert m2.shape == (2, 2, 2)
+    for r, rho in enumerate(rhos[:2]):
+        np.testing.assert_array_equal(m2[r], rejection_prob_profile(proc, rho, grid))
 
 
 def test_rejection_prob_rho1_rejects_bad_f0():
@@ -587,6 +593,10 @@ def test_saturated_panels_match_dense_sweep(cvf, which, monkeypatch):
         if abs(rho) >= 0.999:
             # Near |rho| = 1 most panels are saturated and skip the kernel.
             assert seen.pairs < 0.25 * dense_pairs
+        if rho == 0.0 and which not in ("hybrid", "ar"):
+            # At rho = 0 the panels that never reject, or whose edges sit
+            # 9 sds out, skip the kernel too; the AR band at +-1.96 never does.
+            assert seen.pairs < dense_pairs
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.9, -0.999])
@@ -609,9 +619,10 @@ def test_block_edges_inside_one_f0(cvf, rho, monkeypatch):
 
 
 def test_tf_audit_kernel_work(cvf, monkeypatch):
-    # K15 panels up to 2.4 s wide, with no 0.3 cap: the 5% curve's audit sends
-    # 2.02M node-f0 pairs through the kernel (7.23M on GL-24 panels), in 180
-    # blocks (4,298 calls when each f0 chunk made its own).
+    # K15 panels up to 2.4 s wide, with no 0.3 cap, and saturated panels
+    # skipped at every rho: the 5% curve's audit sends 1.875M node-f0 pairs
+    # through the kernel (7.23M on GL-24 panels), in 171 blocks (4,298 calls
+    # when each f0 chunk made its own).
     seen = _dense_pairs(monkeypatch)
     worst_case_size(TFProcedure(cvf=cvf))
     assert seen.pairs <= 3.0e6
@@ -645,10 +656,10 @@ def _plant(value, column):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("column", [0, 1], ids=["lo", "hi"])
 def test_non_finite_edges_keep_their_panels_live(value, column):
-    # A panel with a NaN or infinite edge, or so a non-finite c = f - e / rho,
+    # A panel with a NaN or infinite edge, or so a non-finite c = rho f - e,
     # must go through the kernel: read as saturated, a NaN would vanish.
     proc = _Patched(ConventionalT(crit=Q95), _plant(value, column))
-    for rho in (0.9999, -0.999):
+    for rho in (0.9999, -0.999, 0.0):
         prof = rejection_prob_profile(proc, rho, _SWEEP)
         dense, _ = _dense_profile(proc, rho, _SWEEP)
         np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)
@@ -678,15 +689,18 @@ def test_saturation_hulls_edge_cases():
     sign[2 * n : 3 * n] = lo[2 * n : 3 * n] = hi[2 * n : 3 * n] = 0.0  # panel 2 never rejects
     hi[3 * n + 7] = math.nan  # panel 3 has a NaN edge
     nodes[4 * n + 3] = math.inf  # panel 4 has a non-finite c
-    pbase, psign, low, high = _saturation_hulls(nodes, (base, sign, lo, hi), 0.99, 0.14)
-    r = 9.0 * 0.14 / 0.99
-    f = nodes[:n]
-    assert np.allclose(low[:, 0], [f.min() - 1.0 / 0.99 - r, f.min() + 1.0 / 0.99 - r])
-    assert np.allclose(high[:, 0], [f.max() - 1.0 / 0.99 + r, f.max() + 1.0 / 0.99 + r])
-    for live in (1, 3, 4):
-        assert np.all(low[:, live] == -math.inf) and np.all(high[:, live] == math.inf)
-    assert np.all(low[:, 2] == math.inf) and np.all(high[:, 2] == math.inf)
-    assert list(psign) == [1.0, 0.0, 0.0, 1.0, 1.0]
+    for rho, s in ((0.99, 0.14), (-0.99, 0.14), (0.0, 1.0)):
+        pbase, psign, low, high = _saturation_hulls(nodes, (base, sign, lo, hi), rho, s)
+        # Hulls of u = rho f0 around c = rho f - e, +- r = 9 s; row 0 is the
+        # upper edge hi = 1, row 1 the lower edge lo = -1.
+        r = 9.0 * s
+        u = rho * nodes[:n]
+        assert np.allclose(low[:, 0], [u.min() - 1.0 - r, u.min() + 1.0 - r])
+        assert np.allclose(high[:, 0], [u.max() - 1.0 + r, u.max() + 1.0 + r])
+        for live in (1, 3, 4):
+            assert np.all(low[:, live] == -math.inf) and np.all(high[:, live] == math.inf)
+        assert np.all(low[:, 2] == math.inf) and np.all(high[:, 2] == math.inf)
+        assert list(psign) == [1.0, 0.0, 0.0, 1.0, 1.0]
 
 
 def test_mixed_panels_match_dense_sweep():

@@ -273,3 +273,21 @@ def test_small_alpha_never_pins(cvf01):
     proc = TFProcedure(cvf=cvf01)
     for f0 in (0.5, 2.0, 5.0):
         assert rejection_prob_rho1(proc, f0) <= 0.01 + 1e-7
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        # The fixed point does not settle: max knot change 4.29 after 200 sweeps.
+        0.025,
+        # The self-audit finds the ridge 7.06e-4 above alpha at f0 = 14.35.
+        0.04,
+    ],
+)
+@pytest.mark.xfail(
+    strict=True, raises=ConstructionError, reason="curve construction fails at this level"
+)
+def test_build_cvf_known_construction_failures(alpha):
+    # Seven of the 50 levels on a 0.005 grid over (0, 0.25] fail to build.
+    # The marks are strict, so a fix shows up as an unexpected pass.
+    build_cvf(alpha)

@@ -77,8 +77,9 @@ def test_worst_case_container_fields():
 @pytest.mark.parametrize(
     "make, expected, refined",
     [
-        # The tF maximum sits on the ridge; no grid cell comes near it.
-        (TFProcedure, (0.050626349411980395, 1.0, 0.07393112182617187, 1e-06), 0),
+        # The tF maximum sits on the ridge, at the cap edge; no grid cell
+        # comes near it.
+        (TFProcedure, (0.05062634954027448, 1.0, 0.07393112939487596, 1e-06), 0),
         # The only refined cell is the corner (rho = 1, f0 = 0), whose box
         # must be widened to three rows to carry a midpoint bound.
         (lambda cvf: ConventionalT(Q95), (1.0, 1.0, 0.0, 1e-06), 1),
@@ -110,6 +111,33 @@ def test_worst_case_size_pins_the_audit(cvf, make, expected, refined, monkeypatc
     assert wc.certified_tol == max(
         1e-6, wc.grid_excess, wc.far_excess, wc.approach_violation
     )
+
+
+def test_tf_worst_case_is_the_cap_edge(cvf):
+    # On the ridge the whole upper tail f >= sq rejects up to the cap edge
+    # f0 = sq^2 / (sq + g0); the ridge grid holds that point, and no f0 on a
+    # grid ten times finer tops it.
+    proc = TFProcedure(cvf)
+    wc = worst_case_size(proc)
+    sq = math.sqrt(cvf.lower_support)
+    assert wc.arg_rho == 1.0
+    assert wc.arg_f0 == sq * sq / (sq + cvf.knots[0][1])
+    fine = size_engine.rejection_prob_profile(proc, 1.0, np.arange(0.0, 100.0 + 1e-9, 0.0005))
+    assert fine.max() <= wc.max_prob
+
+
+def test_ridge_hump_peak_is_found_on_the_grid():
+    # At crit = 3.99 the closed-form gate leaves an interior ridge hump past
+    # the gate, whose peak has no closed form; the ridge grid's 0.002 pitch
+    # finds it to within 1e-10 of a 1e-5 polish, and the certificate covers
+    # the rest.
+    proc = ThresholdTF(3.99, 117.13789084712506)
+    wc = worst_case_size(proc)
+    assert wc.arg_rho == 1.0 and 10.0 < wc.arg_f0 < 40.0
+    polish = np.arange(wc.arg_f0 - 0.002, wc.arg_f0 + 0.002, 1e-5)
+    peak = float(size_engine.rejection_prob_profile(proc, 1.0, polish).max())
+    assert abs(peak - wc.max_prob) <= 1e-10
+    assert wc.max_prob + wc.certified_tol >= peak
 
 
 def test_pure_ar_worst_case_has_no_certificate_parts():

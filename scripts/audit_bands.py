@@ -1,11 +1,12 @@
 """Where the worst-case audit spends its time, by |rho| band.
 
 Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
-1.96^2 cutoff, with `rejection_prob_profile` and the dense panel kernel
-`_weighted_rejection` wrapped from outside, and prints per |rho| band
-(< 0.99, < 0.999, >= 0.999 and = 1): the profile calls, the f0 points they
-evaluated, their seconds, the dense kernel's calls and the node-f0 pairs it
-evaluated.
+1.96^2 cutoff, with `rejection_prob_profile`, the dense panel kernel
+`_weighted_rejection` and the region kernel `_t_region_tables` wrapped from
+outside, and prints per |rho| band (< 0.99, < 0.999, >= 0.999 and = 1): the
+profile calls, the f0 points they evaluated, their seconds, the dense
+kernel's calls and the node-f0 pairs it evaluated, and the region kernel's
+calls, the nodes it tabulated and its seconds.
 
     PYTHONPATH=src python scripts/audit_bands.py
 """
@@ -33,10 +34,15 @@ def _band(rho: float) -> str:
 
 
 def audit_bands(proc) -> tuple[dict, float]:
-    """Per-band [calls, f0 points, seconds, kernel calls, dense evaluations], and total seconds."""
-    stats = {b: [0, 0, 0.0, 0, 0] for b in BANDS}
+    """Per-band counters and the audit's total seconds.
+
+    A band's row is [calls, f0 points, seconds, kernel calls, dense
+    evaluations, table calls, table nodes, table seconds].
+    """
+    stats = {b: [0, 0, 0.0, 0, 0, 0, 0, 0.0] for b in BANDS}
     current = []
     profile, kernel = size_engine.rejection_prob_profile, size_engine._weighted_rejection
+    tables = size_engine._t_region_tables
 
     def timed_profile(proc, rho, f0s):
         row = stats[_band(rho)]
@@ -57,10 +63,20 @@ def audit_bands(proc) -> tuple[dict, float]:
             current[-1][4] += math.prod(np.broadcast_shapes(np.shape(d), *map(np.shape, regions)))
         return kernel(regions, d, rho, s)
 
+    def timed_tables(f, c, rho):
+        t0 = time.perf_counter()
+        out = tables(f, c, rho)
+        if current:
+            current[-1][5] += 1
+            current[-1][6] += np.size(f)
+            current[-1][7] += time.perf_counter() - t0
+        return out
+
     patches = [
         (size_engine, "rejection_prob_profile", timed_profile),
         (worst_case, "rejection_prob_profile", timed_profile),
         (size_engine, "_weighted_rejection", counted_kernel),
+        (size_engine, "_t_region_tables", timed_tables),
     ]
     saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
     for mod, name, fn in patches:
@@ -86,16 +102,20 @@ def main() -> None:
         print(
             f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8}"
             f" {'kernel calls':>12} {'dense evals':>12}"
+            f" {'table calls':>11} {'table nodes':>12} {'table s':>8}"
         )
         for band in BANDS:
-            calls, points, secs, kernel_calls, evals = stats[band]
+            calls, points, secs, kernel_calls, evals, t_calls, t_nodes, t_secs = stats[band]
             print(
                 f"  {band:>9} {calls:6d} {points:10d} {secs:8.3f}"
                 f" {kernel_calls:12,d} {evals:12,d}"
+                f" {t_calls:11,d} {t_nodes:12,d} {t_secs:8.3f}"
             )
-        kernel_calls = sum(row[3] for row in stats.values())
-        evals = sum(row[4] for row in stats.values())
-        print(f"  {'all':>9} {'':6} {'':10} {'':8} {kernel_calls:12,d} {evals:12,d}")
+        kernel_calls, evals, t_calls, t_nodes, t_secs = map(sum, list(zip(*stats.values()))[3:])
+        print(
+            f"  {'all':>9} {'':6} {'':10} {'':8} {kernel_calls:12,d} {evals:12,d}"
+            f" {t_calls:11,d} {t_nodes:12,d} {t_secs:8.3f}"
+        )
 
 
 if __name__ == "__main__":

@@ -17,8 +17,9 @@ For |rho| < 1, conditioning on f makes t_ar normal with mean rho (f - f0)
 and sd s = sqrt(1 - rho^2), and the conditional rejection set is an interval
 or an interval complement.  One kernel, `_t_region_tables`, tabulates the
 endpoints of {t^2 > c} for a whole array of f at once; each procedure's
-`regions` method applies it to its own cutoff and F gate.  The probability
-is then a 1-D integral over f of smooth CDF differences:
+`regions` method hands it only its cutoff, +inf where the rule never
+rejects (the hybrid rule then puts its AR band below the gate).  The
+probability is then a 1-D integral over f of smooth CDF differences:
 
     p = Int phi(f - f0) * P(reject | f) df,    truncated to |f - f0| <= 8.5
         (discarded tail mass < 2e-17).
@@ -263,11 +264,6 @@ class _GatedCutoff(_ConstantCutoff):
         """The |rho| = 1 stationary point, where the gate edge meets a rejection root."""
         return self.f_threshold / (math.sqrt(self.f_threshold) + math.sqrt(self.crit))
 
-    def _gated_tables(self, f: np.ndarray, rho: float, fill: tuple) -> _Tables:
-        """The t test's region tables, set to ``fill`` at nodes with F <= f_threshold."""
-        tables = _t_region_tables(f, np.full(f.size, self.crit), rho)
-        return tuple(np.where(f * f <= self.f_threshold, v, t) for t, v in zip(tables, fill))
-
 
 @dataclass(frozen=True)
 class ConventionalT(_ConstantCutoff):
@@ -277,7 +273,7 @@ class ConventionalT(_ConstantCutoff):
         return None if t is None else t * t > self.crit
 
     def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        return _t_region_tables(f, np.full(f.size, self.crit), rho)
+        return _t_region_tables(f, self.crit, rho)
 
 
 @dataclass(frozen=True)
@@ -288,7 +284,7 @@ class ThresholdTF(_GatedCutoff):
         return None if t is None or F is None else t * t > self.crit and F > self.f_threshold
 
     def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        return self._gated_tables(f, rho, (0.0, 0.0, 0.0, 0.0))
+        return _t_region_tables(f, np.where(f * f <= self.f_threshold, np.inf, self.crit), rho)
 
 
 @dataclass(frozen=True)
@@ -302,7 +298,9 @@ class HybridAR(_GatedCutoff):
         return t * t > self.crit
 
     def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        return self._gated_tables(f, rho, _ar_band(self.crit))
+        tables = _t_region_tables(f, self.crit, rho)
+        below = f * f <= self.f_threshold
+        return tuple(np.where(below, v, t) for t, v in zip(tables, _ar_band(self.crit)))
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         base = super().rho1_profile(f0s)
@@ -650,46 +648,34 @@ def _profile_panels(
     return edges, nodes, (halfs[:, None] * _GK_WK).ravel()
 
 
-def _t_region_tables(
-    f: np.ndarray, c: np.ndarray, rho: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _t_region_tables(f: np.ndarray, c, rho: float) -> _Tables:
     """Per-node conditional rejection set for {t^2 > c}: base + sign * band.
 
+    ``c`` is one positive cutoff, or one per node; +inf rejects nowhere.
     Returns (base, sign, lo, hi) so that the conditional probability is
     base + sign * (Phi((hi-mu)/s) - Phi((lo-mu)/s)); sign 0 encodes "never".
+
+    The edges are the roots of r^2 (f^2 - c) + 2 b r - c f^2, b = rho c f,
+    real where gap = f^2 - c (1 - rho^2) > 0, which also rules out c = +inf
+    and f = 0.  Both come from the stable pair q / (f^2 - c) and -c f^2 / q,
+    q = -(b + copysign(disc, b)), disc = sqrt(c f^2 gap): |q| >= disc > 0, and
+    neither formula subtracts nearly equal terms, at the asymptote f^2 = c
+    included (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., 2002, sec. 1.8).
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        finite = np.isfinite(c) & (f != 0.0)
-        c_safe = np.where(finite, c, 1.0)
         f2 = f * f
-        denom = f2 - c_safe
-        gap = f2 - c_safe * (1.0 - rho * rho)
-        exists = finite & (gap > 0.0) & (denom != 0.0)
-        disc = np.sqrt(np.where(exists, c_safe * f2 * gap, 0.0))
-        b = rho * c_safe * f
-        denom_safe = np.where(denom == 0.0, np.finfo(float).tiny, denom)
-        near = np.abs(denom) < 1e-3 * np.maximum(c_safe, 1.0)
-        plus_conj = near & (b > 0.0)
-        minus_conj = near & (b < 0.0)
-        r_plus = np.where(
-            plus_conj,
-            c_safe * f2 / np.where(plus_conj, b + disc, 1.0),
-            (-b + disc) / denom_safe,
-        )
-        r_minus = np.where(
-            minus_conj,
-            c_safe * f2 / np.where(minus_conj, b - disc, 1.0),
-            (-b - disc) / denom_safe,
-        )
-        lo = np.minimum(r_plus, r_minus)
-        hi = np.maximum(r_plus, r_minus)
-    between = exists & (denom < 0.0)
+        denom = f2 - c
+        gap = f2 - c * (1.0 - rho * rho)
+        exists = (gap > 0.0) & (denom != 0.0)
+        b = rho * c * f
+        q = -(b + np.copysign(np.sqrt(c * f2 * gap), b))
+        r1, r2 = q / denom, -c * f2 / q
     outside = exists & (denom > 0.0)
     base = np.where(outside, 1.0, 0.0)
-    sign = np.where(outside, -1.0, np.where(between, 1.0, 0.0))
-    keep = sign != 0.0
-    lo = np.where(keep, lo, 0.0)
-    hi = np.where(keep, hi, 0.0)
+    sign = np.where(outside, -1.0, np.where(exists, 1.0, 0.0))
+    lo = np.where(exists, np.minimum(r1, r2), 0.0)
+    hi = np.where(exists, np.maximum(r1, r2), 0.0)
     return base, sign, lo, hi
 
 
@@ -831,4 +817,8 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
 def rejection_prob_matrix(proc: Procedure, rhos, f0s) -> np.ndarray:
     """Rejection probabilities of shape len(rhos) x f0s.shape, one profile per rho."""
     rhos = np.atleast_1d(np.asarray(rhos, dtype=float))
-    return np.stack([rejection_prob_profile(proc, float(r), f0s) for r in rhos])
+    f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
+    out = np.empty((rhos.size, *f0s.shape))
+    for row, rho in zip(out, rhos):
+        row[...] = rejection_prob_profile(proc, float(rho), f0s)
+    return out

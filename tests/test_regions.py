@@ -69,14 +69,41 @@ def test_boundary_roots_edge_cases():
 
 
 def test_boundary_roots_cancellation_guard():
-    # just inside the guard band the rational rearrangement must keep the
-    # root finite and accurate
+    # Next to the asymptote f^2 = crit, f^2 - crit keeps few digits; the
+    # stable root pair must still give finite roots that t^2 maps to crit.
     crit, rho = 4.0, 0.7
     f = math.sqrt(crit) * (1.0 + 1e-9)
     _, _, lo, hi = _roots(f, crit, rho)
     for r in (lo, hi):
         t2 = t_squared_identity(r, f, rho)
         assert math.isclose(t2, crit, rel_tol=1e-5)
+
+
+def _near_asymptote(crit, log_rel, side, f_sign):
+    """A node (f, crit) with |f^2 - crit| / crit = 10^log_rel, on either side."""
+    return f_sign * math.sqrt(crit * (1.0 + side * 10.0**log_rel)), crit
+
+
+signs = st.sampled_from([-1.0, 1.0])
+nodes = st.one_of(
+    st.tuples(finite_f, crits),
+    st.builds(_near_asymptote, crits, st.floats(-9.0, -1.0), signs, signs),
+)
+
+
+@given(nodes, rhos)
+def test_boundary_roots_backward_stable(node, rho):
+    # Each returned edge is the exact root of a quadratic within a few eps of
+    # h: |h(r)| over the sum of its terms' magnitudes, in long double, with
+    # the leading coefficient taken as 1 + crit/f^2, before it cancels.
+    f, crit = node
+    _, sign, lo, hi = _roots(f, crit, rho)
+    assume(sign != 0.0)
+    f, crit, rho = (np.longdouble(v) for v in (f, crit, rho))
+    for r in (np.longdouble(lo), np.longdouble(hi)):
+        terms = (r * r * (1 - crit / (f * f)), 2 * crit * rho * r / f, -crit)
+        size = r * r * (1 + crit / (f * f)) + abs(terms[1]) + crit
+        assert abs(sum(terms)) <= 4 * np.finfo(float).eps * size
 
 
 @given(st.floats(-20.0, 20.0), st.floats(0.05, 15.0))

@@ -240,6 +240,9 @@ def test_matrix_shape_and_content():
     assert m2.shape == (2, 2, 2)
     for r, rho in enumerate(rhos[:2]):
         np.testing.assert_array_equal(m2[r], rejection_prob_profile(proc, rho, grid))
+    # No rho gives no rows, of the same shape behind the rho axis.
+    assert rejection_prob_matrix(proc, [], f0s).shape == (0, 2)
+    assert rejection_prob_matrix(proc, [], grid).shape == (0, 2, 2)
 
 
 def test_rejection_prob_rho1_rejects_bad_f0():

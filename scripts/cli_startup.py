@@ -3,8 +3,9 @@
 Each subcommand runs as `python -m tfiv ...` several times on a warm
 TF_CACHE_DIR (primed by one untimed `cv`), the runs of all subcommands
 interleaved, and the script prints the median and range of their wall
-times.  `cv (cold)` is the same `cv` call with a new, empty cache every
-time, so it builds the curve.  One more run of each under
+times and the median peak RSS of their processes (`os.wait4`).
+`cv (cold)` is the same `cv` call with a new, empty cache every time, so
+it builds the curve.  One more run of each under
 `python -X importtime` shows which of scipy.special, scipy.optimize and
 scipy.integrate it loads, with the cumulative import time of each (that
 run is slower than the timed ones; its figures compare modules, not
@@ -34,6 +35,7 @@ COMMANDS = {
     "test conventional": ["test", "--procedure", "conventional", "--t", "2.5", "--f", "30"],
     "ci": ["ci", "--beta", "0.5", "--se", "0.2", "--f", "30"],
     "size": ["size", "--procedure", "conventional", "--rho", "0.5", "--f0", "2"],
+    "size tf": ["size", "--procedure", "tf", "--rho", "0.5", "--f0", "2"],
     "mc": ["mc", "--procedure", "tf", "--rho", "0.5", "--f0", "2", "--n", "200000", "--seed", "1"],
     "table3": ["table3"],
     "audit": ["audit", "--input", str(CORPUS)],
@@ -41,19 +43,25 @@ COMMANDS = {
 }
 
 
-def run(argv: list[str], cache: str, flags: tuple[str, ...] = ()) -> tuple[float, str]:
-    """Wall seconds of one `python -m tfiv` process, and its stderr."""
+def run(argv: list[str], cache: str, flags: tuple[str, ...] = ()) -> tuple[float, float, str]:
+    """Wall seconds and peak RSS in MB of one `python -m tfiv` process, and its stderr."""
     env = dict(os.environ, TF_CACHE_DIR=cache)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    t0 = time.perf_counter()
-    out = subprocess.run(
-        [sys.executable, *flags, "-m", "tfiv", *argv, "--format", "json"],
-        env=env, capture_output=True, text=True,
-    )
-    seconds = time.perf_counter() - t0
-    if out.returncode != 0:
-        raise SystemExit(f"tfiv {' '.join(argv)} failed: {out.stderr.strip()}")
-    return seconds, out.stderr
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(
+            [sys.executable, *flags, "-m", "tfiv", *argv, "--format", "json"],
+            env=env, stdout=out, stderr=err,
+        )
+        # wait4 reaps the process and returns its own resource usage.
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode()
+    if proc.returncode != 0:
+        raise SystemExit(f"tfiv {' '.join(argv)} failed: {stderr.strip()}")
+    return seconds, usage.ru_maxrss / 1024.0, stderr
 
 
 def scipy_imports(stderr: str) -> dict[str, float]:
@@ -74,6 +82,7 @@ def main() -> None:
     args = parser.parse_args()
 
     times = {name: [] for name in COMMANDS}
+    peaks = {name: [] for name in COMMANDS}
     loads = {}
     with tempfile.TemporaryDirectory() as tmp:
         warm = os.path.join(tmp, "warm")
@@ -83,21 +92,24 @@ def main() -> None:
             for name, argv in COMMANDS.items():
                 cache = os.path.join(tmp, f"cold-{k}") if name == COLD else warm
                 os.makedirs(cache, exist_ok=True)
-                times[name].append(run(argv, cache)[0])
+                seconds, peak, _ = run(argv, cache)
+                times[name].append(seconds)
+                peaks[name].append(peak)
         for name, argv in COMMANDS.items():
             cache = os.path.join(tmp, "cold-importtime") if name == COLD else warm
             os.makedirs(cache, exist_ok=True)
-            loads[name] = scipy_imports(run(argv, cache, ("-X", "importtime"))[1])
+            loads[name] = scipy_imports(run(argv, cache, ("-X", "importtime"))[2])
 
     print(f"{args.runs} fresh processes per command, interleaved; {sys.executable}")
     head = "".join(f"{m:>17}" for m in SCIPY_MODULES)
-    print(f"{'command':<19}{'median s':>9}{'range s':>14}{head}")
+    print(f"{'command':<19}{'median s':>9}{'range s':>14}{'peak MB':>9}{head}")
     for name, secs in times.items():
         spread = f"{min(secs):.2f}-{max(secs):.2f}"
         cols = "".join(
             f"{f'{loads[name][m]:.3f} s' if m in loads[name] else '-':>17}" for m in SCIPY_MODULES
         )
-        print(f"{name:<19}{statistics.median(secs):9.3f}{spread:>14}{cols}")
+        peak = statistics.median(peaks[name])
+        print(f"{name:<19}{statistics.median(secs):9.3f}{spread:>14}{peak:9.1f}{cols}")
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ corrected threshold 104.7, the corrected critical value 3.43, the validity
 bounds (142.6, 0.565) at the 5% level and (none, 0.43) at the 1% level, and
 the hybrid-rule nonexistence bound.  It ends with the threshold solver at
 the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99 (where the
-ridge-supremum stage binds), the critical-value solver's floor case and
-every `worst_case_size` field of the 5% tF rule, all in repr, so two trees
-can be diffed for bit identity.  It takes about 10 s on a 2-core Intel
+ridge-supremum stage binds), the critical-value solver's floor case,
+every `worst_case_size` field of the 5% tF rule, and `rejection_prob` (what
+`tfiv size` prints) for the six CLI rules at three nuisance points, all in
+repr, so two trees can be diffed for bit identity.  It takes about 10 s on a 2-core Intel
 Xeon, a quarter of it in the two validity-region grids.
 """
 
@@ -17,7 +18,15 @@ import time
 import numpy as np
 
 from tfiv.gaussian import chi2_quantile_1df, ndtr
-from tfiv.size_engine import TFProcedure, ThresholdTF
+from tfiv.size_engine import (
+    ConventionalT,
+    HybridAR,
+    NuisancePoint,
+    PureAR,
+    TFProcedure,
+    ThresholdTF,
+    rejection_prob,
+)
 from tfiv.tf_critical import build_cvf
 from tfiv.worst_case import (
     hybrid_nonexistence_certificate,
@@ -91,6 +100,20 @@ def main() -> None:
     cvf = timed("build_cvf(0.05)", build_cvf, 0.05)
     wc_tf = timed("worst_case_size(TFProcedure(cvf))", worst_case_size, TFProcedure(cvf))
     print(f"    {wc_tf!r}")
+
+    print("rejection_prob(rule, NuisancePoint(rho, f0)) -> prob, abs_err, for the CLI rules:")
+    rules = {
+        "conventional": ConventionalT(Q95),
+        "threshold-2b": ThresholdTF(1.96 * 1.96, 104.7),
+        "threshold-2c": ThresholdTF(3.43 * 3.43, 10.0),
+        "hybrid-2b": HybridAR(1.96 * 1.96, 104.7),
+        "ar": PureAR(Q95),
+        "tf": TFProcedure(cvf),
+    }
+    for rho, f0 in ((0.5, 1.5), (0.99, 0.7), (0.999, 10.0)):
+        for name, rule in rules.items():
+            res = rejection_prob(rule, NuisancePoint(rho, f0))
+            print(f"    {name} ({rho}, {f0}): {res.prob!r}, {res.abs_err!r}")
 
 
 if __name__ == "__main__":

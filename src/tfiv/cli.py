@@ -20,10 +20,10 @@ subcommand asked to combine them with a different ``--alpha`` refuses.
 Start-up is mostly imports.  scipy.special is loaded only when a command
 evaluates Phi, and no command loads scipy.optimize or scipy.integrate.  From
 a warm cache, ``cv``, ``test``, ``ci``, ``table3`` and ``audit`` take
-0.28-0.32 s, ``mc`` 0.39 s and ``size`` 0.61 s (medians of 7 processes from
-``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building a curve needs
-Phi, so a cold ``tfiv cv`` takes 0.66 s; set ``TF_CACHE_DIR`` to keep the
-knot files on disk between invocations.  Cache files are versioned and
+0.29-0.31 s, ``mc`` 0.35 s and ``size`` 0.60-0.62 s (medians of 7 processes
+from ``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building a curve
+needs Phi, so a cold ``tfiv cv`` takes 0.69 s; set ``TF_CACHE_DIR`` to keep
+the knot files on disk between invocations.  Cache files are versioned and
 checksummed, and a stale or corrupt file is silently rebuilt.
 """
 

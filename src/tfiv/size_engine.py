@@ -24,23 +24,18 @@ probability is then a 1-D integral over f of smooth CDF differences:
     p = Int phi(f - f0) * P(reject | f) df,    truncated to |f - f0| <= 8.5
         (discarded tail mass < 2e-17).
 
-Both evaluators integrate that kernel with a vectorised Gauss-Kronrod
-G7/K15 pair on panels cut at the geometry's breakpoints (+-sqrt(crit)
-asymptotes, +-s sqrt(crit) root-birth points, +-sqrt(f_threshold), and the
-curve procedure's support/crossing points), no wider than 2.4 s to resolve
-the conditional law's edges of width ~s.  `rejection_prob` integrates one
-nuisance point adaptively from panels no wider than min(0.3, 2.4 s) and
-reports the error it measured; `rejection_prob_profile` and
-`rejection_prob_matrix` evaluate many nuisance points at once on fixed
-panels graded towards the breakpoints, which makes dense grids affordable.
-A profile pairs each f0 with the panels in its window.  Where every node of
-a panel keeps both edges of its conditional rejection set at least 9
-conditional sds from the conditional mean at that f0, the conditional
-probability is one constant 0 or 1 across the panel to within
-Phi(-9) = 1.1e-19; the profile integrates such saturated pairs exactly, as
-P (Phi(b - f0) - Phi(a - f0)), and sends only the others through the kernel,
-in flat blocks of at most 16,384 node-f0 pairs.  Near |rho| = 1 most pairs
-are saturated.
+Both evaluators integrate it in one pass (`_panel_pass`) over Gauss-Kronrod
+K15 panels cut at the geometry's breakpoints (+-sqrt(crit) asymptotes,
++-s sqrt(crit) root-birth points, +-sqrt(f_threshold), and the curve
+procedure's support/crossing points), graded towards them and no wider than
+2.4 s, to resolve the conditional law's edges of width ~s.  Where every node
+of a panel keeps both edges of its conditional rejection set at least 9
+conditional sds from the conditional mean at an f0, the panel is integrated
+exactly, as a normal CDF difference, to within Phi(-9) = 1.1e-19; near
+|rho| = 1 most are.  The others go through the kernel, with |K15 - G7| on
+the same nodes next to each value.  `rejection_prob_profile` and
+`rejection_prob_matrix` take one pass over panels shared by many f0;
+`rejection_prob` refines the panels of its one f0 by that gap.
 
 At |rho| = 1 the conditional law degenerates to the point t_ar = +-(f - f0)
 and everything collapses to exact univariate normal computations (the
@@ -563,29 +558,18 @@ def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     return min(x, math.sqrt(proc.cvf.f_tilde), scale * gs[0] + 1.0)
 
 
-def _panel_edges(breaks: np.ndarray, lo: float, hi: float, h: float) -> np.ndarray:
-    """Edges of [lo, hi] cut at the breaks inside it, each piece split evenly to width <= h."""
-    inside = breaks[(breaks > lo + 1e-9) & (breaks < hi - 1e-9)]
-    cuts = np.unique(np.concatenate([[lo, hi], inside]))
-    width = np.diff(cuts)
-    n = np.ceil(width / h).astype(int)
-    piece, k = _range_pairs(np.zeros_like(n), n)
-    return np.append(cuts[piece] + width[piece] * k / n[piece], hi)
-
-
 def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> SizeResult:
     """Rejection probability at p, certified to absolute accuracy tol.
 
-    Adaptive Gauss-Kronrod G7/K15 quadrature over f on the panel engine's
-    region kernel, so this route and `rejection_prob_profile` differ only in
-    how they integrate.  The start panels are the pieces between the
-    breakpoints (for the curve rule also its knots, where c(F) kinks), cut
-    to width <= min(0.3, 2.4 s).  Each pass evaluates every pending panel in
-    one numpy pass, accepts a panel when |K15 - G7| <= 0.5 tol width / 17
-    and bisects the others.  abs_err is the sum of the accepted |K15 - G7|
-    plus the 2e-17 tail mass beyond the window.  |rho| > 1 - 1e-6 is
-    answered by the exact degenerate formulas instead.  Raises ToleranceUnmet
-    when _GK_MAX_PANELS panels have been evaluated without meeting tol.
+    The profile's pass at f0 = p.f0, from the profile's panels on the
+    window.  A live panel of the curve rule with knots inside is split at
+    them, so that |K15 - G7| sees only smooth pieces; any other live panel
+    is accepted when |K15 - G7| <= tol width / 17 and bisected otherwise.
+    abs_err is the sum of the accepted |K15 - G7|, plus Phi(-9) per
+    saturated panel and the 2e-17 tail mass beyond the window.
+    |rho| > 1 - 1e-6 is answered by the exact degenerate formulas instead.
+    Raises ToleranceUnmet when _GK_MAX_PANELS panels have been evaluated
+    without meeting tol.
     """
     if not isinstance(p, NuisancePoint):
         raise DomainError("rejection_prob expects a NuisancePoint")
@@ -598,42 +582,40 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
         prob = float(proc.rho1_profile(np.array([p.f0]))[0])
         return SizeResult(prob=prob, abs_err=1e-13, point=p)
 
-    rho, f0 = p.rho, p.f0
+    rho, f0 = p.rho, np.array([p.f0])
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    lo, hi = f0 - _F_WINDOW, f0 + _F_WINDOW
-    breaks = np.concatenate([proc.breakpoints(s), proc.knot_cuts])
-    edges = _panel_edges(breaks, lo, hi, min(0.3, 2.4 * s))
+    edges = _profile_panels(proc, s, p.f0 - _F_WINDOW, p.f0 + _F_WINDOW)
     a, b = edges[:-1], edges[1:]
-    per_width = 0.5 * tol / (2.0 * _F_WINDOW)
-    value = err = 0.0
-    spent = 0
+    knots = np.sort(np.asarray(proc.knot_cuts, dtype=float))
+    per_width, per_pass = tol / (2.0 * _F_WINDOW), _BLOCK // _GK_X.size
+    value, err, spent = 0.0, 2e-17, 0
     while a.size:
-        spent += a.size
+        # A pass takes at most one kernel block of the pending panels, so
+        # memory does not grow with the curve's knots.
+        pa, pb, a, b = a[:per_pass], b[:per_pass], a[per_pass:], b[per_pass:]
+        spent += pa.size
         if spent > _GK_MAX_PANELS:
-            raise ToleranceUnmet(
-                f"quadrature error not under tol {tol:.3e} within {_GK_MAX_PANELS} panels at {p}"
-            )
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        f = (mid[:, None] + half[:, None] * _GK_X).ravel()
-        vals = _weighted_rejection(proc.regions(f, rho), f - f0, rho, s)
-        vals = vals.reshape(a.size, _GK_X.size)
-        k15 = half * (vals @ _GK_WK)
-        gap = np.abs(k15 - half * (vals @ _GK_WG))
-        done = gap <= per_width * (b - a)
-        value += float(k15[done].sum())
+            raise ToleranceUnmet(f"tol {tol:.3e} not met within {_GK_MAX_PANELS} panels at {p}")
+        _, saturated, (live, k15, gap) = _panel_pass(proc, rho, s, f0, pa, pb)
+        err += float(ndtr(-_SAT_Z)) * (pa.size - live.size)
+        pa, pb = pa[live], pb[live]
+        k0, k1 = np.searchsorted(knots, pa, "right"), np.searchsorted(knots, pb, "left")
+        done = (k0 == k1) & (gap <= per_width * (pb - pa))
+        value += float(saturated[0]) + float(k15[done].sum())
         err += float(gap[done].sum())
-        a, b = np.concatenate([a[~done], mid[~done]]), np.concatenate([mid[~done], b[~done]])
-    return SizeResult(prob=min(max(value, 0.0), 1.0), abs_err=err + 2e-17, point=p)
+        # The others split at their knots, or in half where they hold none.
+        pa, pb, k0, k1 = pa[~done], pb[~done], k0[~done], k1[~done]
+        cuts = np.concatenate([knots[_range_pairs(k0, k1)[1]], 0.5 * (pa + pb)[k0 == k1]])
+        a, b = np.sort(np.concatenate([a, pa, cuts])), np.sort(np.concatenate([b, cuts, pb]))
+    return SizeResult(prob=min(max(value, 0.0), 1.0), abs_err=err, point=p)
 
 
 # ---------------------------------------------------------------------------
 # vectorised profiles: many f0 at once on fixed K15 panels
 
 
-def _profile_panels(
-    proc: Procedure, s: float, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A profile's (panel edges, K15 nodes, K15 weights) on [lo, hi], nodes ascending.
+def _profile_panels(proc: Procedure, s: float, lo: float, hi: float) -> np.ndarray:
+    """A profile's panel edges on [lo, hi].
 
     Cut at the breakpoints, graded on both sides, and at the knots below
     _KNOT_CUT_X; each piece is split evenly to width <= 2.4 s.
@@ -642,10 +624,12 @@ def _profile_panels(
     knots = np.asarray(proc.knot_cuts, dtype=float)
     graded = breaks[:, None] + np.concatenate([-_GRADED_OFFSETS, _GRADED_OFFSETS])
     cuts = np.concatenate([breaks, graded.ravel(), knots[np.abs(knots) < _KNOT_CUT_X]])
-    edges = _panel_edges(cuts, lo, hi, 2.4 * s)
-    mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    nodes = (mids[:, None] + halfs[:, None] * _GK_X).ravel()
-    return edges, nodes, (halfs[:, None] * _GK_WK).ravel()
+    inside = cuts[(cuts > lo + 1e-9) & (cuts < hi - 1e-9)]
+    cuts = np.unique(np.concatenate([[lo, hi], inside]))
+    width = np.diff(cuts)
+    n = np.ceil(width / (2.4 * s)).astype(int)
+    piece, k = _range_pairs(np.zeros_like(n), n)
+    return np.append(cuts[piece] + width[piece] * k / n[piece], hi)
 
 
 def _t_region_tables(f: np.ndarray, c, rho: float) -> _Tables:
@@ -731,32 +715,83 @@ def _run_mass(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return ndtr(np.where(upper, -xa, xb)) - ndtr(np.where(upper, -xb, xa))
 
 
+def _panel_pass(
+    proc: Procedure, rho: float, s: float, f0s: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Integrate each f0 over the K15 panels [a, b] (sorted, disjoint) that meet its window.
+
+    Returns (value, saturated, live): per f0 its value and the part of it
+    from saturated pairs, and per live (f0, panel) pair its panel index,
+    K15 value and |K15 - G7|.  A pair is saturated when u = rho f0
+    lies outside both of the panel's hulls (`_saturation_hulls`): its
+    conditional rejection probability is then one constant P, 0 or 1, to
+    within Phi(-9), so it contributes P (Phi(b - f0) - Phi(a - f0)) over
+    its edges clipped to the window, and runs of abutting P = 1 panels of
+    one f0 telescope.  The live pairs go through the kernel in flat blocks
+    of at most _BLOCK node pairs, which `np.bincount` sums into their f0.
+    The pairs are built in groups of f0 of about _BLOCK pairs, so no
+    temporary grows with the number of f0.
+    """
+    halfs = 0.5 * (b - a)
+    nodes = ((0.5 * (a + b))[:, None] + halfs[:, None] * _GK_X).ravel()
+    tables = proc.regions(nodes, rho)
+    pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
+    # Nodes and tables with one row per panel, to gather live panels from.
+    rows = [t.reshape(-1, _GK_X.size) for t in (nodes, *tables)]
+    per_block = _BLOCK // _GK_X.size
+
+    # The panels [first, stop) meet an f0's window; a group of f0 begins at
+    # every _BLOCK-th (f0, panel) pair.
+    first = np.searchsorted(b, f0s - _F_WINDOW, side="right")
+    stop = np.searchsorted(a, f0s + _F_WINDOW, side="left")
+    counts = stop - first
+    ahead = np.cumsum(counts) - counts
+    groups = np.searchsorted(ahead, np.arange(0, ahead[-1] + 1, _BLOCK))
+    groups = np.unique(np.append(groups, f0s.size))
+    value, saturated = np.zeros(f0s.size), np.zeros(f0s.size)
+    live = [(np.empty(0, int), np.empty(0), np.empty(0))]
+    for g0, g1 in zip(groups[:-1], groups[1:]):
+        i, p = _range_pairs(first[g0:g1], stop[g0:g1])
+        f0 = f0s[g0:g1][i]
+        u = rho * f0
+        below = [u <= bound[p] for bound in low]
+        above = [u >= bound[p] for bound in high]  # Phi = 1 at that edge
+        sat = (below[0] | above[0]) & (below[1] | above[1])
+        ones = sat & (pbase[p] + psign[p] * (1.0 * above[0] - above[1]) == 1.0)
+        # Runs of P = 1 panels of one f0 span [a[p_begin], b[p_end]].
+        same = (i[1:] == i[:-1]) & (a[p[1:]] == b[p[:-1]])
+        begin, end = ones.copy(), ones.copy()
+        begin[1:] &= ~(ones[:-1] & same)
+        end[:-1] &= ~(ones[1:] & same)
+        x = np.stack([a[p[begin]], b[p[end]]]) - f0[begin]
+        x = np.clip(x, -_F_WINDOW, _F_WINDOW)
+        saturated[g0:g1] = np.bincount(i[begin], _run_mass(*x), minlength=g1 - g0)
+        value[g0:g1] += saturated[g0:g1]
+        i, p, f0 = i[~sat], p[~sat], f0[~sat]
+        for k in range(0, i.size, per_block):
+            block = np.s_[k : k + per_block]
+            f, *window = (np.take(t, p[block], axis=0) for t in rows)
+            vals = _weighted_rejection(window, f - f0[block, None], rho, s)
+            h = halfs[p[block], None]
+            k15 = np.einsum("ij,ij->i", vals, h * _GK_WK)
+            value[g0:g1] += np.bincount(i[block], k15, minlength=g1 - g0)
+            gap = np.abs(k15 - np.einsum("ij,ij->i", vals, h * _GK_WG))
+            live.append((p[block], k15, gap))
+    return value, saturated, tuple(map(np.concatenate, zip(*live)))
+
+
 def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     """Rejection probabilities at one rho across an array of f0 values.
 
-    Returns an array of the shape of ``f0s``.  Fixed K15 panels shared by
-    every f0 (`_profile_panels`), no wider than 2.4 times the conditional
-    sd s = sqrt(1 - rho^2).  The error is not measured per f0; against
-    `rejection_prob(tol=1e-10)` it was at most 4.7e-8 for the 5% curve rule
-    (rho 0.9 to 0.9999, f0 <= 1.95) and 6.1e-8 for the conventional rules at
-    Q95 and 3.43^2 (rho 0 to 0.99).  For |rho| > 1 - 1e-6 the degenerate
-    closed forms take over, as in `rejection_prob`.
-
-    Each f0 is integrated over the panels that meet [f0 - _F_WINDOW,
-    f0 + _F_WINDOW], one (f0, panel) pair each.  A pair is saturated when
-    every node of the panel either never rejects or keeps both edges of its
-    conditional rejection set at least _SAT_Z = 9 conditional sds from the
-    conditional mean rho f - u, u = rho f0; that is, when u lies outside
-    both of the panel's hulls (`_saturation_hulls`), at every rho, 0
-    included.  The panel's conditional rejection probability is then one
-    constant P, 0 or 1, to within Phi(-9) = 1.1e-19, so it contributes
-    P (Phi(b - f0) - Phi(a - f0)) over its edges [a, b] clipped to the
-    window: what its 15 nodes sum to, up to rounding.  Runs of P = 1 panels
-    of one f0 telescope.  The other pairs go through the dense
-    kernel as their 15 node pairs, in flat blocks of at most _BLOCK node
-    pairs, and `np.bincount` sums each block into its f0 values.  The
-    (f0, panel) pairs are built in groups of f0 of about _BLOCK pairs, so
-    no temporary grows with the profile.
+    Returns an array of the shape of ``f0s``: one `_panel_pass` over the
+    panels of `_profile_panels` on the windows of all f0, so a value can
+    move in its last digits with the other f0 of the call.  No error is
+    reported per f0: the curve rule's knots above _KNOT_CUT_X are not cut,
+    and |K15 - G7| does not see them.  Against `rejection_prob(tol=1e-10)`
+    the profile was at most 4.7e-8 off for the 5% curve rule (rho 0.9 to
+    0.9999, f0 <= 1.95) and 6.1e-8 for the conventional rules at Q95 and
+    3.43^2 (rho 0 to 0.99).  For |rho| > 1 - 1e-6 the degenerate closed
+    forms take over, as in `rejection_prob`.
     """
     _require_procedure(proc)
     f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
@@ -772,46 +807,9 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
         return proc.rho1_profile(f0s).reshape(shape)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    lo, hi = float(f0s.min()) - _F_WINDOW, float(f0s.max()) + _F_WINDOW
-    edges, nodes, weights = _profile_panels(proc, s, lo, hi)
-    tables = proc.regions(nodes, rho)
-    pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
-    # Nodes, weights and tables with one row per panel, to gather live panels from.
-    rows = [t.reshape(-1, _GK_X.size) for t in (nodes, weights, *tables)]
-    per_block = _BLOCK // _GK_X.size
-
-    # The panels [first, stop) meet an f0's window; a group of f0 begins at
-    # every _BLOCK-th (f0, panel) pair.
-    first = np.searchsorted(edges[1:], f0s - _F_WINDOW, side="right")
-    stop = np.searchsorted(edges[:-1], f0s + _F_WINDOW, side="left")
-    counts = stop - first
-    ahead = np.cumsum(counts) - counts
-    groups = np.searchsorted(ahead, np.arange(0, ahead[-1] + 1, _BLOCK))
-    groups = np.unique(np.append(groups, f0s.size))
-    out = np.zeros(f0s.size)
-    for a, b in zip(groups[:-1], groups[1:]):
-        i, p = _range_pairs(first[a:b], stop[a:b])
-        f0 = f0s[a:b][i]
-        u = rho * f0
-        below = [u <= bound[p] for bound in low]
-        above = [u >= bound[p] for bound in high]  # Phi = 1 at that edge
-        sat = (below[0] | above[0]) & (below[1] | above[1])
-        ones = sat & (pbase[p] + psign[p] * (1.0 * above[0] - above[1]) == 1.0)
-        # Runs of P = 1 panels of one f0 span [edges[p_begin], edges[p_end + 1]].
-        same = i[1:] == i[:-1]
-        begin, end = ones.copy(), ones.copy()
-        begin[1:] &= ~(ones[:-1] & same)
-        end[:-1] &= ~(ones[1:] & same)
-        x = np.stack([edges[p[begin]], edges[p[end] + 1]]) - f0[begin]
-        x = np.clip(x, -_F_WINDOW, _F_WINDOW)
-        out[a:b] += np.bincount(i[begin], _run_mass(*x), minlength=b - a)
-        i, p, f0 = i[~sat], p[~sat], f0[~sat]
-        for k in range(0, i.size, per_block):
-            block = np.s_[k : k + per_block]
-            f, w, *window = (np.take(t, p[block], axis=0) for t in rows)
-            vals = _weighted_rejection(window, f - f0[block, None], rho, s)
-            out[a:b] += np.bincount(i[block], np.einsum("ij,ij->i", vals, w), minlength=b - a)
-    return np.clip(out, 0.0, 1.0).reshape(shape)
+    edges = _profile_panels(proc, s, float(f0s.min()) - _F_WINDOW, float(f0s.max()) + _F_WINDOW)
+    value = _panel_pass(proc, rho, s, f0s, edges[:-1], edges[1:])[0]
+    return np.clip(value, 0.0, 1.0).reshape(shape)
 
 
 def rejection_prob_matrix(proc: Procedure, rhos, f0s) -> np.ndarray:

@@ -67,9 +67,9 @@ __all__ = [
 # boundary layer against |rho| = 1 (curvature grows like the inverse cube of
 # the conditional width s), so the spacing must shrink geometrically there.
 _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
-# Certification never claims better than this.  It is a floor, not a bound
-# on the profile's error, which is not measured per f0: it was up to 4.7e-8
-# off `rejection_prob(tol=1e-10)` for the tF rule and 6.1e-8 for the
+# Certification never claims better than this floor.  The profile reports no
+# error per f0; it was up to 4.7e-8 off `rejection_prob(tol=1e-10)` (the same
+# pass, refined by its own |K15 - G7|) for the tF rule and 6.1e-8 for the
 # conventional rule.  A measured error should replace it (ROADMAP.md, item 3).
 _CERT_FLOOR = 1e-6
 # Slack used when a solver checks its candidate against the global audit.

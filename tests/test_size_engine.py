@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
@@ -17,6 +17,7 @@ from tfiv.size_engine import (
     TFProcedure,
     _BLOCK,
     _F_WINDOW,
+    _GK_WK,
     _GK_X,
     _profile_panels,
     _rho1_cvf_masses,
@@ -264,7 +265,7 @@ def test_profile_matches_pointwise_on_coarse_sweep():
             assert math.isclose(prof[i], direct, rel_tol=1e-8, abs_tol=1e-10)
 
 
-def test_profile_near_rho1_band_matches_pointwise():
+def test_profile_near_rho1_band_matches_pointwise(cvf):
     # Between |rho| = 1 - 5e-5 and 1 - 1e-6 the |rho| = 1 closed form
     # (0.96052 here) is 2e-3 to 5e-2 off; the profile must agree with the
     # adaptive integral instead.
@@ -276,6 +277,13 @@ def test_profile_near_rho1_band_matches_pointwise():
         direct = rejection_prob(proc, NuisancePoint(rho=rho, f0=f0)).prob
         assert abs(prof - direct) <= 1e-6
         assert abs(prof - value) <= 1e-6
+    # The curve rule's point splits live panels at the knots, so its later
+    # passes hold panels that do not abut: a run of saturated P = 1 panels
+    # must not span the gap between two of them.
+    tf = TFProcedure(cvf=cvf)
+    for rho, f0 in ((0.99995, 4.5), (0.999995, 4.5), (0.999995, 10.0)):
+        prof = float(rejection_prob_profile(tf, rho, [f0])[0])
+        assert abs(prof - rejection_prob(tf, NuisancePoint(rho=rho, f0=f0)).prob) <= 1e-6
 
 
 def test_profile_resolves_rejection_edge_near_rho1():
@@ -302,6 +310,12 @@ def test_profile_resolves_rejection_edge_near_rho1():
 )
 @settings(max_examples=40, deadline=None)
 @seed(1)
+# The curve rule near rho = 1 at small f0, where |K15 - G7| on a panel that
+# holds knots fell 4 to 20 times short of the error it should cover.
+@example(which=4, rho=0.99, f0=0.7, tol=1e-6)
+@example(which=4, rho=0.99, f0=2.0, tol=1e-6)
+@example(which=4, rho=0.999, f0=1.7, tol=1e-6)
+@example(which=4, rho=0.999, f0=1.6, tol=1e-8)
 def test_reported_error_covers_tighter_integral(cvf, which, rho, f0, tol):
     # abs_err is the sum of the accepted |K15 - G7| panel gaps; it must stay
     # within tol and cover the distance to a 1e-11 integral of the same point.
@@ -538,7 +552,10 @@ def _dense_profile(proc, rho, f0s):
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     lo = float(f0s.min()) - _F_WINDOW
     hi = float(f0s.max()) + _F_WINDOW
-    _, nodes, weights = _profile_panels(proc, s, lo, hi)
+    edges = _profile_panels(proc, s, lo, hi)
+    mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+    nodes = (mids[:, None] + halfs[:, None] * _GK_X).ravel()
+    weights = (halfs[:, None] * _GK_WK).ravel()
     tables = proc.regions(nodes, rho)
     out = np.empty(f0s.shape)
     pairs = 0
@@ -559,7 +576,7 @@ _SWEEP_RHOS = (0.0, 0.5, -0.9, 0.99, -0.999, 0.9999, 0.99995)
 
 
 def _dense_pairs(monkeypatch):
-    """Count the kernel calls of `rejection_prob_profile` and the node-f0 pairs they take."""
+    """Count the kernel calls and the node-f0 pairs they take."""
     import tfiv.size_engine as engine
 
     seen = SimpleNamespace(calls=0, pairs=0)
@@ -619,6 +636,20 @@ def test_block_edges_inside_one_f0(cvf, rho, monkeypatch):
     assert seen.calls > _SWEEP.size
     np.testing.assert_allclose(split, whole, rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(split, _dense_profile(proc, rho, _SWEEP)[0], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("f0", [0.5, 2.0])
+def test_point_skips_saturated_panels(cvf, f0, monkeypatch):
+    # rejection_prob runs the profile's pass, so near |rho| = 1, where most
+    # panels saturate, it sends a small share of its panels' nodes through
+    # the kernel, where a dense sweep of the same panels sends them all.
+    rho = 0.9999
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    for proc in (ConventionalT(Q95), ThresholdTF(Q95, 10.0), TFProcedure(cvf)):
+        panels = _profile_panels(proc, s, f0 - _F_WINDOW, f0 + _F_WINDOW).size - 1
+        seen = _dense_pairs(monkeypatch)
+        rejection_prob(proc, NuisancePoint(rho=rho, f0=f0))
+        assert seen.pairs < 0.25 * _GK_X.size * panels
 
 
 def test_tf_audit_kernel_work(cvf, monkeypatch):

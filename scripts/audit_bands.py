@@ -6,13 +6,18 @@ Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
 outside, and prints per |rho| band (< 0.99, < 0.999, >= 0.999 and = 1): the
 profile calls, the f0 points they evaluated, their seconds, the dense
 kernel's calls and the node-f0 pairs it evaluated, and the region kernel's
-calls, the nodes it tabulated and its seconds.
+calls, the nodes it tabulated and its seconds.  A second run of each audit,
+under tracemalloc, gives each band's peak: the most that one profile call
+allocated above what was allocated before it, in MB (10^6 bytes).
+tracemalloc about doubles the audit's time, so the timed run is untraced.
 
     PYTHONPATH=src python scripts/audit_bands.py
 """
 
+import contextlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -72,23 +77,55 @@ def audit_bands(proc) -> tuple[dict, float]:
             current[-1][7] += time.perf_counter() - t0
         return out
 
-    patches = [
-        (size_engine, "rejection_prob_profile", timed_profile),
-        (worst_case, "rejection_prob_profile", timed_profile),
+    with _patched(
+        timed_profile,
         (size_engine, "_weighted_rejection", counted_kernel),
         (size_engine, "_t_region_tables", timed_tables),
+    ):
+        t0 = time.perf_counter()
+        worst_case.worst_case_size(proc)
+        total = time.perf_counter() - t0
+    return stats, total
+
+
+def band_peaks(proc) -> dict:
+    """Per band, the largest tracemalloc peak of one profile call, in bytes."""
+    peaks = dict.fromkeys(BANDS, 0)
+    profile = size_engine.rejection_prob_profile
+
+    def traced_profile(proc, rho, f0s):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = profile(proc, rho, f0s)
+        band = _band(rho)
+        peaks[band] = max(peaks[band], tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    tracemalloc.start()
+    try:
+        with _patched(traced_profile):
+            worst_case.worst_case_size(proc)
+    finally:
+        tracemalloc.stop()
+    return peaks
+
+
+@contextlib.contextmanager
+def _patched(profile, *patches):
+    """Replace rejection_prob_profile with ``profile``, and each (module, name) with its fn."""
+    patches = [
+        (size_engine, "rejection_prob_profile", profile),
+        (worst_case, "rejection_prob_profile", profile),
+        *patches,
     ]
     saved = [(mod, name, getattr(mod, name)) for mod, name, _ in patches]
     for mod, name, fn in patches:
         setattr(mod, name, fn)
     try:
-        t0 = time.perf_counter()
-        worst_case.worst_case_size(proc)
-        total = time.perf_counter() - t0
+        yield
     finally:
         for mod, name, fn in saved:
             setattr(mod, name, fn)
-    return stats, total
 
 
 def main() -> None:
@@ -97,19 +134,21 @@ def main() -> None:
         "F > 10 screen, 1.96^2": lambda: ThresholdTF(Q95, 10.0),
     }
     for label, make in rules.items():
-        stats, total = audit_bands(make())
+        proc = make()
+        stats, total = audit_bands(proc)
+        peaks = band_peaks(proc)
         print(f"{label}: worst_case_size {total:.2f} s")
         print(
             f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8}"
             f" {'kernel calls':>12} {'dense evals':>12}"
-            f" {'table calls':>11} {'table nodes':>12} {'table s':>8}"
+            f" {'table calls':>11} {'table nodes':>12} {'table s':>8} {'peak MB':>8}"
         )
         for band in BANDS:
             calls, points, secs, kernel_calls, evals, t_calls, t_nodes, t_secs = stats[band]
             print(
                 f"  {band:>9} {calls:6d} {points:10d} {secs:8.3f}"
                 f" {kernel_calls:12,d} {evals:12,d}"
-                f" {t_calls:11,d} {t_nodes:12,d} {t_secs:8.3f}"
+                f" {t_calls:11,d} {t_nodes:12,d} {t_secs:8.3f} {peaks[band] / 1e6:8.2f}"
             )
         kernel_calls, evals, t_calls, t_nodes, t_secs = map(sum, list(zip(*stats.values()))[3:])
         print(

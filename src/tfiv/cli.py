@@ -20,11 +20,13 @@ subcommand asked to combine them with a different ``--alpha`` refuses.
 Start-up is mostly imports.  scipy.special is loaded only when a command
 evaluates Phi, and no command loads scipy.optimize or scipy.integrate.  From
 a warm cache, ``cv``, ``test``, ``ci``, ``table3`` and ``audit`` take
-0.29-0.31 s, ``mc`` 0.35 s and ``size`` 0.60-0.62 s (medians of 7 processes
-from ``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building a curve
-needs Phi, so a cold ``tfiv cv`` takes 0.69 s; set ``TF_CACHE_DIR`` to keep
-the knot files on disk between invocations.  Cache files are versioned and
-checksummed, and a stale or corrupt file is silently rebuilt.
+0.32-0.36 s and peak at 34-35 MB RSS, ``mc`` 0.40 s and 50 MB, ``size``
+0.68-0.73 s and 55-56 MB, and ``solve`` 1.2 s and 61 MB (medians of 7
+processes from ``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building
+a curve needs Phi, so a cold ``tfiv cv`` takes 0.75 s and 56 MB; set
+``TF_CACHE_DIR`` to keep the knot files on disk between invocations.  Cache
+files are versioned and checksummed, and a stale or corrupt file is
+silently rebuilt.
 """
 
 from __future__ import annotations
@@ -319,6 +321,8 @@ def _resolve_f0(args: argparse.Namespace) -> float:
 
 def cmd_size(args: argparse.Namespace) -> int:
     f0 = _resolve_f0(args)
+    if (args.rho is None) != args.sweep:
+        raise DomainError("exactly one of --rho / --sweep must be given")
     proc = _build_procedure(args.procedure, args.alpha)
     if args.sweep:
         probs = rejection_prob_matrix(proc, _SWEEP_RHOS, [f0])[:, 0]

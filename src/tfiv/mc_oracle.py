@@ -50,6 +50,14 @@ _CHUNK = 1 << 20
 _PROCEDURE_TYPES = (ConventionalT, ThresholdTF, HybridAR, PureAR, TFProcedure)
 
 
+def _require_seed(seed) -> None:
+    """A Philox seed: an int in [0, 2^64), as Philox refuses negative seeds."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise DomainError(f"seed must be an int, got {seed!r}")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2^64), got {seed}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Draw count, seed, and the nuisance point to simulate at."""
@@ -63,10 +71,7 @@ class McConfig:
             raise DomainError(f"n_draws must be an int, got {self.n_draws!r}")
         if self.n_draws < 10_000:
             raise DomainError(f"n_draws must be at least 10^4, got {self.n_draws}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise DomainError(f"seed must be an int, got {self.seed!r}")
-        if not -(2**63) <= self.seed < 2**64:
-            raise DomainError("seed must fit in 64 bits")
+        _require_seed(self.seed)
         if not isinstance(self.point, NuisancePoint):
             raise DomainError("point must be a NuisancePoint")
 
@@ -166,8 +171,7 @@ def simulate_iv_dataset(dgp: SyntheticDGP, seed: int) -> tuple[IVSummary, CoreSt
     """
     if not isinstance(dgp, SyntheticDGP):
         raise DomainError("dgp must be a SyntheticDGP")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise DomainError(f"seed must be an int, got {seed!r}")
+    _require_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     n = dgp.n_obs
     z = rng.standard_normal(n)

@@ -97,11 +97,16 @@ _GRADED_OFFSETS = np.array([1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2])
 # Profiles of the curve rule also cut at its knots below this |x|, where c(F)
 # has 5,801 of the 5% curve's total slope change of 5,805 (in sqrt F).
 _KNOT_CUT_X = 2.5
-# A profile sends its live node-f0 pairs through the kernel in blocks of at
-# most this many, and builds its (f0, panel) pairs in groups of f0 of about
-# this many.  Blocks of 2^14 to 2^17 ran the tF audit equally fast; from 2^15
-# up the profile's own peak memory grows.
+# A pass sends its live node-f0 pairs through the kernel in blocks of at most
+# this many, and builds its (f0, panel) pairs in groups of f0 of about this
+# many.  Blocks of 2^14 to 2^17 ran the tF audit equally fast, and 2^12 up to
+# a quarter slower; from 2^15 up the profile's own peak memory grows.
+# Per-node work and `rejection_prob`'s passes are bounded by _PANELS instead.
 _BLOCK = 1 << 14
+# A pass builds its nodes, region tables and saturation hulls for this many
+# K15 panels (4,080 nodes) at a time, and a `rejection_prob` pass takes at
+# most this many panels, so neither holds temporaries for a whole window.
+_PANELS = 272
 # A conditional edge at least this many conditional sds from the conditional
 # mean is saturated: Phi there is 0 or 1 to within Phi(-9) = 1.1e-19.
 _SAT_Z = 9.0
@@ -587,12 +592,12 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     edges = _profile_panels(proc, s, p.f0 - _F_WINDOW, p.f0 + _F_WINDOW)
     a, b = edges[:-1], edges[1:]
     knots = np.sort(np.asarray(proc.knot_cuts, dtype=float))
-    per_width, per_pass = tol / (2.0 * _F_WINDOW), _BLOCK // _GK_X.size
+    per_width = tol / (2.0 * _F_WINDOW)
     value, err, spent = 0.0, 2e-17, 0
     while a.size:
-        # A pass takes at most one kernel block of the pending panels, so
-        # memory does not grow with the curve's knots.
-        pa, pb, a, b = a[:per_pass], b[:per_pass], a[per_pass:], b[per_pass:]
+        # A pass takes at most one block of _PANELS pending panels, so memory
+        # does not grow with the curve's knots.
+        pa, pb, a, b = a[:_PANELS], b[:_PANELS], a[_PANELS:], b[_PANELS:]
         spent += pa.size
         if spent > _GK_MAX_PANELS:
             raise ToleranceUnmet(f"tol {tol:.3e} not met within {_GK_MAX_PANELS} panels at {p}")
@@ -730,14 +735,25 @@ def _panel_pass(
     one f0 telescope.  The live pairs go through the kernel in flat blocks
     of at most _BLOCK node pairs, which `np.bincount` sums into their f0.
     The pairs are built in groups of f0 of about _BLOCK pairs, so no
-    temporary grows with the number of f0.
+    temporary grows with the number of f0, and the nodes, region tables
+    and hulls _PANELS panels at a time, so none grows with the panels
+    either; only the per-panel rows they fill do.
     """
     halfs = 0.5 * (b - a)
-    nodes = ((0.5 * (a + b))[:, None] + halfs[:, None] * _GK_X).ravel()
-    tables = proc.regions(nodes, rho)
-    pbase, psign, low, high = _saturation_hulls(nodes, tables, rho, s)
-    # Nodes and tables with one row per panel, to gather live panels from.
-    rows = [t.reshape(-1, _GK_X.size) for t in (nodes, *tables)]
+    # Nodes and tables with one row per panel, to gather live panels from,
+    # and each panel's (base, sign) and hulls, filled _PANELS at a time.
+    rows = np.empty((5, a.size, _GK_X.size))
+    pbase, psign = np.empty((2, a.size))
+    low, high = np.empty((2, 2, a.size))
+    for k in range(0, a.size, _PANELS):
+        block = np.s_[k : k + _PANELS]
+        nodes = ((0.5 * (a[block] + b[block]))[:, None] + halfs[block, None] * _GK_X).ravel()
+        tables = proc.regions(nodes, rho)
+        for row, t in zip(rows, (nodes, *tables)):
+            row[block] = np.reshape(t, (-1, _GK_X.size))
+        pbase[block], psign[block], low[:, block], high[:, block] = _saturation_hulls(
+            nodes, tables, rho, s
+        )
     per_block = _BLOCK // _GK_X.size
 
     # The panels [first, stop) meet an f0's window; a group of f0 begins at

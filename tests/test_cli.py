@@ -205,6 +205,13 @@ def test_size_rejects_bad_rho(cli_env, capsys):
     code, _, err = run_cli(["size", "--procedure", "ar", "--rho", "2", "--f0", "1"], capsys)
     assert code == 1
     assert json.loads(err)["error"]["type"] == "DomainError"
+    # Neither --rho nor --sweep, or both (an out-of-range --rho included).
+    for extra in ([], ["--rho", "2", "--sweep"], ["--rho", "0.5", "--sweep"]):
+        code, _, err = run_cli(["size", "--procedure", "conventional", "--f0", "2", *extra], capsys)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "exactly one of --rho / --sweep" in error["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +347,17 @@ def test_mc_deterministic(cli_env, capsys, schema):
     code, out, _ = run_cli(argv + ["--format", "json"], capsys)
     doc = check_json(out, schema)
     assert abs(doc["estimate"] - 0.05) <= 4.0 * doc["std_error"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_mc_rejects_seed_out_of_range(cli_env, capsys, seed):
+    # Seeds must lie in [0, 2^64); Philox refuses negative ones, and the CLI
+    # answers with a JSON error, not numpy's traceback.
+    code, _, err = run_cli(["mc", "--procedure", "ar", "--rho", "0.5", "--f0", "2",
+                            "--n", "10000", "--seed", seed], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError" and "seed" in error["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,11 @@ def test_config_validation():
         McConfig(n_draws=10**4, seed=1.5, point=point)
     with pytest.raises(DomainError):
         McConfig(n_draws=10**4, seed=1, point=(0.0, 1.0))
+    for seed in (-1, -(2**63), 2**64):  # Philox refuses negative seeds
+        with pytest.raises(DomainError):
+            McConfig(n_draws=10**4, seed=seed, point=point)
+    for seed in (0, 2**64 - 1):
+        McConfig(n_draws=10**4, seed=seed, point=point)
     with pytest.raises(DomainError):
         mc_rejection(PureAR(crit=Q95), "not a config")
 
@@ -38,6 +43,10 @@ def test_dgp_validation():
         SyntheticDGP(n_obs=100, beta=0.0, pi=1.0, rho_uv=1.2)
     with pytest.raises(DomainError):
         SyntheticDGP(n_obs=100, beta=0.0, pi=1.0, rho_uv=0.3, error_scale=0.0)
+    dgp = SyntheticDGP(n_obs=100, beta=0.0, pi=0.5, rho_uv=0.3)
+    for seed in (-1, 2**64, 1.5):
+        with pytest.raises(DomainError):
+            simulate_iv_dataset(dgp, seed)
 
 
 def test_mc_is_deterministic():

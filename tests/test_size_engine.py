@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -661,6 +662,39 @@ def test_tf_audit_kernel_work(cvf, monkeypatch):
     worst_case_size(TFProcedure(cvf=cvf))
     assert seen.pairs <= 3.0e6
     assert seen.calls <= 300
+
+
+def _traced_peak(run) -> float:
+    """Peak bytes that tracemalloc saw allocated while run() ran."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "case, bound",
+    [
+        # tracemalloc peaks on a 2-core Intel Xeon, tables of the whole window
+        # at once -> blocks of panels: 2.6 -> 0.9, 24.9 -> 10.7 and 9.5 -> 5.4 MB.
+        ("point", 1.5e6),
+        ("far profile", 16e6),
+        ("audit", 7.5e6),
+    ],
+)
+def test_passes_build_tables_a_block_of_panels_at_a_time(cvf, case, bound):
+    # A pass holds its nodes, region tables and hulls for one block of
+    # panels, not a whole window: 13,400 panels at rho = 0.99995 over f0 up
+    # to 300, or the curve rule's 2,200 knot pieces in one refinement pass.
+    proc = TFProcedure(cvf=cvf)
+    run = {
+        "point": lambda: rejection_prob(proc, NuisancePoint(rho=0.5, f0=2.0)),
+        "far profile": lambda: rejection_prob_profile(proc, 0.99995, np.arange(0.0, 301.0)),
+        "audit": lambda: worst_case_size(proc),
+    }[case]
+    assert _traced_peak(run) < bound
 
 
 class _Patched:

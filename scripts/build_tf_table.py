@@ -1,15 +1,16 @@
 """Build the critical-value curve and write its artifacts.
 
 Produces the quick-reference table (CSV), the versioned knot file, and a
-one-line summary of the landmark quantities.  The knot file can be dropped
-into TF_CACHE_DIR so the CLI never rebuilds.
+short summary of the landmark quantities: the support, the pin knot
+(sqrt(F-tilde), sqrt(q)) where the knots end, and sqrt c(F) at three F.
+The knot file can be dropped into TF_CACHE_DIR so the CLI never rebuilds.
 """
 
 import argparse
 import math
 from pathlib import Path
 
-from tfiv.tf_critical import build_cvf, save_cvf, table3_csv
+from tfiv.tf_critical import build_cvf, cvf_eval, save_cvf, table3_csv
 
 
 def main() -> None:
@@ -31,14 +32,15 @@ def main() -> None:
         print(f"wrote {table_path}")
 
     ft = cvf.f_tilde
-    ft_text = f"{ft:.4f}" if math.isfinite(ft) else "inf (curve never pins)"
     print(f"alpha = {cvf.alpha}")
     print(f"lower support q = {cvf.lower_support:.6f}")
-    print(f"F-tilde = {ft_text}")
+    if math.isfinite(ft):
+        x, g = cvf.knots[-1]
+        print(f"F-tilde = {ft:.4f} (pin knot: sqrt F = {x:.6f}, sqrt c = {g:.6f})")
+    else:
+        print("F-tilde = inf (curve never pins)")
     for F in (6.25, 9.0, 49.0):
-        xs = math.sqrt(F)
-        g = float(cvf.sqrt_crit_profile([xs])[0])
-        print(f"sqrt c({F:g}) = {g:.6f}")
+        print(f"sqrt c({F:g}) = {math.sqrt(cvf_eval(cvf, F)):.6f}")
 
 
 if __name__ == "__main__":

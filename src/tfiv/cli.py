@@ -323,6 +323,8 @@ def cmd_size(args: argparse.Namespace) -> int:
     f0 = _resolve_f0(args)
     if (args.rho is None) != args.sweep:
         raise DomainError("exactly one of --rho / --sweep must be given")
+    if args.sweep and args.tol is not None:
+        raise DomainError("--tol applies to --rho only; the --sweep profile reports no error")
     proc = _build_procedure(args.procedure, args.alpha)
     if args.sweep:
         probs = rejection_prob_matrix(proc, _SWEEP_RHOS, [f0])[:, 0]
@@ -344,7 +346,8 @@ def cmd_size(args: argparse.Namespace) -> int:
         return 0
     if not (math.isfinite(args.rho) and abs(args.rho) <= 1.0):
         raise DomainError(f"--rho must lie in [-1, 1], got {args.rho!r}")
-    res = rejection_prob(proc, NuisancePoint(args.rho, f0), tol=args.tol)
+    tol = 1e-6 if args.tol is None else args.tol
+    res = rejection_prob(proc, NuisancePoint(args.rho, f0), tol=tol)
     payload = {
         "command": "size",
         "procedure": args.procedure,
@@ -352,7 +355,7 @@ def cmd_size(args: argparse.Namespace) -> int:
         "rho": args.rho,
         "f0": f0,
         "ef": 1.0 + f0 * f0,
-        "tol": args.tol,
+        "tol": tol,
         "prob": res.prob,
         "abs_err": res.abs_err,
     }
@@ -545,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--f0", type=float, default=None)
     p.add_argument("--ef", type=float, default=None, help="E[F] = 1 + f0^2 instead of --f0")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=None, help="with --rho (default 1e-6)")
     p.add_argument(
         "--sweep",
         action="store_true",

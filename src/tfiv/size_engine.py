@@ -338,10 +338,11 @@ class TFProcedure:
     """Reject when t^2 > c(F) for a fitted critical-value curve.
 
     ``cvf`` is duck-typed: it must expose ``lower_support`` (an F value below
-    which the test never rejects), ``f_tilde`` (the F value beyond which the
-    curve sits at its floor), ``knots`` (sorted (sqrt_F, sqrt_crit) pairs),
-    and ``sqrt_crit_profile(x)`` mapping an ndarray of sqrt-F values to
-    sqrt-critical values (+inf below the support).
+    which the test never rejects), ``arrays`` (the knot positions and values
+    in sqrt F and sqrt c, sorted, nonempty and parsed once) and
+    ``sqrt_crit_profile(x)``, the curve's one evaluator: it maps an ndarray
+    of sqrt-F values to sqrt-critical values, +inf below the support and the
+    knots interpolated above it.
     """
 
     cvf: "CriticalValueFunction"
@@ -349,25 +350,18 @@ class TFProcedure:
     f0_star = None
 
     def __post_init__(self) -> None:
-        for attr in ("lower_support", "f_tilde", "knots", "sqrt_crit_profile"):
+        for attr in ("lower_support", "arrays", "sqrt_crit_profile"):
             if not hasattr(self.cvf, attr):
                 raise DomainError(f"TFProcedure.cvf lacks required attribute {attr!r}")
-        if not self.cvf.knots:
-            raise DomainError("TFProcedure.cvf has no knots")
 
     @cached_property
     def knot_arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(knot positions, knot values, sqrt(lower_support)) as arrays."""
-        xs, gs = np.asarray(self.cvf.knots, dtype=float).T
-        return xs, gs, math.sqrt(self.cvf.lower_support)
+        """(knot positions, knot values, sqrt(lower_support))."""
+        return (*self.cvf.arrays, math.sqrt(self.cvf.lower_support))
 
     def crit_at(self, F: float) -> float:
-        """c(F): +inf below the support, exactly lower_support from f_tilde on."""
-        if F < self.cvf.lower_support:
-            return math.inf
-        if F >= self.cvf.f_tilde:
-            return self.cvf.lower_support
-        y = float(self.cvf.sqrt_crit_profile(math.sqrt(F)))
+        """c(F) = g(sqrt(F))^2, g the curve's `sqrt_crit_profile`; +inf for F < 0."""
+        y = float(self.cvf.sqrt_crit_profile(math.sqrt(max(F, 0.0))))
         return y * y
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
@@ -381,10 +375,10 @@ class TFProcedure:
             return _t_region_tables(f, sq_c * sq_c, rho)
 
     def breakpoints(self, s: float) -> list[float]:
-        cvf = self.cvf
+        xs, _, sq = self.knot_arrays
         return _mirrored([
-            math.sqrt(cvf.lower_support),
-            math.sqrt(cvf.f_tilde),
+            sq,
+            xs[-1],  # last kink: the pin, or where a curve that never pins goes flat
             _cvf_crossing(self, 1.0),  # asymptote: f^2 = c(f^2)
             _cvf_crossing(self, s),  # root birth: f = s sqrt(c)
         ])
@@ -393,15 +387,15 @@ class TFProcedure:
     def knot_cuts(self) -> np.ndarray:
         # c(F) is linear in sqrt(F) between knots and kinks at each one; the
         # integrand is smooth only between kinks, and |K15 - G7| measures the
-        # error only where it is smooth.
+        # error only where it is smooth.  Sorted, for `rejection_prob`.
         xs = self.knot_arrays[0]
-        return np.concatenate([xs, -xs])
+        return np.concatenate([-xs[::-1], xs])
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         return np.clip(sum(_rho1_cvf_masses(*self.knot_arrays, f0s)), 0.0, 1.0)
 
     def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-self.cvf.knots[-1][1]))
+        return 2.0 * float(ndtr(-self.knot_arrays[1][-1]))
 
     def ridge_f0_grid(self) -> np.ndarray:
         """|rho| = 1 audit grid out to 100, with the cap edge, where the ridge peaks.
@@ -540,12 +534,12 @@ def rejection_prob_rho1(proc: Procedure, f0: float) -> float:
 
 
 def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
-    """Positive x in [sqrt support, sqrt f_tilde] solving x = scale * g(x).
+    """Positive x >= sqrt support solving x = scale * g(x).
 
     g is nonincreasing, so x - scale g(x) is strictly increasing and the
     crossing is unique: a searchsorted on the knots, then the root of the
-    linear piece.  If the margin is already >= 0 at the support edge the
-    crossing is clamped there.
+    linear piece, below the pin when the curve has one.  If the margin is
+    already >= 0 at the support edge the crossing is clamped there.
     """
     xs, gs, sq = proc.knot_arrays
     X = np.concatenate(([sq], xs))
@@ -554,13 +548,9 @@ def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     if j == 0:
         return sq
     if j == X.size:  # flat beyond the last knot
-        x = scale * gs[-1]
-    else:
-        m = (G[j] - G[j - 1]) / (X[j] - X[j - 1])
-        x = scale * (G[j - 1] - m * X[j - 1]) / (1.0 - scale * m)
-    # Beyond scale * (largest knot value) the margin is surely positive, so an
-    # infinite f_tilde (a curve that never pins) still yields a finite bound.
-    return min(x, math.sqrt(proc.cvf.f_tilde), scale * gs[0] + 1.0)
+        return scale * gs[-1]
+    m = (G[j] - G[j - 1]) / (X[j] - X[j - 1])
+    return scale * (G[j - 1] - m * X[j - 1]) / (1.0 - scale * m)
 
 
 def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> SizeResult:
@@ -591,7 +581,7 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     edges = _profile_panels(proc, s, p.f0 - _F_WINDOW, p.f0 + _F_WINDOW)
     a, b = edges[:-1], edges[1:]
-    knots = np.sort(np.asarray(proc.knot_cuts, dtype=float))
+    knots = np.asarray(proc.knot_cuts, dtype=float)
     per_width = tol / (2.0 * _F_WINDOW)
     value, err, spent = 0.0, 2e-17, 0
     while a.size:

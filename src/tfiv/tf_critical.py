@@ -10,13 +10,19 @@ nuisance space, so the resulting F-dependent test is level-alpha everywhere
 while spending much less than the worst-case constant critical value once
 the observed F is strong.
 
-Representation: knots (x_i, g_i) on a 0.005 pitch in x = sqrt(F).  Below
-x = sqrt(q) the test never rejects (the profile reports +inf).  Just above
-sqrt(q) the true curve diverges, so knot values are capped at 50 -- harmless,
-because for the ridge positions that would demand more, rejecting everything
-above the support edge still yields size below alpha.  Beyond sqrt(f_tilde)
-the curve pins to exactly sqrt(q).  Linear interpolation between knots
-overstates the convex true curve, so between-knot queries are conservative.
+Representation: knots (x_i, g_i) in x = sqrt(F), the curve's only
+definition.  They lie on a 0.005 pitch from just above sqrt(q) to the pin
+x~ = sqrt(f_tilde), where the requirement envelope crosses sqrt(q), and end
+with the pin knot (x~, sqrt(q)); a curve that never pins runs on to 12.
+Every evaluator reads g as the knots' linear interpolant, held flat at the
+first value down to sqrt(q) and at the last beyond the last knot, and +inf
+below sqrt(q), where the test never rejects; c(F) = g(sqrt(F))^2, which is
+q itself beyond the pin, since sqrt(q)^2 rounds back to q (checked at 1, 2,
+5, 10, 15 and 20%).  Just above sqrt(q) the true curve diverges, so knot
+values are capped at 50 -- harmless, because for the ridge positions that
+would demand more, rejecting everything above the support edge still yields
+size below alpha.  Linear interpolation between knots overstates the convex
+true curve, so between-knot queries are conservative.
 
 Construction is a fixed point.  It starts from the constant critical value
 that would hold each knot's F threshold at level alpha on the ridge (the
@@ -69,21 +75,19 @@ _KNOT_PITCH = 0.005
 _SWEEP_PITCH = 0.0025
 _MAX_SWEEPS = 200
 _CONVERGED = 1e-6
-_FILE_FORMAT = "tfiv-cvf-v1"
+_FILE_FORMAT = "tfiv-cvf-v2"
 
 
 @dataclass(frozen=True)
 class CriticalValueFunction:
     """Nonincreasing sqrt-critical curve over sqrt(F) with a support edge.
 
-    ``knots`` are (sqrt_F, sqrt_crit) pairs.  ``lower_support`` is the F
-    below which the test never rejects; ``f_tilde`` the F beyond which the
-    curve sits at exactly sqrt(lower_support) (infinite when the curve never
-    pins inside the knot range, as happens for small alpha).
+    ``knots`` are (sqrt_F, sqrt_crit) pairs, and ``lower_support`` is the F
+    below which the test never rejects.  The knots alone define the curve
+    (see the module docstring); `sqrt_crit_profile` is its one evaluator.
     """
 
     alpha: float
-    f_tilde: float
     knots: tuple[tuple[float, float], ...]
     lower_support: float
 
@@ -94,8 +98,7 @@ class CriticalValueFunction:
             raise DomainError("lower_support must be positive and finite")
         if not self.knots:
             raise DomainError("need at least one knot")
-        xs = np.asarray([k[0] for k in self.knots], dtype=float)
-        gs = np.asarray([k[1] for k in self.knots], dtype=float)
+        xs, gs = self.arrays
         sq = math.sqrt(self.lower_support)
         if np.any(~np.isfinite(xs)) or np.any(~np.isfinite(gs)):
             raise DomainError("knots must be finite")
@@ -107,28 +110,29 @@ class CriticalValueFunction:
             raise DomainError("knot values must be nonincreasing")
         if np.any(gs < sq - 1e-9) or np.any(gs > _SQRT_CRIT_CAP + 1e-9):
             raise DomainError("knot values must lie between sqrt(support) and the cap")
-        if math.isfinite(self.f_tilde):
-            if self.f_tilde < self.lower_support:
-                raise DomainError("f_tilde cannot lie below the support")
-            tail = gs[xs >= math.sqrt(self.f_tilde)]
-            if tail.size and np.any(np.abs(tail - sq) > 1e-9):
-                raise DomainError("knot values beyond f_tilde must pin to sqrt(support)")
-        elif not self.f_tilde == math.inf:
-            raise DomainError(f"f_tilde must be finite or +inf, got {self.f_tilde!r}")
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(knot positions, knot values) as arrays, parsed once."""
         xs = np.asarray([k[0] for k in self.knots], dtype=float)
         gs = np.asarray([k[1] for k in self.knots], dtype=float)
         return xs, gs
 
+    @property
+    def f_tilde(self) -> float:
+        """F of the first knot at sqrt(lower_support), the pin; +inf if none is."""
+        xs, gs = self.arrays
+        pinned = np.flatnonzero(gs <= math.sqrt(self.lower_support))
+        if not pinned.size:
+            return math.inf
+        x = float(xs[pinned[0]])
+        return x * x
+
     def sqrt_crit_profile(self, x) -> np.ndarray:
         """sqrt-critical values at sqrt(F) positions x; +inf below support."""
         arr = np.asarray(x, dtype=float)
-        xs, gs = self._arrays
-        out = np.interp(arr, xs, gs)
-        edge = math.sqrt(self.lower_support) * (1.0 - 1e-12)
-        return np.where(arr < edge, np.inf, out)
+        xs, gs = self.arrays
+        return np.where(arr < math.sqrt(self.lower_support), np.inf, np.interp(arr, xs, gs))
 
 
 def default_knot_grid(alpha: float) -> np.ndarray:
@@ -190,10 +194,10 @@ def build_cvf(alpha: float) -> CriticalValueFunction:
     """Construct the F-adaptive critical-value curve at level alpha.
 
     Runs the fixed-point sweep described in the module docstring on the
-    `default_knot_grid` (0.005 pitch from just above sqrt(q) to 12), extracts
-    f_tilde as the point where the requirement envelope crosses sqrt(q)
-    (+inf if it never does inside the grid), pins the curve beyond it, and
-    self-audits the result on the ridge: |size - alpha| <= 1e-4 on the band
+    `default_knot_grid` (0.005 pitch from just above sqrt(q) to 12), ends the
+    knots at the pin (sqrt(f_tilde), sqrt(q)), where the requirement envelope
+    crosses sqrt(q) (a curve whose envelope never does keeps the whole grid),
+    and self-audits the result on the ridge: |size - alpha| <= 1e-4 on the band
     where the construction owns the size exactly, and excess-only bounds on
     the cap window near f0 = 0 and through the pin-deficit basin below
     f_tilde, with both zone edges and tolerances scaled to alpha (see
@@ -231,7 +235,9 @@ def build_cvf(alpha: float) -> CriticalValueFunction:
             f"after {_MAX_SWEEPS} sweeps"
         )
 
-    # f_tilde: where the requirement envelope itself crosses sqrt(q).
+    # The pin x_tilde: where the requirement envelope itself crosses sqrt(q).
+    # The knots stop below it and end with (x_tilde, sqrt(q)); every
+    # evaluator holds the curve flat beyond its last knot.
     env = _upper_envelope(ry)
     below = env <= sq
     if below.any() and not below[0]:
@@ -239,16 +245,11 @@ def build_cvf(alpha: float) -> CriticalValueFunction:
         x1, x2 = rx[k - 1], rx[k]
         y1, y2 = env[k - 1], env[k]
         x_tilde = float(x1 + (y1 - sq) * (x2 - x1) / (y1 - y2)) if y1 > y2 else float(x2)
-        f_tilde = x_tilde * x_tilde
-        gs = np.where(xs >= x_tilde, sq, gs)
-    else:
-        f_tilde = math.inf
+        keep = xs < x_tilde
+        xs, gs = np.append(xs[keep], x_tilde), np.append(gs[keep], sq)
 
     cvf = CriticalValueFunction(
-        alpha=alpha,
-        f_tilde=f_tilde,
-        knots=tuple(zip(xs.tolist(), gs.tolist())),
-        lower_support=q,
+        alpha=alpha, knots=tuple(zip(xs.tolist(), gs.tolist())), lower_support=q
     )
     _self_audit(cvf)
     return cvf
@@ -275,8 +276,7 @@ def _self_audit(cvf: CriticalValueFunction) -> None:
     # The pin drags the size into a deficit basin starting ~1.25 below
     # x_tilde (the monotone envelope cannot follow the pointwise
     # requirement down through sq), so exactness is only owed below it.
-    x_tilde = math.sqrt(cvf.f_tilde) if math.isfinite(cvf.f_tilde) else math.inf
-    strict_end = min(8.5, x_tilde - 1.6)
+    strict_end = min(8.5, math.sqrt(cvf.f_tilde) - 1.6)
     if strict_end >= 0.6:
         strict = np.arange(0.5, strict_end + 1e-9, 0.01)
         p_strict = rejection_prob_profile(proc, 1.0, strict)
@@ -313,10 +313,11 @@ def _self_audit(cvf: CriticalValueFunction) -> None:
 def cvf_eval(cvf: CriticalValueFunction, F: float) -> float:
     """Critical value for t^2 at observed first-stage F; may be +inf.
 
-    Below lower_support the value is infinite (the test cannot reject).
-    Beyond f_tilde it is exactly lower_support (= q).  Between knots the
-    sqrt-value is interpolated linearly in sqrt(F) and squared; left of the
-    first knot the curve saturates at its first (capped) value.
+    c(F) = g(sqrt(F))^2, g the curve's `sqrt_crit_profile`: infinite below
+    sqrt(lower_support) (the test cannot reject), the knots interpolated
+    linearly in sqrt(F) between them, the first (capped) value left of the
+    first knot, and the last beyond the last knot -- sqrt(q) from the pin
+    on, where c(F) = q.
     """
     if not (isinstance(F, (int, float)) and math.isfinite(F) and F >= 0.0):
         raise DomainError(f"F must be a finite nonneg real, got {F!r}")
@@ -326,8 +327,9 @@ def cvf_eval(cvf: CriticalValueFunction, F: float) -> float:
 def tf_adjusted_se(se: float, F: float, cvf: CriticalValueFunction) -> float:
     """Standard error inflated so +-sqrt(q) times it is a level-alpha CI.
 
-    Returns se * sqrt(c(F)/q); +inf when F is below the support (no finite
-    interval is valid there), and exactly se once F >= f_tilde.
+    Returns se * sqrt(c(F)/q), c from `cvf_eval`; +inf when F is below the
+    support (no finite interval is valid there), and exactly se from the pin
+    on (F >= f_tilde), where c(F) = q.
     """
     if not (isinstance(se, (int, float)) and math.isfinite(se) and se > 0.0):
         raise DomainError(f"se must be a positive finite real, got {se!r}")
@@ -354,13 +356,9 @@ def emit_table3(cvf: CriticalValueFunction) -> np.ndarray:
     """
     if abs(cvf.alpha - 0.05) > 1e-9:
         raise DomainError("the quick-reference table is defined for alpha = 0.05")
-    xs, gs = cvf._arrays
-    out = np.empty((10, 8))
-    for r in range(10):
-        for c in range(2, 10):
-            x = c + r / 10.0
-            out[r, c - 2] = _round_up_2dp(float(np.interp(x, xs, gs)))
-    return out
+    x = np.arange(2, 10) + np.arange(10)[:, None] / 10.0
+    g = cvf.sqrt_crit_profile(x)
+    return np.array([[_round_up_2dp(float(v)) for v in row] for row in g])
 
 
 def table3_csv(cvf: CriticalValueFunction) -> str:
@@ -376,7 +374,6 @@ def table3_csv(cvf: CriticalValueFunction) -> str:
 def _canonical_payload(cvf: CriticalValueFunction) -> str:
     payload = {
         "alpha": float(cvf.alpha),
-        "f_tilde": float(cvf.f_tilde) if math.isfinite(cvf.f_tilde) else None,
         "lower_support": float(cvf.lower_support),
         "knots": [[float(x), float(g)] for x, g in cvf.knots],
     }
@@ -421,10 +418,8 @@ def load_cvf(path) -> CriticalValueFunction:
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     if digest != doc.get("sha256"):
         raise ConstructionError(f"curve file checksum mismatch: {path}")
-    f_tilde = payload.get("f_tilde")
     return CriticalValueFunction(
         alpha=float(payload["alpha"]),
-        f_tilde=math.inf if f_tilde is None else float(f_tilde),
         knots=tuple((float(x), float(g)) for x, g in payload["knots"]),
         lower_support=float(payload["lower_support"]),
     )

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 import json
 import math
@@ -7,10 +8,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from tfiv.cli import main
-from tfiv.tf_critical import load_cvf, table3_csv
+from tfiv.tf_critical import default_knot_grid, load_cvf, table3_csv
 
 
 def run_cli(argv, capsys):
@@ -71,6 +73,29 @@ def test_cv_json(cli_env, capsys, schema):
     code, out, _ = run_cli(["cv", "--f", "1.0", "--format", "json"], capsys)
     doc = check_json(out, schema)
     assert doc["unbounded"] and doc["crit"] is None
+
+
+def test_curve_commands_read_the_knots_at_the_pin(cli_env, capsys, schema):
+    # sqrt F = 10.23088 lies just past the pin knot (10.2308726) and short of
+    # the next 0.005-pitch knot; every command reads c(F) from the knots.
+    F = 104.671
+    doc = json.loads((cli_env / "cvf-alpha0.05.json").read_text(encoding="utf-8"))
+    xs, gs = zip(*doc["payload"]["knots"])
+    want = float(np.interp(math.sqrt(F), xs, gs)) ** 2
+
+    def run(argv):
+        code, out, _ = run_cli([*argv, "--f", repr(F), "--format", "json"], capsys)
+        assert code == 0
+        return check_json(out, schema)
+
+    assert math.isclose(run(["cv"])["crit"], want, rel_tol=0.0, abs_tol=1e-12)
+    t = math.sqrt(want + 5e-6)
+    for t_run in (t, math.sqrt(want - 5e-6)):
+        got = run(["test", "--procedure", "tf", "--t", repr(t_run)])
+        assert math.isclose(got["cutoff_abs_t"] ** 2, want, rel_tol=0.0, abs_tol=1e-12)
+        assert got["reject"] is (t_run == t)
+    half = run(["ci", "--beta", "0", "--se", "1"])["half_width"]
+    assert math.isclose(half * half, want, rel_tol=0.0, abs_tol=1e-12)
 
 
 def test_cv_rejects_negative_f(cli_env, capsys):
@@ -212,6 +237,12 @@ def test_size_rejects_bad_rho(cli_env, capsys):
         error = json.loads(err)["error"]
         assert error["type"] == "DomainError"
         assert "exactly one of --rho / --sweep" in error["message"]
+    # The sweep reports no error, so it takes no --tol (the point does).
+    argv = ["size", "--procedure", "conventional", "--f0", "2", "--tol", "1e-20"]
+    for extra in (["--sweep"], ["--rho", "0.5"]):
+        code, _, err = run_cli([*argv, *extra], capsys)
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "DomainError"
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +404,30 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     assert out.splitlines()[0] == "sqrt c(F) = 4.92 (table value, rounded up)"
     # the rebuilt curve replaced the corrupt file
     assert load_cvf(cache).alpha == 0.05
+
+
+def test_older_cache_format_is_rebuilt(cvf, tmp_path, monkeypatch, capsys):
+    # A well-formed file of the older layout: format tfiv-cvf-v1, f_tilde in
+    # the payload, and knots pinned at sqrt(q) on the grid out to 12.
+    monkeypatch.setenv("TF_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "cvf-alpha0.05.json"
+    xs = default_knot_grid(0.05)
+    gs = np.where(xs < cvf.knots[-1][0], cvf.sqrt_crit_profile(xs), cvf.knots[-1][1])
+    payload = {
+        "alpha": 0.05,
+        "f_tilde": cvf.f_tilde,
+        "lower_support": cvf.lower_support,
+        "knots": [[x, g] for x, g in zip(xs.tolist(), gs.tolist())],
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    cache.write_text(json.dumps({"format": "tfiv-cvf-v1", "sha256": digest, "payload": payload}))
+    code, out, _ = run_cli(["cv", "--f", "6.25"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "sqrt c(F) = 4.92 (table value, rounded up)"
+    doc = json.loads(cache.read_text(encoding="utf-8"))
+    assert doc["format"] == "tfiv-cvf-v2" and "f_tilde" not in doc["payload"]
+    assert load_cvf(cache).knots == cvf.knots
 
 
 def test_usage_errors_exit_2(cli_env, capsys):

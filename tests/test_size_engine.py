@@ -430,9 +430,7 @@ def test_rho1_curve_finds_hump_inside_one_scan_cell():
     # positive only on 4 +- sqrt(8e-7) = 4 +- 8.9e-4, which falls between
     # two points of the scanner's 257-point grid.
     g = 2.0 - 1e-7
-    cvf = CriticalValueFunction(
-        alpha=0.05, f_tilde=math.inf, knots=((2.0, g), (40.0, g)), lower_support=Q95
-    )
+    cvf = CriticalValueFunction(alpha=0.05, knots=((2.0, g), (40.0, g)), lower_support=Q95)
     f0 = 8.0
     half = math.sqrt(16.0 - 8.0 * g)
     hump = float(ndtr(4.0 + half - f0) - ndtr(4.0 - half - f0))
@@ -474,6 +472,10 @@ def _t_ar_f_rho(draw):
 
 @given(st.integers(0, 3), _t_ar_f_rho())
 @settings(max_examples=400, deadline=None)
+# Just past the pin, sqrt F = 10.2309 lies between the pin knot at
+# 10.2308726 and the 0.005-pitch knot 10.231; t^2 = q + 5e-6 there.
+@example(3, (1.9969521136146755, 10.2309, 0.0))
+@example(3, (1.8115488229045476, 10.2309, 0.5))
 def test_rejects_agrees_with_region_kernel(cvf, which, draw):
     # A draw (t_ar, f) gives the published pair t^2 = t_squared_identity and
     # F = f^2; `rejects` on that pair must match the kernel's tables at f.
@@ -511,7 +513,6 @@ def _screen_as_curve(crit: float, f_threshold: float) -> TFProcedure:
     g = math.sqrt(crit)
     cvf = CriticalValueFunction(
         alpha=0.05,
-        f_tilde=math.inf,
         knots=tuple((float(x), g) for x in xs),
         lower_support=f_threshold,
     )

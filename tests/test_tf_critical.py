@@ -51,17 +51,17 @@ def test_build_cvf_rejects_bad_alpha():
 def test_curve_shape(cvf):
     assert cvf.alpha == 0.05
     assert cvf.lower_support == Q95
-    assert len(cvf.knots) == 2008
+    assert len(cvf.knots) == 1655
     assert cvf.knots[0] == (1.961, 50.0)
     xs = np.array([k[0] for k in cvf.knots])
     gs = np.array([k[1] for k in cvf.knots])
     assert np.all(np.diff(xs) > 0.0)
     assert np.all(np.diff(gs) <= 1e-12)
     sq = math.sqrt(Q95)
-    assert np.all(gs >= sq - 1e-12)
-    # pinned to sqrt(q) beyond the crossing
-    pinned = gs[xs >= math.sqrt(cvf.f_tilde)]
-    assert pinned.size > 0 and np.all(pinned == sq)
+    # the knots run on the grid above sqrt(q) and end with the pin knot
+    assert np.all(gs[:-1] > sq)
+    assert cvf.knots[-1] == (math.sqrt(cvf.f_tilde), sq)
+    assert cvf.knots[-2][0] < cvf.knots[-1][0] < cvf.knots[-2][0] + 0.005
 
 
 def test_f_tilde_anchor(cvf):
@@ -93,9 +93,27 @@ def test_cvf_eval(cvf):
     # below the support nothing is rejected
     assert cvf_eval(cvf, 1.0) == math.inf
     assert cvf_eval(cvf, 0.0) == math.inf
+    assert TFProcedure(cvf).rejects(3.0, -1.0) is False
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             cvf_eval(cvf, bad)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.02, 0.05, 0.10, 0.15, 0.20])
+def test_pinned_curve_gives_q_exactly(alpha):
+    # Beyond the pin c(F) = sqrt(q)^2, which must round back to q itself.
+    q = chi2_quantile_1df(1.0 - alpha)
+    sq = math.sqrt(q)
+    cvf = CriticalValueFunction(
+        alpha=alpha, knots=((sq + 0.1, sq + 0.5), (sq + 1.0, sq)), lower_support=q
+    )
+    assert cvf.f_tilde == (sq + 1.0) * (sq + 1.0)
+    for F in (cvf.f_tilde, (sq + 2.0) ** 2, 1e6):
+        assert cvf_eval(cvf, F) == q
+        assert tf_adjusted_se(1.5, F, cvf) == 1.5
+    # a knot at sqrt(q) marks the pin wherever it sits
+    flat = CriticalValueFunction(alpha=alpha, knots=((sq + 0.5, sq),), lower_support=q)
+    assert flat.f_tilde == (sq + 0.5) * (sq + 0.5)
 
 
 def test_cvf_eval_monotone(cvf):
@@ -214,14 +232,11 @@ def test_load_rejects_tampering(cvf, tmp_path):
 
 def test_container_validation(cvf):
     with pytest.raises(DomainError):
-        CriticalValueFunction(
-            alpha=0.05, f_tilde=math.inf, knots=(), lower_support=Q95
-        )
+        CriticalValueFunction(alpha=0.05, knots=(), lower_support=Q95)
     with pytest.raises(DomainError):
         # increasing knot values
         CriticalValueFunction(
             alpha=0.05,
-            f_tilde=math.inf,
             knots=((2.0, 3.0), (2.5, 3.5)),
             lower_support=Q95,
         )
@@ -229,7 +244,6 @@ def test_container_validation(cvf):
         # first knot below the support edge
         CriticalValueFunction(
             alpha=0.05,
-            f_tilde=math.inf,
             knots=((1.5, 3.0),),
             lower_support=Q95,
         )

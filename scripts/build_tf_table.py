@@ -22,7 +22,7 @@ def main() -> None:
     cvf = build_cvf(args.alpha)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    knot_path = args.out_dir / f"cvf-alpha{args.alpha:.6g}.json"
+    knot_path = args.out_dir / f"cvf-alpha{args.alpha!r}.json"
     save_cvf(cvf, knot_path)
     print(f"wrote {knot_path} ({len(cvf.knots)} knots)")
 

@@ -29,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DomainError
 from .gaussian import chi2_quantile_1df
-from .size_engine import _require_procedure
+from .size_engine import ThresholdTF, _require_procedure
 
 __all__ = [
     "SpecRecord",
@@ -152,10 +152,8 @@ def classify_corpus(
     universe.sort(key=lambda rw: _sort_key(rw[0]))
     total_w = math.fsum(w for _, w in universe)
 
-    q95 = chi2_quantile_1df(0.95)
-    in_cell = [
-        (r.t * r.t > q95 and r.F > _F_RULE_OF_THUMB) for r, _ in universe
-    ]
+    screen = ThresholdTF(chi2_quantile_1df(0.95), _F_RULE_OF_THUMB)
+    in_cell = [screen.rejects(r.t, r.F) for r, _ in universe]
     cell_count = sum(in_cell)
     cell_weight = math.fsum(w for (_, w), inc in zip(universe, in_cell) if inc)
 
@@ -219,7 +217,10 @@ def read_corpus_csv(path, prefer_reported: bool = False) -> list[SpecRecord]:
     """Load records; F_derived wins over F_reported unless told otherwise."""
     records: list[SpecRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = iter(list(csv.reader(fh)))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DomainError(f"unreadable corpus file ({exc}): {path}") from exc
         header = next(reader, None)
         if header != _CSV_HEADER:
             raise DomainError(

@@ -125,7 +125,7 @@ def _cache_path(alpha: float) -> Optional[Path]:
     cache_dir = os.environ.get("TF_CACHE_DIR")
     if not cache_dir:
         return None
-    return Path(cache_dir) / f"cvf-alpha{alpha:.6g}.json"
+    return Path(cache_dir) / f"cvf-alpha{alpha!r}.json"
 
 
 def _get_cvf(alpha: float) -> CriticalValueFunction:
@@ -134,10 +134,10 @@ def _get_cvf(alpha: float) -> CriticalValueFunction:
     if path is not None and path.exists():
         try:
             cvf = load_cvf(path)
-            if abs(cvf.alpha - alpha) <= 1e-12:
+            if cvf.alpha == alpha:
                 return cvf
         except (TfivError, OSError, ValueError):
-            pass  # stale format or bad checksum: rebuild below
+            pass  # stale format, bad checksum or malformed payload: rebuild below
     cvf = build_cvf(alpha)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -219,18 +219,16 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def _test_decision(name: str, alpha: float, t: float, F: float):
-    """Return (reject, cutoff_abs_t, f_threshold, rule_text)."""
+    """Return (reject, cutoff_abs_t = sqrt crit_at(F), f_threshold, rule_text)."""
     proc = _build_procedure(name, alpha)
-    reject = proc.rejects(t, F)
+    reject, cut = proc.rejects(t, F), math.sqrt(proc.crit_at(F))
     if name == "tf":
-        crit = proc.crit_at(F)
-        cut = math.sqrt(crit) if math.isfinite(crit) else math.inf
         return reject, cut, None, "reject when |t| > sqrt c(F)"
-    cut = math.sqrt(proc.crit)
+    sc = math.sqrt(proc.crit)
     if name == "conventional":
-        return reject, cut, None, f"reject when |t| > {cut:.4f}"
+        return reject, cut, None, f"reject when |t| > {sc:.4f}"
     fbar = proc.f_threshold
-    return reject, cut, fbar, f"reject when |t| > {cut:.2f} and F > {fbar:g}"
+    return reject, cut, fbar, f"reject when |t| > {sc:.2f} and F > {fbar:g}"
 
 
 def cmd_test(args: argparse.Namespace) -> int:

@@ -16,9 +16,9 @@ correlation rho under the null.  Each procedure rejects on a region of the
 For |rho| < 1, conditioning on f makes t_ar normal with mean rho (f - f0)
 and sd s = sqrt(1 - rho^2), and the conditional rejection set is an interval
 or an interval complement.  One kernel, `_t_region_tables`, tabulates the
-endpoints of {t^2 > c} for a whole array of f at once; each procedure's
-`regions` method hands it only its cutoff, +inf where the rule never
-rejects (the hybrid rule then puts its AR band below the gate).  The
+endpoints of {t^2 > c} for a whole array of f at once; `regions` hands it
+only the rule's cutoff c = crit_at(f^2), +inf where the rule never rejects
+(the AR rules then put their AR band below their gate).  The
 probability is then a 1-D integral over f of smooth CDF differences:
 
     p = Int phi(f - f0) * P(reject | f) df,    truncated to |f - f0| <= 8.5
@@ -44,15 +44,17 @@ procedure's `rho1_profile` evaluates those closed forms; they double as
 oracles for the quadrature path, and both evaluators route |rho| > 1 - 1e-6
 to them because the conditional sd underflows there.
 
-Each procedure class carries its whole rule: the (t, F) decision
-(`rejects`) that the corpus audit and the CLI apply, its `regions`,
-`breakpoints` and `knot_cuts` for the integrators, its `rho1_profile`, and
-the `tail_limit`, `ridge_f0_grid` and `f0_star` the worst-case audit uses.
-The four constant-cutoff rules take all but `rejects` and `regions` from
-one private base, where an ungated rule is a gate at F = 0; the gated base
-adds the `f_threshold` field and f0*.  The public classes stay siblings, so
-that `mc_oracle`, the independent check, can tell them apart by type.
-`flat` marks the AR rule, whose size is the same everywhere.
+Each procedure class carries its whole rule.  It states its t test once, as
+`crit_at(F)`, the t^2 critical value at F (+inf where the t test never
+rejects); the AR rules read t_ar^2 > crit instead at F <= `ar_gate`.  From
+those two the private base `_Rule` writes the (t, F) decision (`rejects`)
+that the corpus audit and the CLI apply, and the `regions` integrated;
+`ConventionalT.rejects` alone answers without F.  Each class adds its
+`breakpoints`, `rho1_profile`, `tail_limit`, `ridge_f0_grid` and `f0_star`;
+the curve rule adds `knot_cuts`, and the constant-cutoff rules share one
+more base with `f_threshold` (0 when ungated).  The public classes stay
+siblings, so that `mc_oracle`, the independent check, can tell them apart
+by type.  `flat` marks the AR rule, whose size is the same everywhere.
 """
 
 from __future__ import annotations
@@ -182,27 +184,49 @@ def _require_procedure(proc) -> None:
         raise DomainError(f"not a recognized procedure: {proc!r}")
 
 
-def _ar_band(crit: float) -> tuple[float, float, float, float]:
-    """Region tables of the AR event t_ar^2 > crit: 1 - P(-sqrt(crit) < t_ar < sqrt(crit))."""
-    sc = math.sqrt(crit)
-    return 1.0, -1.0, -sc, sc
+class _Rule:
+    """Base of every rule: `rejects` and `regions` from `crit_at` and `ar_gate`.
+
+    At F <= ar_gate (-inf: nowhere) a rule reads t_ar^2 > crit, with its
+    constant `crit`, in place of t^2 > crit_at(F).  The defaults of `flat`,
+    `f0_star` and `knot_cuts` live here too.
+    """
+
+    ar_gate = -math.inf
+    flat = False
+    f0_star = None
+    knot_cuts = ()
+
+    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
+        """None without t or F, or at F <= ar_gate: (t, F) lacks the AR statistic."""
+        if t is None or F is None or F <= self.ar_gate:
+            return None
+        return bool(t * t > self.crit_at(F))
+
+    def regions(self, f: np.ndarray, rho: float) -> _Tables:
+        with np.errstate(over="ignore"):
+            F = f * f
+        tables = _t_region_tables(f, self.crit_at(F), rho)
+        if self.ar_gate == -math.inf:
+            return tables
+        # The AR event t_ar^2 > crit: 1 - P(-sqrt(crit) < t_ar < sqrt(crit)).
+        sc = math.sqrt(self.crit)
+        below = F <= self.ar_gate
+        return tuple(np.where(below, v, t) for t, v in zip(tables, (1.0, -1.0, -sc, sc)))
 
 
 @dataclass(frozen=True)
-class _ConstantCutoff:
-    """t^2 > crit with a constant cutoff; f_threshold = 0 is the ungated rule.
-
-    Subclasses add `rejects` and `regions`, and `_GatedCutoff` the F gate.
-    """
+class _ConstantCutoff(_Rule):
+    """t^2 > crit with a constant cutoff; f_threshold = 0 is the ungated rule."""
 
     crit: float
     f_threshold = 0.0
-    flat = False
-    knot_cuts = ()
-    f0_star = None
 
     def __post_init__(self) -> None:
         _require_positive(f"{type(self).__name__}.crit", self.crit)
+
+    def crit_at(self, F) -> np.ndarray:
+        return np.full(np.shape(F), self.crit)
 
     def breakpoints(self, s: float) -> list[float]:
         sc = math.sqrt(self.crit)
@@ -259,6 +283,9 @@ class _GatedCutoff(_ConstantCutoff):
         super().__post_init__()
         _require_positive(f"{type(self).__name__}.f_threshold", self.f_threshold)
 
+    def crit_at(self, F) -> np.ndarray:
+        return np.where(F <= self.f_threshold, np.inf, self.crit)
+
     @property
     def f0_star(self) -> float:
         """The |rho| = 1 stationary point, where the gate edge meets a rejection root."""
@@ -272,35 +299,19 @@ class ConventionalT(_ConstantCutoff):
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         return None if t is None else t * t > self.crit
 
-    def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        return _t_region_tables(f, self.crit, rho)
-
 
 @dataclass(frozen=True)
 class ThresholdTF(_GatedCutoff):
     """Reject when t^2 > crit and additionally F > f_threshold."""
-
-    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
-        return None if t is None or F is None else t * t > self.crit and F > self.f_threshold
-
-    def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        return _t_region_tables(f, np.where(f * f <= self.f_threshold, np.inf, self.crit), rho)
 
 
 @dataclass(frozen=True)
 class HybridAR(_GatedCutoff):
     """Threshold rule above f_threshold, AR rule (t_ar^2 > crit) below it."""
 
-    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
-        # Below the gate the rule reads the AR statistic, which (t, F) lacks.
-        if t is None or F is None or F <= self.f_threshold:
-            return None
-        return t * t > self.crit
-
-    def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        tables = _t_region_tables(f, self.crit, rho)
-        below = f * f <= self.f_threshold
-        return tuple(np.where(below, v, t) for t, v in zip(tables, _ar_band(self.crit)))
+    @property
+    def ar_gate(self) -> float:
+        return self.f_threshold
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         base = super().rho1_profile(f0s)
@@ -318,13 +329,11 @@ class HybridAR(_GatedCutoff):
 class PureAR(_ConstantCutoff):
     """Reject when t_ar^2 > crit; exact size 2 Phi(-sqrt(crit)) everywhere."""
 
+    ar_gate = math.inf
     flat = True
 
-    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
-        return None  # (t, F) does not carry the AR statistic
-
-    def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        return tuple(np.full(f.size, v) for v in _ar_band(self.crit))
+    def crit_at(self, F) -> np.ndarray:
+        return np.full(np.shape(F), np.inf)
 
     def breakpoints(self, s: float) -> list[float]:
         return []
@@ -334,9 +343,10 @@ class PureAR(_ConstantCutoff):
 
 
 @dataclass(frozen=True)
-class TFProcedure:
+class TFProcedure(_Rule):
     """Reject when t^2 > c(F) for a fitted critical-value curve.
 
+    `crit_at` is the rule's one statement of c(F); it has no AR gate.
     ``cvf`` is duck-typed: it must expose ``lower_support`` (an F value below
     which the test never rejects), ``arrays`` (the knot positions and values
     in sqrt F and sqrt c, sorted, nonempty and parsed once) and
@@ -346,8 +356,6 @@ class TFProcedure:
     """
 
     cvf: "CriticalValueFunction"
-    flat = False
-    f0_star = None
 
     def __post_init__(self) -> None:
         for attr in ("lower_support", "arrays", "sqrt_crit_profile"):
@@ -359,20 +367,11 @@ class TFProcedure:
         """(knot positions, knot values, sqrt(lower_support))."""
         return (*self.cvf.arrays, math.sqrt(self.cvf.lower_support))
 
-    def crit_at(self, F: float) -> float:
-        """c(F) = g(sqrt(F))^2, g the curve's `sqrt_crit_profile`; +inf for F < 0."""
-        y = float(self.cvf.sqrt_crit_profile(math.sqrt(max(F, 0.0))))
-        return y * y
-
-    def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
-        if t is None or F is None:
-            return None
-        return t * t > self.crit_at(F)
-
-    def regions(self, f: np.ndarray, rho: float) -> _Tables:
-        sq_c = np.asarray(self.cvf.sqrt_crit_profile(np.abs(f)), dtype=float)
-        with np.errstate(over="ignore"):
-            return _t_region_tables(f, sq_c * sq_c, rho)
+    def crit_at(self, F) -> np.ndarray:
+        """c(F) = g(sqrt(F))^2, g the curve's `sqrt_crit_profile`; +inf below
+        its support, and for F < 0."""
+        g = self.cvf.sqrt_crit_profile(np.sqrt(np.maximum(F, 0.0)))
+        return g * g
 
     def breakpoints(self, s: float) -> list[float]:
         xs, _, sq = self.knot_arrays

@@ -224,7 +224,7 @@ def build_cvf(alpha: float) -> CriticalValueFunction:
         env = _upper_envelope(ry)
         g_new = np.interp(xs, rx, env)
         np.clip(g_new, sq, _SQRT_CRIT_CAP, out=g_new)
-        g_new = np.maximum.accumulate(g_new[::-1])[::-1]
+        g_new = _upper_envelope(g_new)
         delta = float(np.max(np.abs(g_new - gs)))
         gs = g_new
         if delta < _CONVERGED:
@@ -313,15 +313,15 @@ def _self_audit(cvf: CriticalValueFunction) -> None:
 def cvf_eval(cvf: CriticalValueFunction, F: float) -> float:
     """Critical value for t^2 at observed first-stage F; may be +inf.
 
-    c(F) = g(sqrt(F))^2, g the curve's `sqrt_crit_profile`: infinite below
-    sqrt(lower_support) (the test cannot reject), the knots interpolated
-    linearly in sqrt(F) between them, the first (capped) value left of the
-    first knot, and the last beyond the last knot -- sqrt(q) from the pin
-    on, where c(F) = q.
+    `TFProcedure(cvf).crit_at(F)`: c(F) = g(sqrt(F))^2, g the curve's
+    `sqrt_crit_profile`, infinite below sqrt(lower_support) (the test cannot
+    reject), the knots interpolated linearly in sqrt(F) between them, the
+    first (capped) value left of the first knot, and the last beyond the
+    last knot -- sqrt(q) from the pin on, where c(F) = q.
     """
     if not (isinstance(F, (int, float)) and math.isfinite(F) and F >= 0.0):
         raise DomainError(f"F must be a finite nonneg real, got {F!r}")
-    return TFProcedure(cvf).crit_at(F)
+    return float(TFProcedure(cvf).crit_at(F))
 
 
 def tf_adjusted_se(se: float, F: float, cvf: CriticalValueFunction) -> float:
@@ -406,7 +406,7 @@ def save_cvf(cvf: CriticalValueFunction, path) -> None:
 
 
 def load_cvf(path) -> CriticalValueFunction:
-    """Load a serialized curve, verifying format and checksum."""
+    """Load a serialized curve; ConstructionError unless format, checksum and payload hold."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("format") != _FILE_FORMAT:
@@ -418,8 +418,9 @@ def load_cvf(path) -> CriticalValueFunction:
     digest = hashlib.sha256(canonical.encode()).hexdigest()
     if digest != doc.get("sha256"):
         raise ConstructionError(f"curve file checksum mismatch: {path}")
-    return CriticalValueFunction(
-        alpha=float(payload["alpha"]),
-        knots=tuple((float(x), float(g)) for x, g in payload["knots"]),
-        lower_support=float(payload["lower_support"]),
-    )
+    try:
+        knots = tuple((float(x), float(g)) for x, g in payload["knots"])
+        alpha, support = float(payload["alpha"]), float(payload["lower_support"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConstructionError(f"malformed curve file: {path}") from exc
+    return CriticalValueFunction(alpha=alpha, knots=knots, lower_support=support)

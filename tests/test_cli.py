@@ -11,8 +11,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from tfiv import cli
 from tfiv.cli import main
-from tfiv.tf_critical import default_knot_grid, load_cvf, table3_csv
+from tfiv.errors import ConstructionError
+from tfiv.tf_critical import _canonical_payload, build_cvf, default_knot_grid, load_cvf, table3_csv
 
 
 def run_cli(argv, capsys):
@@ -362,6 +364,20 @@ def test_audit_missing_file(cli_env, capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "IOError"
 
 
+@pytest.mark.parametrize(
+    "row",
+    ["m\u00fcller,p,2.5,30,,".encode("latin-1"), b"a,p," + b"9" * 200_000 + b",30,,"],
+    ids=["latin-1", "field-over-csv-limit"],
+)
+def test_audit_unreadable_file(cli_env, capsys, tmp_path, row):
+    corpus = tmp_path / "corpus.csv"
+    corpus.write_bytes(b"spec_id,paper_id,t,F_derived,F_reported,weight\n" + row + b"\n")
+    code, _, err = run_cli(["audit", "--input", str(corpus)], capsys)
+    assert code == 1
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError" and str(corpus) in error["message"]
+
+
 # ---------------------------------------------------------------------------
 # mc
 
@@ -404,6 +420,47 @@ def test_corrupt_cache_is_rebuilt(tmp_path, monkeypatch, capsys):
     assert out.splitlines()[0] == "sqrt c(F) = 4.92 (table value, rounded up)"
     # the rebuilt curve replaced the corrupt file
     assert load_cvf(cache).alpha == 0.05
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda payload: payload.update(knots=[[2.0, 3.0, 4.0]]),
+        lambda payload: payload.update(knots=5),
+        lambda payload: payload.pop("lower_support"),
+    ],
+    ids=["knot-triples", "knots-not-a-list", "missing-key"],
+)
+def test_malformed_cache_payload_is_rebuilt(cvf, tmp_path, monkeypatch, capsys, edit):
+    # The checksum matches, but the payload does not hold a curve.
+    monkeypatch.setenv("TF_CACHE_DIR", str(tmp_path))
+    cache = tmp_path / "cvf-alpha0.05.json"
+    payload = json.loads(_canonical_payload(cvf))
+    edit(payload)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    cache.write_text(json.dumps({"format": "tfiv-cvf-v2", "sha256": digest, "payload": payload}))
+    with pytest.raises(ConstructionError, match="malformed"):
+        load_cvf(cache)
+    code, out, _ = run_cli(["cv", "--f", "6.25"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "sqrt c(F) = 4.92 (table value, rounded up)"
+    assert load_cvf(cache).knots == cvf.knots
+
+
+def test_close_alphas_get_their_own_cache_files(tmp_path, monkeypatch, capsys):
+    # 0.0500001 and 0.05000012 agree to 6 significant digits.  Each gets its
+    # own file, and a second call of each reuses it instead of rebuilding.
+    monkeypatch.setenv("TF_CACHE_DIR", str(tmp_path))
+    built = []
+    monkeypatch.setattr(cli, "build_cvf", lambda alpha: built.append(alpha) or build_cvf(alpha))
+    for alpha in ("0.0500001", "0.05000012") * 2:
+        code, _, _ = run_cli(["cv", "--f", "30", "--alpha", alpha], capsys)
+        assert code == 0
+    assert built == [0.0500001, 0.05000012]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["cvf-alpha0.0500001.json", "cvf-alpha0.05000012.json"]
+    assert [load_cvf(tmp_path / n).alpha for n in names] == [0.0500001, 0.05000012]
 
 
 def test_older_cache_format_is_rebuilt(cvf, tmp_path, monkeypatch, capsys):

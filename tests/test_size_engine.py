@@ -470,7 +470,7 @@ def _t_ar_f_rho(draw):
     return rho * f / (1.0 + delta), f, rho
 
 
-@given(st.integers(0, 3), _t_ar_f_rho())
+@given(st.integers(0, 5), _t_ar_f_rho())
 @settings(max_examples=400, deadline=None)
 # Just past the pin, sqrt F = 10.2309 lies between the pin knot at
 # 10.2308726 and the 0.005-pitch knot 10.231; t^2 = q + 5e-6 there.
@@ -479,22 +479,30 @@ def _t_ar_f_rho(draw):
 def test_rejects_agrees_with_region_kernel(cvf, which, draw):
     # A draw (t_ar, f) gives the published pair t^2 = t_squared_identity and
     # F = f^2; `rejects` on that pair must match the kernel's tables at f.
+    # At or below a rule's AR gate (everywhere for the AR rule) the pair
+    # lacks the AR statistic, and `rejects` must say None.
     t_ar, f, rho = draw
     proc = (
         ConventionalT(crit=Q95),
         ThresholdTF(crit=Q95, f_threshold=10.0),
         ThresholdTF(crit=3.43 * 3.43, f_threshold=10.0),
         TFProcedure(cvf=cvf),
+        HybridAR(crit=Q95, f_threshold=10.0),
+        PureAR(crit=Q95),
     )[which]
     assume(abs(f - rho * t_ar) > 1e-9 or abs(rho) < 1.0)
     t2 = t_squared_identity(t_ar, f, rho)
     F = f * f
-    crit = proc.crit_at(F) if isinstance(proc, TFProcedure) else proc.crit
+    crit = float(proc.crit_at(F))
     # Stay off the boundary t^2 = c(F), the support edge and the gate, and
     # off the asymptote F = c(F), a null line the kernel tabulates as "never".
     assume(math.isinf(crit) or min(abs(t2 - crit), abs(F - crit)) > 1e-7 * crit)
     assume(abs(F - 10.0) > 1e-9 and abs(F - cvf.lower_support) > 1e-9)
-    assert proc.rejects(math.sqrt(t2), F) == _kernel_rejects(proc, t_ar, f, rho)
+    got = proc.rejects(math.sqrt(t2), F)
+    if F <= proc.ar_gate:
+        assert got is None
+    else:
+        assert got == _kernel_rejects(proc, t_ar, f, rho)
 
 
 # ---------------------------------------------------------------------------

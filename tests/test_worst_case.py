@@ -196,3 +196,15 @@ def test_threshold_search_stops_at_the_gate_cap(monkeypatch):
     alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
     with pytest.raises(ToleranceUnmet, match="no gate can be certified"):
         worst_case.solve_threshold_F(3.99, alpha)
+
+
+@pytest.mark.xfail(strict=True, reason="solve_threshold_F answers None for every crit >= 4")
+def test_threshold_at_crit_four_is_certified():
+    # At crit = 4.0, alpha = 2 Phi(-2) + 1e-4, the ridge-supremum stage
+    # finds a gate near F = 171.24 that `worst_case_size` certifies, but the
+    # solver's crit >= 4 shortcut answers "none".  The mark is strict, so a
+    # fix shows up as an unexpected pass.
+    alpha = 2.0 * float(ndtr(-2.0)) + 1e-4
+    value = worst_case.solve_threshold_F(4.0, alpha)
+    assert value is not None
+    assert math.isclose(value, 171.24384778231345, rel_tol=1e-6)

@@ -6,7 +6,9 @@ Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
 outside, and prints per |rho| band (< 0.99, < 0.999, >= 0.999 and = 1): the
 profile calls, the f0 points they evaluated, their seconds, the dense
 kernel's calls and the node-f0 pairs it evaluated, and the region kernel's
-calls, the nodes it tabulated and its seconds.  A second run of each audit,
+calls, the nodes it tabulated and its seconds.  The far-field block, the
+profile calls whose f0 all lie at or above 40, gets a row of its own, and
+its share of the audit's seconds is printed.  A second run of each audit,
 under tracemalloc, gives each band's peak: the most that one profile call
 allocated above what was allocated before it, in MB (10^6 bytes).
 tracemalloc about doubles the audit's time, so the timed run is untraced.
@@ -26,10 +28,12 @@ from tfiv.gaussian import Q95
 from tfiv.size_engine import ThresholdTF, TFProcedure
 from tfiv.tf_critical import build_cvf
 
-BANDS = ("< 0.99", "< 0.999", ">= 0.999", "= 1")
+BANDS = ("< 0.99", "< 0.999", ">= 0.999", "= 1", "f0 >= 40")
 
 
-def _band(rho: float) -> str:
+def _band(rho: float, f0s) -> str:
+    if np.min(f0s) >= 40.0:
+        return BANDS[4]
     a = abs(rho)
     if a < 0.99:
         return BANDS[0]
@@ -50,7 +54,7 @@ def audit_bands(proc) -> tuple[dict, float]:
     tables = size_engine._t_region_tables
 
     def timed_profile(proc, rho, f0s):
-        row = stats[_band(rho)]
+        row = stats[_band(rho, f0s)]
         current.append(row)
         t0 = time.perf_counter()
         try:
@@ -97,7 +101,7 @@ def band_peaks(proc) -> dict:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = profile(proc, rho, f0s)
-        band = _band(rho)
+        band = _band(rho, f0s)
         peaks[band] = max(peaks[band], tracemalloc.get_traced_memory()[1] - before)
         return out
 
@@ -137,7 +141,8 @@ def main() -> None:
         proc = make()
         stats, total = audit_bands(proc)
         peaks = band_peaks(proc)
-        print(f"{label}: worst_case_size {total:.2f} s")
+        far_share = stats[BANDS[4]][2] / total
+        print(f"{label}: worst_case_size {total:.2f} s, far field {far_share:.0%} of it")
         print(
             f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8}"
             f" {'kernel calls':>12} {'dense evals':>12}"

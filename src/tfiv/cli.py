@@ -57,6 +57,7 @@ from .size_engine import (
 )
 from .tf_critical import (
     CriticalValueFunction,
+    _require_table3_alpha,
     _round_up_2dp,
     build_cvf,
     cvf_eval,
@@ -442,6 +443,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_table3(args: argparse.Namespace) -> int:
+    _require_table3_alpha(args.alpha)
     cvf = _get_cvf(args.alpha)
     csv_text = table3_csv(cvf)
     out = None

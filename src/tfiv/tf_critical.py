@@ -347,6 +347,11 @@ def _round_up_2dp(v: float) -> float:
     return n / 100.0
 
 
+def _require_table3_alpha(alpha: float) -> None:
+    if abs(alpha - 0.05) > 1e-9:
+        raise DomainError("the quick-reference table is defined for alpha = 0.05")
+
+
 def emit_table3(cvf: CriticalValueFunction) -> np.ndarray:
     """10x8 grid of |t| critical values over sqrt(F) = 2.0 ... 9.9.
 
@@ -354,8 +359,7 @@ def emit_table3(cvf: CriticalValueFunction) -> np.ndarray:
     each cell is the curve's sqrt-critical value rounded up to two decimals,
     so table users are never anticonservative.
     """
-    if abs(cvf.alpha - 0.05) > 1e-9:
-        raise DomainError("the quick-reference table is defined for alpha = 0.05")
+    _require_table3_alpha(cvf.alpha)
     x = np.arange(2, 10) + np.arange(10)[:, None] / 10.0
     g = cvf.sqrt_crit_profile(x)
     return np.array([[_round_up_2dp(float(v)) for v in row] for row in g])

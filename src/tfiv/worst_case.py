@@ -22,11 +22,11 @@ exists at a given level, and it is why the 1% problem has no solution.
 `worst_case_size` audits a (rho, f0) grid coarse to fine: one row and one
 column in four first, then the working pitch only in the boxes around
 coarse cells whose claim (value plus midpoint bound) comes within 1e-4 of
-the best value.  max_prob is the largest of the grid, a far-field block,
-the exact ridge on a dense grid that holds the analytic ridge peaks (f0* of
-a gated rule, 0 of the conventional rule, the cap edge of the curve rule),
-and the analytic f0 -> infinity limit; the certified tolerance is the
-largest of the parts it reports on `WorstCase`.
+the best value.  max_prob is the largest of the grid, a far-field block in
+1/f0 that ends at the analytic f0 -> infinity limit, and the exact ridge on
+a dense grid that holds the analytic ridge peaks (f0* of a gated rule, 0 of
+the conventional rule, the cap edge of the curve rule); the certified
+tolerance is the largest of the parts it reports on `WorstCase`.
 The solvers bisect on the monotone closed forms and then certify their
 answers through the full audit.
 """
@@ -100,13 +100,12 @@ class WorstCase:
 
     For rules audited on the grid, certified_tol is the largest of the
     certificate's parts, floored at 1e-6: grid_excess (the largest midpoint
-    claim over the audited grid, the f0* patch and the far-field block,
-    minus max_prob), far_excess (the last far-field column above the
-    f0 -> infinity reference) and approach_violation (how far the last rows
-    miss a monotone approach to |rho| = 1).  A negative excess clears
-    max_prob by that much.  cells_refined counts the coarse grid cells
-    re-audited at the working pitch.  The parts are zero for rules audited
-    in closed form.
+    claim over the audited grid, the f0* patch and the far-field block in
+    1/f0 out to the limit, minus max_prob) and approach_violation (how far
+    the last rows miss a monotone approach to |rho| = 1).  A negative
+    excess clears max_prob by that much.  cells_refined counts the coarse
+    grid cells re-audited at the working pitch.  The parts are zero for
+    rules audited in closed form.
     """
 
     max_prob: float
@@ -114,7 +113,6 @@ class WorstCase:
     arg_f0: float
     certified_tol: float
     grid_excess: float = 0.0
-    far_excess: float = 0.0
     approach_violation: float = 0.0
     cells_refined: int = 0
 
@@ -270,9 +268,7 @@ def _scalar_root(gap, lo: float, hi: float, xtol: float, rtol: float) -> float:
     return float(_brentq(lambda x, _k: gap(float(x[0])), lo, hi, xtol, rtol)[0])
 
 
-def _midpoint_bound(
-    mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool = False
-) -> np.ndarray:
+def _midpoint_bound(mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool) -> np.ndarray:
     """Per-cell estimate of off-grid excess along one (possibly uneven) axis.
 
     h^2/8 times a divided-difference curvature per interval; each cell
@@ -322,20 +318,15 @@ def _final_approach_violation(mat: np.ndarray) -> float:
     return max(0.0, float(np.max(viol)) - 1e-9)
 
 
-def _claims(
-    mat: np.ndarray, rhos: np.ndarray, f0s: np.ndarray, open_end: bool = True
-) -> np.ndarray:
+def _claims(mat: np.ndarray, rhos: np.ndarray, f0s: np.ndarray) -> np.ndarray:
     """Per-cell claims: value plus both axes' midpoint estimates, capped at 1.
 
-    The h^2/8 midpoint terms are estimates (see `_midpoint_bound`), so a
-    claim is an estimated, not a proven, upper bound on the cell.
+    The rho axis is left open when it ends at rho = 1.  The h^2/8 midpoint
+    terms are estimates (see `_midpoint_bound`), so a claim is an estimated,
+    not a proven, upper bound on the cell.
     """
-    return np.minimum(
-        mat
-        + _midpoint_bound(mat, rhos, 0, open_end=open_end)
-        + _midpoint_bound(mat, f0s, 1),
-        1.0,
-    )
+    rho_term = _midpoint_bound(mat, rhos, 0, open_end=rhos[-1] == 1.0)
+    return np.minimum(mat + rho_term + _midpoint_bound(mat, f0s, 1, open_end=False), 1.0)
 
 
 def _coarse_lines(n: int) -> np.ndarray:
@@ -357,6 +348,19 @@ def _refine_span(lines: np.ndarray, k: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
+def _far_block(proc: Procedure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The far field f0 >= 40 as (rhos, f0s, values): flat in rho, so few rows.
+
+    The columns are even in u = 1/f0 from f0 = 40 to 140 (a profile's panels
+    span its whole f0 range), then u = 0, the f0 -> infinity limit.
+    """
+    rhos = np.unique(np.concatenate([np.linspace(0.0, 1.0, 18), _RHO_LAYER[-3:], [1.0]]))
+    f0s = np.append(1.0 / np.linspace(1.0 / 40.0, 1.0 / 140.0, 26), math.inf)
+    values = np.full((rhos.size, f0s.size), proc.tail_limit())
+    values[:, :-1] = rejection_prob_matrix(proc, rhos, f0s[:-1])
+    return rhos, f0s, values
+
+
 def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     """Supremum of rejection probability over rho in [-1,1], f0 >= 0.
 
@@ -369,18 +373,18 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     last; then every coarse cell whose claim (value plus the h^2/8 midpoint
     estimates of `_midpoint_bound`) comes within 1e-4 of the best value seen
     so far is re-audited at the working pitch over the box between its
-    neighbouring coarse lines.  The
-    last three rows are audited at every column for the monotone approach
-    check into |rho| = 1.  max_prob is the largest of that grid, a
-    far-field block out to f0 = 140, the exact rho = 1 ridge on the rule's
-    dense f0 grid (`ridge_f0_grid`, which holds f0* of a gated rule and the
-    cap edge of the curve rule), and the f0 -> infinity limit.  The
+    neighbouring coarse lines.  The last three rows are audited at every
+    column for the monotone approach check into |rho| = 1.  max_prob is the
+    largest of that grid, the far-field block in 1/f0 of `_far_block`, whose
+    last column is the f0 -> infinity limit (reported at rho = 1), and the
+    exact rho = 1 ridge on the rule's dense f0 grid (`ridge_f0_grid`, which
+    holds f0* of a gated rule and the cap edge of the curve rule).  The
     certified tolerance is the largest of the grid excess (coarse claims of
-    unrefined cells, fine claims of the refined boxes), the far-field excess
-    and the approach violation, floored at _CERT_FLOOR; ToleranceUnmet is
-    raised if it cannot meet tol.  The grid and far-field excesses rest on the midpoint
-    terms, which estimate the off-grid excess from divided differences and
-    do not bound it, so the certificate is an estimate too.
+    unrefined cells, fine claims of the refined boxes, the far block's
+    claims along 1/f0) and the approach violation, floored at _CERT_FLOOR;
+    ToleranceUnmet is raised if it cannot meet tol.  The claims rest on
+    midpoint terms, which estimate the off-grid excess from divided
+    differences and do not bound it, so the certificate is an estimate too.
     """
     if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-4):
         raise DomainError(f"worst_case_size: tol must lie in (0, 1e-4], got {tol!r}")
@@ -422,10 +426,7 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     claims_c = _claims(mat[np.ix_(rows_c, cols_c)], rhos[rows_c], f0s[cols_c])
     claims_c[masked[np.ix_(rows_c, cols_c)]] = 0.0
 
-    # Far field: flat in rho, so a coarse-rho block suffices out to f0 = 140.
-    rhos_far = np.unique(np.concatenate([np.linspace(0.0, 1.0, 18), _RHO_LAYER[-3:], [1.0]]))
-    f0s_far = np.arange(40.0, 140.01, 1.0)
-    mat_far = rejection_prob_matrix(proc, rhos_far, f0s_far)
+    rhos_far, f0s_far, mat_far = _far_block(proc)
 
     # Exact ridge with analytic candidates.
     ridge_f0 = proc.ridge_f0_grid()
@@ -450,43 +451,33 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     fine_claims = np.zeros(mat.shape)
     for r0, r1, c0, c1 in boxes:
         box = np.s_[r0 : r1 + 1, c0 : c1 + 1]
-        fine_claims[box] = np.maximum(
-            fine_claims[box],
-            _claims(mat[box], rhos[r0 : r1 + 1], f0s[c0 : c1 + 1], open_end=r1 == n_rho - 1),
-        )
+        box_claims = _claims(mat[box], rhos[r0 : r1 + 1], f0s[c0 : c1 + 1])
+        fine_claims[box] = np.maximum(fine_claims[box], box_claims)
     fine_claims[masked] = 0.0
 
     i, j = np.unravel_index(int(np.nanargmax(mat)), mat.shape)
     best_prob, best_rho, best_f0 = float(mat[i, j]), float(rhos[i]), float(f0s[j])
     i_far, j_far = np.unravel_index(int(np.argmax(mat_far)), mat_far.shape)
     if float(mat_far[i_far, j_far]) > best_prob:
-        best_prob = float(mat_far[i_far, j_far])
-        best_rho, best_f0 = float(rhos_far[i_far]), float(f0s_far[j_far])
+        best_prob, best_f0 = float(mat_far[i_far, j_far]), float(f0s_far[j_far])
+        # The limit ties across the rows; it is reported on the ridge.
+        best_rho = 1.0 if best_f0 == math.inf else float(rhos_far[i_far])
     k = int(np.argmax(ridge))
     if float(ridge[k]) >= best_prob:
         best_prob, best_rho, best_f0 = float(ridge[k]), 1.0, float(ridge_f0[k])
 
-    limit = proc.tail_limit()
-    if limit > best_prob:
-        best_prob, best_rho, best_f0 = limit, 1.0, math.inf
-
-    # Certification: the midpoint claims over the audited window, plus the
-    # far field, where the last audited column is compared against the
-    # analytic limit and the densely audited ridge.
-    claims = [claims_c[~refined], fine_claims.ravel()]
-    approach_viol = _final_approach_violation(mat)
+    # Certification: the midpoint claims over the audited window, and over
+    # the far block along u = 1/f0 out to the limit.
+    far_claims = _claims(mat_far, rhos_far, 1.0 / f0s_far)
+    claims = [claims_c[~refined], fine_claims.ravel(), far_claims.ravel()]
+    approach_viol = max(_final_approach_violation(mat), _final_approach_violation(mat_far))
     if star is not None:
         f0s_patch = np.unique(np.append(np.arange(w_lo, w_hi, 0.0012), star))
         mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
         claims.append(_claims(mat_patch, rhos[near], f0s_patch).ravel())
         approach_viol = max(approach_viol, _final_approach_violation(mat_patch))
     grid_excess = float(np.max(np.concatenate(claims))) - best_prob
-    far_claims = _claims(mat_far, rhos_far, f0s_far)
-    grid_excess = max(grid_excess, float(np.max(far_claims)) - best_prob)
-    approach_viol = max(approach_viol, _final_approach_violation(mat_far))
-    far_ref = max(limit, float(ridge[ridge_f0 >= f0s_far[-1]].max(initial=0.0)))
-    far_excess = float(mat_far[:, -1].max()) - max(far_ref, best_prob)
-    certified = max(_CERT_FLOOR, grid_excess, far_excess, approach_viol, 0.0)
+    certified = max(_CERT_FLOOR, grid_excess, approach_viol, 0.0)
     if certified > tol:
         raise ToleranceUnmet(
             f"worst-case certificate {certified:.2e} exceeds requested tol {tol:.2e}"
@@ -497,7 +488,6 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
         arg_f0=best_f0,
         certified_tol=certified,
         grid_excess=grid_excess,
-        far_excess=far_excess,
         approach_violation=approach_viol,
         cells_refined=int(refined.sum()),
     )
@@ -695,10 +685,12 @@ def hybrid_nonexistence_certificate(crit: float, f_grid) -> list[HybridBoundRow]
             "hybrid_nonexistence_certificate covers the two-sided 5% case; "
             f"crit must be approximately {Q95:.4f}, got {crit!r}"
         )
-    grid = [float(v) for v in f_grid]
+    try:
+        grid = sorted(float(v) for v in f_grid)
+    except (TypeError, ValueError):
+        grid = []  # not an iterable of reals: refused below
     if not grid or any(not math.isfinite(v) or v <= 0.0 for v in grid):
         raise DomainError("f_grid must be a nonempty list of positive finite reals")
-    grid = sorted(grid)
     if grid[0] < 0.48 * crit:
         raise DomainError(
             "f_grid values this far below crit/2 are outside the bound's validity"

@@ -324,9 +324,16 @@ def test_table3_stdout_and_file(cli_env, capsys, tmp_path, schema):
 
 
 def test_table3_refuses_unbuildable_level(cli_env, capsys):
-    code, _, err = run_cli(["table3", "--alpha", "0.3"], capsys)
-    assert code == 1
-    assert json.loads(err)["error"]["type"] == "DomainError"
+    # The table is the 5% one: other levels are refused before any curve is
+    # built, whether or not `build_cvf` could build them.
+    cached = sorted(cli_env.rglob("*"))
+    for alpha in ("0.3", "0.025", "0.1"):
+        code, _, err = run_cli(["table3", "--alpha", alpha], capsys)
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError"
+        assert "alpha = 0.05" in error["message"]
+    assert sorted(cli_env.rglob("*")) == cached
 
 
 def test_audit_fixture(cli_env, capsys, tmp_path, schema, fixture_corpus):

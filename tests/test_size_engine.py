@@ -663,10 +663,11 @@ def test_point_skips_saturated_panels(cvf, f0, monkeypatch):
 
 
 def test_tf_audit_kernel_work(cvf, monkeypatch):
-    # K15 panels up to 2.4 s wide, with no 0.3 cap, and saturated panels
-    # skipped at every rho: the 5% curve's audit sends 1.875M node-f0 pairs
-    # through the kernel (7.23M on GL-24 panels), in 171 blocks (4,298 calls
-    # when each f0 chunk made its own).
+    # K15 panels up to 2.4 s wide, with no 0.3 cap, saturated panels
+    # skipped at every rho, and a far-field block of 26 finite f0 columns:
+    # the 5% curve's audit sends 1.63M node-f0 pairs through the kernel in
+    # 158 blocks (1.875M in 171 with 101 far columns, 7.23M on GL-24 panels,
+    # 4,298 calls when each f0 chunk made its own).
     seen = _dense_pairs(monkeypatch)
     worst_case_size(TFProcedure(cvf=cvf))
     assert seen.pairs <= 3.0e6

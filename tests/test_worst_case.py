@@ -24,6 +24,7 @@ from tfiv.worst_case import (
 )
 
 Q95 = 3.8414588206941254
+Q99 = 2.5758293035489004**2
 SQRT_Q95 = 1.959963984540054
 
 
@@ -89,28 +90,59 @@ def test_worst_case_container_fields():
             (0.13813802562292885, 1.0, 1.9522702546316941, 6.911999999870133e-05),
             1,
         ),
+        # The supremum is the f0 -> infinity limit, the far block's last
+        # column, reported on the ridge.
+        (
+            lambda cvf: ThresholdTF(1.96**2, 104.7),
+            (ThresholdTF(1.96**2, 104.7).tail_limit(), 1.0, math.inf, 2.9373760114234648e-05),
+            370,
+        ),
     ],
-    ids=["tf", "conventional", "hybrid"],
+    ids=["tf", "conventional", "hybrid", "threshold-2b"],
 )
 def test_worst_case_size_pins_the_audit(cvf, make, expected, refined, monkeypatch):
     # Record every profile row.  The strip 1 - 5e-5 < |rho| < 1 is certified
     # by the monotone approach check, so the audit must never integrate it.
+    # A profile's panels span its whole f0 range, so no row below rho = 1
+    # (whose ridge is in closed form) may reach past f0 = 140.
     seen = []
     profile = size_engine.rejection_prob_profile
 
     def recording(proc, rho, f0s):
-        seen.append(abs(rho))
+        seen.append((abs(rho), float(np.max(f0s))))
         return profile(proc, rho, f0s)
 
     monkeypatch.setattr(size_engine, "rejection_prob_profile", recording)
     monkeypatch.setattr(worst_case, "rejection_prob_profile", recording)
     wc = worst_case_size(make(cvf))
-    assert seen and not [r for r in seen if 1.0 - 5e-5 < r < 1.0]
+    assert seen and not [r for r, _ in seen if 1.0 - 5e-5 < r < 1.0]
+    assert not [(r, top) for r, top in seen if r < 1.0 and top > 140.0]
     assert (wc.max_prob, wc.arg_rho, wc.arg_f0, wc.certified_tol) == expected
     assert wc.cells_refined == refined
-    assert wc.certified_tol == max(
-        1e-6, wc.grid_excess, wc.far_excess, wc.approach_violation
-    )
+    assert wc.certified_tol == max(1e-6, wc.grid_excess, wc.approach_violation)
+
+
+@pytest.mark.parametrize(
+    "proc",
+    [ConventionalT(Q99), ThresholdTF(1.96**2, 104.7)],
+    ids=["conventional-1pct", "threshold-2b"],
+)
+def test_far_block_claims_cover_f0_to_3000(proc):
+    # The far block runs in u = 1/f0 from f0 = 40 to u = 0, where every row
+    # holds the limit; between two columns the surface stays below the
+    # larger of their claims.  The conventional 1% rule nears its limit from
+    # above at rho near 1, the F > 104.7 screen from below.
+    rhos, f0s, mat = worst_case._far_block(proc)
+    assert f0s[0] == 40.0 and f0s[-2] <= 140.0 and f0s[-1] == math.inf
+    assert (mat[:, -1] == proc.tail_limit()).all()
+    claims = worst_case._claims(mat, rhos, 1.0 / f0s)
+    dense = 1.0 / np.linspace(1.0 / 40.0, 1.0 / 3000.0, 461)
+    left = np.minimum(np.searchsorted(f0s, dense, side="right") - 1, f0s.size - 2)
+    rows = [0, 8, 16, rhos.size - 2]
+    assert rhos[rows[0]] == 0.0 and math.isclose(rhos[rows[-1]], 1.0 - 5e-5)
+    for i in rows:
+        values = size_engine.rejection_prob_profile(proc, float(rhos[i]), dense)
+        assert (values <= np.maximum(claims[i, left], claims[i, left + 1])).all()
 
 
 def test_tf_worst_case_is_the_cap_edge(cvf):
@@ -142,7 +174,7 @@ def test_ridge_hump_peak_is_found_on_the_grid():
 
 def test_pure_ar_worst_case_has_no_certificate_parts():
     wc = worst_case_size(PureAR(crit=Q95))
-    assert (wc.grid_excess, wc.far_excess, wc.approach_violation) == (0.0, 0.0, 0.0)
+    assert (wc.grid_excess, wc.approach_violation) == (0.0, 0.0)
     assert wc.cells_refined == 0
 
 
@@ -178,6 +210,10 @@ def test_hybrid_certificate_validation():
         hybrid_nonexistence_certificate(Q95, [1.0])  # below the validity cut
     with pytest.raises(DomainError):
         hybrid_nonexistence_certificate(Q95, [10.0, math.inf])
+    with pytest.raises(DomainError):
+        hybrid_nonexistence_certificate(Q95, ["x"])  # not a number
+    with pytest.raises(DomainError):
+        hybrid_nonexistence_certificate(Q95, None)  # not a list
 
 
 def test_critical_value_floors_at_the_quantile(monkeypatch):

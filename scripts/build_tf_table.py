@@ -10,7 +10,7 @@ import argparse
 import math
 from pathlib import Path
 
-from tfiv.tf_critical import build_cvf, cvf_eval, save_cvf, table3_csv
+from tfiv.tf_critical import _cache_name, build_cvf, cvf_eval, save_cvf, table3_csv
 
 
 def main() -> None:
@@ -22,7 +22,7 @@ def main() -> None:
     cvf = build_cvf(args.alpha)
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    knot_path = args.out_dir / f"cvf-alpha{args.alpha!r}.json"
+    knot_path = args.out_dir / _cache_name(args.alpha)
     save_cvf(cvf, knot_path)
     print(f"wrote {knot_path} ({len(cvf.knots)} knots)")
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from tfiv.gaussian import Q95
 from tfiv.size_engine import (
     ConventionalT,
     HybridAR,
@@ -19,8 +20,6 @@ from tfiv.size_engine import (
     rejection_prob_matrix,
 )
 from tfiv.tf_critical import build_cvf
-
-Q95 = 1.959963984540054**2
 
 RHOS = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 

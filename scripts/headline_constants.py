@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from tfiv.gaussian import chi2_quantile_1df, ndtr
+from tfiv.gaussian import Q95, chi2_quantile_1df, ndtr
 from tfiv.size_engine import (
     ConventionalT,
     HybridAR,
@@ -36,8 +36,7 @@ from tfiv.worst_case import (
     worst_case_size,
 )
 
-Q95 = 1.959963984540054**2
-Q99 = 2.5758293035489004**2
+Q99 = chi2_quantile_1df(0.99)
 
 
 def timed(label: str, fn, *args, **kwargs):

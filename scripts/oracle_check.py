@@ -8,6 +8,7 @@ z-score.  A healthy run stays within ~3 sigma everywhere.
 import argparse
 import math
 
+from tfiv.gaussian import Q95
 from tfiv.mc_oracle import McConfig, mc_rejection
 from tfiv.size_engine import (
     ConventionalT,
@@ -19,8 +20,6 @@ from tfiv.size_engine import (
     rejection_prob,
 )
 from tfiv.tf_critical import build_cvf
-
-Q95 = 1.959963984540054**2
 
 
 def main() -> None:

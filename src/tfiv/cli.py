@@ -57,6 +57,7 @@ from .size_engine import (
 )
 from .tf_critical import (
     CriticalValueFunction,
+    _cache_name,
     _require_table3_alpha,
     _round_up_2dp,
     build_cvf,
@@ -126,7 +127,7 @@ def _cache_path(alpha: float) -> Optional[Path]:
     cache_dir = os.environ.get("TF_CACHE_DIR")
     if not cache_dir:
         return None
-    return Path(cache_dir) / f"cvf-alpha{alpha!r}.json"
+    return Path(cache_dir) / _cache_name(alpha)
 
 
 def _get_cvf(alpha: float) -> CriticalValueFunction:

@@ -24,21 +24,19 @@ would demand more, rejecting everything above the support edge still yields
 size below alpha.  Linear interpolation between knots overstates the convex
 true curve, so between-knot queries are conservative.
 
-Construction is a fixed point.  It starts from the constant critical value
-that would hold each knot's F threshold at level alpha on the ridge (the
-solve that gives 3.43 at F = 10), found for every knot at once in one
-vector root solve, `worst_case._brentq`.  Each sweep computes, for every f0
-on a dense grid, the mass the current curve already rejects on the lower tail
-(f <= -sqrt(q)) and on the interior hump (sqrt(q) < f < f0), converts the
-remaining allowance into the upper-tail boundary zeta = z, and records the
-requirement (x, y) = (f0 + z, (f0 + z) z / f0): the curve value at x that
-makes this f0's size exactly alpha.  The new curve is the nonincreasing
-upper envelope of all requirements, and sweeps repeat until the knot values
-stabilize.  Both rejected-mass pieces are computed exactly: on each knot
-interval the margin is a quadratic minus a linear function, so crossings are
-quadratic roots, not searches.  The sweep and the size engine's |rho| = 1
-path share one evaluator, `size_engine._rho1_cvf_masses`, vectorised over
-f0.
+Construction is a fixed point.  It starts from the cap, g = 50 at every
+knot, a curve that rejects almost nothing above the support edge.  Each
+sweep computes, for every f0 on a dense grid, the mass the current curve
+already rejects on the lower tail (f <= -sqrt(q)) and on the interior hump
+(sqrt(q) < f < f0), converts the remaining allowance into the upper-tail
+boundary zeta = z, and records the requirement (x, y) =
+(f0 + z, (f0 + z) z / f0): the curve value at x that makes this f0's size
+exactly alpha.  The new curve is the nonincreasing upper envelope of all
+requirements, and sweeps repeat until the knot values stabilize.  Both
+rejected-mass pieces are computed exactly: on each knot interval the margin
+is a quadratic minus a linear function, so crossings are quadratic roots,
+not searches.  The sweep and the size engine's |rho| = 1 path share one
+evaluator, `size_engine._rho1_cvf_masses`, vectorised over f0.
 """
 
 from __future__ import annotations
@@ -56,7 +54,6 @@ import numpy as np
 from .errors import ConstructionError, DomainError
 from .gaussian import chi2_quantile_1df, ndtri
 from .size_engine import TFProcedure, _rho1_cvf_masses, rejection_prob_profile
-from .worst_case import _brentq, _local_max_size
 
 __all__ = [
     "CriticalValueFunction",
@@ -166,38 +163,15 @@ def _upper_envelope(ry: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(ry[::-1])[::-1]
 
 
-def _initial_curve(xs: np.ndarray, alpha: float, q: float) -> np.ndarray:
-    """Constant-critical-value solution per knot, capped and clamped.
-
-    At each knot x the critical value c that brings `local_max_size(x^2, c)`
-    to alpha: sqrt(q) where q already does, the cap where the cap still
-    cannot, and otherwise the root on [q, cap^2], all found in one vector
-    solve over the bracketed knots.
-    """
-    f_threshold = xs * xs
-    cap_c = _SQRT_CRIT_CAP * _SQRT_CRIT_CAP
-    gap_q = _local_max_size(f_threshold, q) - alpha
-    gap_cap = _local_max_size(f_threshold, cap_c) - alpha
-    out = np.where(gap_q <= 0.0, math.sqrt(q), _SQRT_CRIT_CAP)
-    bracketed = (gap_q > 0.0) & (gap_cap < 0.0)
-    f_live = f_threshold[bracketed]
-    n = f_live.size
-    roots = _brentq(
-        lambda c, k: _local_max_size(f_live[k], c) - alpha,
-        np.full(n, q), np.full(n, cap_c), xtol=1e-10, rtol=1e-12,
-    )
-    out[bracketed] = np.sqrt(roots)
-    return out
-
-
 def build_cvf(alpha: float) -> CriticalValueFunction:
     """Construct the F-adaptive critical-value curve at level alpha.
 
-    Runs the fixed-point sweep described in the module docstring on the
-    `default_knot_grid` (0.005 pitch from just above sqrt(q) to 12), ends the
-    knots at the pin (sqrt(f_tilde), sqrt(q)), where the requirement envelope
-    crosses sqrt(q) (a curve whose envelope never does keeps the whole grid),
-    and self-audits the result on the ridge: |size - alpha| <= 1e-4 on the band
+    Runs the fixed-point sweep described in the module docstring, from the
+    cap curve (50 at every knot), on the `default_knot_grid` (0.005 pitch
+    from just above sqrt(q) to 12), ends the knots at the pin
+    (sqrt(f_tilde), sqrt(q)), where the requirement envelope crosses
+    sqrt(q) (a curve whose envelope never does keeps the whole grid), and
+    self-audits the result on the ridge: |size - alpha| <= 1e-4 on the band
     where the construction owns the size exactly, and excess-only bounds on
     the cap window near f0 = 0 and through the pin-deficit basin below
     f_tilde, with both zone edges and tolerances scaled to alpha (see
@@ -213,7 +187,7 @@ def build_cvf(alpha: float) -> CriticalValueFunction:
     xs = default_knot_grid(alpha)
 
     f0s = np.arange(0.02, sq + 8.8, _SWEEP_PITCH)
-    gs = _initial_curve(xs, alpha, q)
+    gs = np.full(xs.size, _SQRT_CRIT_CAP)
 
     rx = ry = None
     delta = math.inf
@@ -270,44 +244,33 @@ def _self_audit(cvf: CriticalValueFunction) -> None:
     representation artifact, not a construction failure.  The cap zone and
     its tolerance scale with alpha through f0_edge.
     """
-    proc = TFProcedure(cvf=cvf)
     alpha = cvf.alpha
     sq = math.sqrt(cvf.lower_support)
     # The pin drags the size into a deficit basin starting ~1.25 below
     # x_tilde (the monotone envelope cannot follow the pointwise
     # requirement down through sq), so exactness is only owed below it.
     strict_end = min(8.5, math.sqrt(cvf.f_tilde) - 1.6)
-    if strict_end >= 0.6:
-        strict = np.arange(0.5, strict_end + 1e-9, 0.01)
-        p_strict = rejection_prob_profile(proc, 1.0, strict)
-        worst = float(np.max(np.abs(p_strict - alpha)))
-        if worst > 1e-4:
-            j = int(np.argmax(np.abs(p_strict - alpha)))
-            raise ConstructionError(
-                f"ridge size misses alpha by {worst:.2e} at f0={strict[j]:.3f}"
-            )
+    strict = np.arange(0.5, strict_end + 1e-9, 0.01) if strict_end >= 0.6 else np.empty(0)
     f0_edge = cvf.lower_support / (_SQRT_CRIT_CAP + sq)
     # Partial-cap effects linger a little past the full-rejection edge;
     # start the excess-only zone beyond them, on the audit pitch.
     cap_end = 0.05 * math.ceil(1.25 * f0_edge / 0.05)
     broad = np.arange(cap_end, 40.0 + 1e-9, 0.05)
-    p_broad = rejection_prob_profile(proc, 1.0, broad)
-    over = float(np.max(p_broad - alpha))
-    if over > 1e-4:
-        j = int(np.argmax(p_broad - alpha))
-        raise ConstructionError(
-            f"ridge size exceeds alpha by {over:.2e} at f0={broad[j]:.3f}"
-        )
+    capped = np.arange(0.0, cap_end, 0.005)
     phi_sq = math.exp(-0.5 * sq * sq) / math.sqrt(2.0 * math.pi)
     cap_tol = max(1.35 * sq * phi_sq * f0_edge * f0_edge, 2.5e-4)
-    capped = np.arange(0.0, cap_end, 0.005)
-    p_cap = rejection_prob_profile(proc, 1.0, capped)
-    over_cap = float(np.max(p_cap - alpha))
-    if over_cap > cap_tol:
-        j = int(np.argmax(p_cap - alpha))
-        raise ConstructionError(
-            f"cap-zone size exceeds alpha by {over_cap:.2e} at f0={capped[j]:.3f}"
-        )
+    # One read of the ridge: each f0's value is independent of the others.
+    f0s = np.concatenate([strict, broad, capped])
+    size = rejection_prob_profile(TFProcedure(cvf=cvf), 1.0, f0s)
+    d_strict, d_broad, d_cap = np.split(size - alpha, [strict.size, strict.size + broad.size])
+    for zone, miss, tol, what in (
+        (strict, np.abs(d_strict), 1e-4, "ridge size misses alpha"),
+        (broad, d_broad, 1e-4, "ridge size exceeds alpha"),
+        (capped, d_cap, cap_tol, "cap-zone size exceeds alpha"),
+    ):
+        if miss.size and miss.max() > tol:
+            j = int(np.argmax(miss))
+            raise ConstructionError(f"{what} by {miss[j]:.2e} at f0={zone[j]:.3f}")
 
 
 def cvf_eval(cvf: CriticalValueFunction, F: float) -> float:
@@ -382,6 +345,11 @@ def _canonical_payload(cvf: CriticalValueFunction) -> str:
         "knots": [[float(x), float(g)] for x, g in cvf.knots],
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _cache_name(alpha: float) -> str:
+    """File name of the curve at level alpha: exact alpha, by its repr."""
+    return f"cvf-alpha{alpha!r}.json"
 
 
 def save_cvf(cvf: CriticalValueFunction, path) -> None:

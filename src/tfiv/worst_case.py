@@ -84,8 +84,8 @@ _RIDGE_F_CAP = 1e4
 # f0 column of the working grid.
 _COARSE_STRIDE = 4
 # Coarse cells whose claim exceeds the best value seen minus this margin are
-# re-audited at the working pitch.  It is the largest tol `worst_case_size`
-# accepts, so an unrefined cell can never bind the certificate.
+# re-audited at the working pitch.  It is also the largest certificate
+# `worst_case_size` accepts, so an unrefined cell can never bind it.
 _REFINE_MARGIN = 1e-4
 # Iteration cap of `_brentq`, the default of the scipy routine it ports.
 _BRENT_MAXITER = 100
@@ -154,16 +154,6 @@ class HybridBoundRow:
     exceeds: bool
 
 
-def _local_max_size(f_threshold, crit):
-    """The closed form of `local_max_size`, elementwise and unchecked."""
-    sf = np.sqrt(f_threshold)
-    sc = np.sqrt(crit)
-    denom = sf + sc
-    u = sf * sc / denom
-    w = (sf * sc + 2.0 * f_threshold) / denom
-    return 1.0 - ndtr(u) + ndtr(-w)
-
-
 def local_max_size(f_threshold: float, crit: float) -> float:
     """Size of the threshold procedure at (rho = 1, f0 = f0*), in closed form.
 
@@ -175,97 +165,74 @@ def local_max_size(f_threshold: float, crit: float) -> float:
         raise DomainError(f"local_max_size: f_threshold > 0 required, got {f_threshold!r}")
     if not (math.isfinite(crit) and crit > 0.0):
         raise DomainError(f"local_max_size: crit > 0 required, got {crit!r}")
-    return float(_local_max_size(f_threshold, crit))
+    sf = math.sqrt(f_threshold)
+    sc = math.sqrt(crit)
+    denom = sf + sc
+    u = sf * sc / denom
+    w = (sf * sc + 2.0 * f_threshold) / denom
+    return float(1.0 - ndtr(u) + ndtr(-w))
 
 
-def _brentq(f, a, b, xtol: float, rtol: float) -> np.ndarray:
-    """Roots of f on independent brackets [a[k], b[k]], by Brent's method.
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """The root of f on the bracket [a, b], by Brent's method.
 
     A step-for-step port of scipy's ``brentq`` (its ``brentq.c``, after
-    Brent 1973, Ch. 4), vectorised over brackets: each bracket takes its own
-    branch through masks, with the same IEEE operations in the same order,
-    so every root equals scipy's bit for bit.  ``f(x, k)`` returns the
-    values at points x of the brackets numbered k; it is called only for
-    brackets still open.  A bracket whose end is an exact zero returns that
-    end (a first).  Raises DomainError for a bracket whose ends share a sign
-    or for a NaN value, and ToleranceUnmet for a bracket still open after
+    Brent 1973, Ch. 4), with the same IEEE operations in the same order, so
+    the root equals scipy's bit for bit.  An end that is an exact zero is
+    returned (a first).  Raises DomainError when the ends share a sign or f
+    gives NaN, and ToleranceUnmet when the bracket is still open after
     _BRENT_MAXITER iterations.
     """
-    xpre = np.array(a, dtype=float, ndmin=1)
-    xcur = np.array(b, dtype=float, ndmin=1)
 
-    def values(x, k):
-        fx = np.array(np.broadcast_to(f(x, k), x.shape), dtype=float)
-        if np.isnan(fx).any():
-            raise DomainError(f"brentq: NaN function value at x={x[np.isnan(fx)][0]!r}")
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise DomainError(f"brentq: NaN function value at x={x!r}")
         return fx
 
-    k = np.arange(xcur.size)
-    fpre = values(xpre, k)
-    fcur = values(xcur, k)
-    root = np.where(fpre == 0.0, xpre, xcur)
-    live = (fpre != 0.0) & (fcur != 0.0)
-    if np.any(live & (np.signbit(fpre) == np.signbit(fcur))):
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
         raise DomainError("brentq: f(a) and f(b) must have different signs")
-    k, xpre, xcur, fpre, fcur = k[live], xpre[live], xcur[live], fpre[live], fcur[live]
-    if not k.size:
-        return root
-    xblk = fblk = spre = scur = np.zeros(k.size)
+    xblk = fblk = spre = scur = 0.0
     for _ in range(_BRENT_MAXITER):
         # The bracket is [xblk, xcur]; xpre is the previous iterate.
-        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-        xblk = np.where(flip, xpre, xblk)
-        fblk = np.where(flip, fpre, fblk)
-        spre = np.where(flip, xcur - xpre, spre)
-        scur = np.where(flip, xcur - xpre, scur)
-        # Make xcur the end with the smaller |f|.
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk = (
-            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-        )
-        fpre, fcur, fblk = (
-            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-        )
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # Make xcur the end with the smaller |f|.
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * np.abs(xcur)) / 2
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        if done.any():
-            root[k[done]] = xcur[done]
-            open_ = ~done
-            k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-                v[open_] for v in (k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-            )
-            if not k.size:
-                return root
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
 
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # Secant step where xpre == xblk, inverse quadratic otherwise.
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = np.where(
-                xpre == xblk,
-                -fcur * (xcur - xpre) / (fcur - fpre),
-                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
-            )
-            short = (
-                (np.abs(spre) > delta)
-                & (np.abs(fcur) < np.abs(fpre))
-                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
-            )
-        spre = np.where(short, scur, sbis)  # otherwise bisect
-        scur = np.where(short, stry, sbis)
+        stry = math.inf  # bisect unless an interpolation step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant; |fcur| < |fpre|, so fcur != fpre
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                try:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # C gets +-inf or NaN here, and bisects
+                    pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
         xpre, fpre = xcur, fcur
-        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-        fcur = values(xcur, k)
-    raise ToleranceUnmet(
-        f"brentq: {k.size} bracket(s) still open after {_BRENT_MAXITER} iterations"
-    )
-
-
-def _scalar_root(gap, lo: float, hi: float, xtol: float, rtol: float) -> float:
-    """The root of a scalar function on the one bracket [lo, hi]."""
-    return float(_brentq(lambda x, _k: gap(float(x[0])), lo, hi, xtol, rtol)[0])
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ToleranceUnmet(f"brentq: bracket still open after {_BRENT_MAXITER} iterations")
 
 
 def _midpoint_bound(mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool) -> np.ndarray:
@@ -361,7 +328,7 @@ def _far_block(proc: Procedure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rhos, f0s, values
 
 
-def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
+def worst_case_size(proc: Procedure) -> WorstCase:
     """Supremum of rejection probability over rho in [-1,1], f0 >= 0.
 
     The surface is symmetric under rho -> -rho, so the audit runs on
@@ -382,13 +349,11 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
     certified tolerance is the largest of the grid excess (coarse claims of
     unrefined cells, fine claims of the refined boxes, the far block's
     claims along 1/f0) and the approach violation, floored at _CERT_FLOOR;
-    ToleranceUnmet is raised if it cannot meet tol.  The claims rest on
-    midpoint terms, which estimate the off-grid excess from divided
-    differences and do not bound it, so the certificate is an estimate too.
+    ToleranceUnmet is raised if it exceeds _REFINE_MARGIN (1e-4).  The
+    claims rest on midpoint terms, which estimate the off-grid excess from
+    divided differences and do not bound it, so the certificate is an
+    estimate too.
     """
-    if not (isinstance(tol, (int, float)) and 0.0 < tol <= 1e-4):
-        raise DomainError(f"worst_case_size: tol must lie in (0, 1e-4], got {tol!r}")
-
     _require_procedure(proc)
     if proc.flat:
         return WorstCase(max_prob=proc.tail_limit(), arg_rho=0.0, arg_f0=0.0, certified_tol=1e-13)
@@ -478,9 +443,9 @@ def worst_case_size(proc: Procedure, tol: float = 1e-4) -> WorstCase:
         approach_viol = max(approach_viol, _final_approach_violation(mat_patch))
     grid_excess = float(np.max(np.concatenate(claims))) - best_prob
     certified = max(_CERT_FLOOR, grid_excess, approach_viol, 0.0)
-    if certified > tol:
+    if certified > _REFINE_MARGIN:
         raise ToleranceUnmet(
-            f"worst-case certificate {certified:.2e} exceeds requested tol {tol:.2e}"
+            f"worst-case certificate {certified:.2e} exceeds {_REFINE_MARGIN:.0e}"
         )
     return WorstCase(
         max_prob=best_prob,
@@ -539,7 +504,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         hi *= 16.0
     if gap(lo) < 0.0 or gap(hi) > 0.0:
         return None
-    f_star = _scalar_root(gap, lo, hi, xtol=1e-10, rtol=1e-14)
+    f_star = _brentq(gap, lo, hi, xtol=1e-10, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     if audit.max_prob <= alpha + _CERT_SLACK:
@@ -559,7 +524,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
             f"solve_threshold_F: the rho = 1 ridge stays above alpha = {alpha!r} past "
             f"F = {r_lo:.6g}, beyond which no gate can be certified"
         )
-    f_star = _scalar_root(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12)
+    f_star = _brentq(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12)
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     if audit.max_prob > alpha + _CERT_SLACK:
         return None
@@ -606,7 +571,7 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             raise DomainError(
                 "solve_critical_value: no critical value reaches the requested level"
             )
-        crit_star = _scalar_root(gap, lo, hi, xtol=1e-12, rtol=1e-14)
+        crit_star = _brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit_star, f_threshold=f_threshold))
     if audit.max_prob > alpha + _CERT_SLACK:

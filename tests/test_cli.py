@@ -69,7 +69,7 @@ def test_cv_json(cli_env, capsys, schema):
     doc = check_json(out, schema)
     assert doc["command"] == "cv"
     assert not doc["unbounded"]
-    assert math.isclose(doc["crit"], 24.175161871472426, rel_tol=1e-12)
+    assert math.isclose(doc["crit"], 24.17516187136312, rel_tol=1e-12)
     assert doc["sqrt_crit_table"] == 4.92
 
     code, out, _ = run_cli(["cv", "--f", "1.0", "--format", "json"], capsys)
@@ -536,8 +536,8 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
 
 
 def test_curve_build_and_solver_leave_optimize_unloaded():
-    # `build_cvf` solves its initial curve and `solve_critical_value` its
-    # ridge gap with `worst_case._brentq`, never with scipy.optimize.
+    # `build_cvf` finds no root at all, and `solve_critical_value` solves
+    # its ridge gap with `worst_case._brentq`, never with scipy.optimize.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

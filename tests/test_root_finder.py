@@ -1,13 +1,12 @@
 """`worst_case._brentq` against scipy's brentq, bit for bit.
 
-The package's root finder ports scipy's ``brentq.c`` and vectorises it over
-brackets, so every root it returns must equal scipy's to the last bit:
-on the knot brackets of the tF curve's initial solve, on the solvers' own
-gaps, and on synthetic functions that drive each branch of the method.
-scipy.optimize is used here only as the independent oracle; the package
-never imports it.  Where scipy raises a bare ValueError or RuntimeError the
-port raises DomainError or ToleranceUnmet, so the CLI reports them as
-JSON errors.
+The package's root finder ports scipy's ``brentq.c`` step for step, so
+every root it returns must equal scipy's to the last bit: on the tF
+curve's knot brackets, on the solvers' own gaps, and on synthetic
+functions that drive each branch of the method.  scipy.optimize is used
+here only as the independent oracle; the package never imports it.  Where
+scipy raises a bare ValueError or RuntimeError the port raises DomainError
+or ToleranceUnmet, so the CLI reports them as JSON errors.
 """
 
 import math
@@ -19,7 +18,7 @@ from scipy.optimize import brentq
 from tfiv import worst_case
 from tfiv.errors import DomainError, TfivError, ToleranceUnmet
 from tfiv.gaussian import Q95, chi2_quantile_1df, ndtr
-from tfiv.tf_critical import _SQRT_CRIT_CAP, _initial_curve, default_knot_grid
+from tfiv.tf_critical import _SQRT_CRIT_CAP, default_knot_grid
 from tfiv.worst_case import _brentq, _ridge_sup, local_max_size
 
 
@@ -30,42 +29,38 @@ def same_bits(a, b) -> bool:
 
 @pytest.mark.parametrize("alpha", [0.05, 0.10, 0.01, 0.2])
 def test_initial_curve_matches_scalar_scipy_solves(alpha):
-    # The per-knot loop `_initial_curve` ran before it became one vector
-    # solve: brentq on local_max_size(x^2, c) - alpha over [q, cap^2].
+    # Real brackets, over 100 a level: at each knot x of the curve's grid,
+    # the constant critical value c that brings local_max_size(x^2, c) to
+    # alpha, on every [q, cap^2] whose ends straddle it.
     q = chi2_quantile_1df(1.0 - alpha)
-    xs = default_knot_grid(alpha)
     cap_c = _SQRT_CRIT_CAP * _SQRT_CRIT_CAP
-    expected = np.empty_like(xs)
     solved = 0
-    for i, x in enumerate(xs):
-        f_threshold = x * x
+    for x in default_knot_grid(alpha):
+        f_threshold = float(x * x)
 
         def gap(c):
             return local_max_size(f_threshold, c) - alpha
 
-        if gap(q) <= 0.0:
-            expected[i] = math.sqrt(q)
-        elif gap(cap_c) >= 0.0:
-            expected[i] = _SQRT_CRIT_CAP
-        else:
-            expected[i] = math.sqrt(brentq(gap, q, cap_c, xtol=1e-10, rtol=1e-12))
-            solved += 1
+        if gap(q) <= 0.0 or gap(cap_c) >= 0.0:
+            continue
+        ours = _brentq(gap, q, cap_c, xtol=1e-10, rtol=1e-12)
+        assert same_bits(ours, brentq(gap, q, cap_c, xtol=1e-10, rtol=1e-12))
+        solved += 1
     assert solved > 100
-    assert same_bits(_initial_curve(xs, alpha, q), expected)
 
 
 def test_solver_gaps_match_scipy(monkeypatch):
     # Every bracket the solvers hand to the root finder, at 5% and 10%, is
     # solved again by scipy on the same gap.
     seen = []
-    scalar_root = worst_case._scalar_root
+    root_finder = worst_case._brentq
 
     def checked(gap, lo, hi, xtol, rtol):
-        root = scalar_root(gap, lo, hi, xtol, rtol)
+        root = root_finder(gap, lo, hi, xtol, rtol)
         seen.append((root, brentq(gap, lo, hi, xtol=xtol, rtol=rtol)))
         return root
 
-    monkeypatch.setattr(worst_case, "_scalar_root", checked)
+    monkeypatch.setattr(worst_case, "_brentq", checked)
     assert worst_case.solve_threshold_F(1.96**2, 0.05) == 104.65067399395062
     assert worst_case.solve_threshold_F(Q95, 0.05) == 104.67075060130466
     assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404113
@@ -86,7 +81,7 @@ def test_ridge_gap_matches_scipy():
     def ridge_gap(f_threshold):
         return _ridge_sup(3.9, f_threshold) - 0.06
 
-    ours = worst_case._scalar_root(ridge_gap, 1.0, 400.0, xtol=1e-9, rtol=1e-12)
+    ours = _brentq(ridge_gap, 1.0, 400.0, xtol=1e-9, rtol=1e-12)
     assert same_bits(ours, brentq(ridge_gap, 1.0, 400.0, xtol=1e-9, rtol=1e-12))
 
 
@@ -112,44 +107,23 @@ SYNTHETIC = {
     # A coarse xtol makes delta large next to the bracket; here the step
     # test's "3 |sbis| - delta" bound turns an extrapolation into a bisection.
     "coarse-xtol": (lambda x: ((0.7 * x + 0.6) * x + 0.5) * x - 0.3, -2.0, 2.0, 0.2, 1e-14),
+    # Values near 1e-300 make the inverse-quadratic denominator underflow to
+    # zero: C's step is then NaN and it bisects, and so must the port.
+    "underflow": (lambda x: (x**3 - 2.0 * x - 5.0) * 1e-300, 2.0, 3.0, 1e-12, 1e-14),
 }
-
-
-def elementwise(f):
-    """f called on each point as a Python float, the way scipy calls it."""
-    return lambda x, _k: np.array([float(f(v)) for v in x.tolist()])
 
 
 @pytest.mark.parametrize("case", sorted(SYNTHETIC))
 def test_synthetic_branches_match_scipy(case):
     f, a, b, xtol, rtol = SYNTHETIC[case]
-    ours = _brentq(elementwise(f), [a], [b], xtol, rtol)
+    ours = _brentq(f, a, b, xtol, rtol)
     theirs = brentq(lambda x: float(f(x)), a, b, xtol=xtol, rtol=rtol)
-    assert same_bits(ours, [theirs])
-
-
-def test_brackets_take_their_own_branches_in_one_call():
-    # All synthetic brackets sharing one tolerance in one vector call: each
-    # converges at its own iteration and must still match its scalar solve.
-    names = sorted(SYNTHETIC)
-    funcs = [SYNTHETIC[n][0] for n in names]
-    a = [SYNTHETIC[n][1] for n in names]
-    b = [SYNTHETIC[n][2] for n in names]
-
-    def f(x, k):
-        return np.array([float(funcs[j](v)) for v, j in zip(x.tolist(), k)])
-
-    ours = _brentq(f, a, b, 1e-12, 1e-14)
-    theirs = [
-        brentq(lambda x, g=g: float(g(x)), lo, hi, xtol=1e-12, rtol=1e-14)
-        for g, lo, hi in zip(funcs, a, b)
-    ]
     assert same_bits(ours, theirs)
 
 
 def test_exact_zero_ends_keep_their_sign():
-    root = _brentq(lambda x, _k: x * 0.0, [-0.0, 0.0], [1.0, -1.0], 1e-12, 1e-14)
-    assert same_bits(root, [-0.0, 0.0])
+    assert same_bits(_brentq(lambda x: x * 0.0, -0.0, 1.0, 1e-12, 1e-14), -0.0)
+    assert same_bits(_brentq(lambda x: x * 0.0, 0.0, -1.0, 1e-12, 1e-14), 0.0)
 
 
 def nan_inside(x):
@@ -171,5 +145,5 @@ def test_failures_are_tfiv_errors(f, a, b, scipy_error, error):
     with pytest.raises(scipy_error):
         brentq(lambda x: float(f(x)), a, b, xtol=1e-12, rtol=1e-14)
     with pytest.raises(error) as exc:
-        _brentq(elementwise(f), [a], [b], 1e-12, 1e-14)
+        _brentq(f, a, b, 1e-12, 1e-14)
     assert isinstance(exc.value, TfivError)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tfiv import tf_critical
 from tfiv.errors import ConstructionError, DomainError
 from tfiv.gaussian import chi2_quantile_1df
 from tfiv.size_engine import TFProcedure, rejection_prob_rho1
@@ -48,6 +49,20 @@ def test_build_cvf_rejects_bad_alpha():
         build_cvf("0.05")
 
 
+def test_build_cvf_settles_in_fifteen_sweeps(monkeypatch):
+    # Started from the cap curve, the 5% sweep settles in 15 sweeps.
+    calls = []
+    sweep = tf_critical._sweep_requirements
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(tf_critical, "_sweep_requirements", counted)
+    build_cvf(0.05)
+    assert 0 < len(calls) <= 15
+
+
 def test_curve_shape(cvf):
     assert cvf.alpha == 0.05
     assert cvf.lower_support == Q95
@@ -85,7 +100,7 @@ def test_raw_curve_anchors(cvf):
 
 
 def test_cvf_eval(cvf):
-    assert math.isclose(cvf_eval(cvf, 6.25), 24.175161871472426, rel_tol=1e-12)
+    assert math.isclose(cvf_eval(cvf, 6.25), 24.17516187136312, rel_tol=1e-12)
     assert math.isclose(math.sqrt(cvf_eval(cvf, 49.0)), 2.1501, abs_tol=1e-4)
     # at and beyond f_tilde the curve is exactly the fixed quantile
     assert cvf_eval(cvf, 200.0) == Q95

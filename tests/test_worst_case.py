@@ -178,6 +178,14 @@ def test_pure_ar_worst_case_has_no_certificate_parts():
     assert wc.cells_refined == 0
 
 
+def test_certificate_above_the_refine_margin_is_refused(monkeypatch):
+    # worst_case_size accepts no certificate above 1e-4; a raised floor
+    # stands in for a grid that cannot be certified.
+    monkeypatch.setattr(worst_case, "_CERT_FLOOR", 2e-4)
+    with pytest.raises(ToleranceUnmet, match="certificate 2.00e-04 exceeds 1e-04"):
+        worst_case_size(ConventionalT(Q95))
+
+
 def test_hybrid_certificate_rows():
     rows = hybrid_nonexistence_certificate(Q95, [2.0, 10.0, 100.0, 1e4])
     assert [r.f_threshold for r in rows] == [2.0, 10.0, 100.0, 1e4]
@@ -220,7 +228,7 @@ def test_critical_value_floors_at_the_quantile(monkeypatch):
     # With a gate this high the ridge supremum is already at alpha at the
     # chi-square quantile, so no root is solved.
     calls = []
-    monkeypatch.setattr(worst_case, "_scalar_root", lambda *args: calls.append(args))
+    monkeypatch.setattr(worst_case, "_brentq", lambda *args: calls.append(args))
     assert worst_case.solve_critical_value(200.0, 0.05) == Q95
     assert calls == []
 

@@ -6,9 +6,9 @@ Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
 outside, and prints per |rho| band (< 0.99, < 0.999, >= 0.999 and = 1): the
 profile calls, the f0 points they evaluated, their seconds, the dense
 kernel's calls and the node-f0 pairs it evaluated, and the region kernel's
-calls, the nodes it tabulated and its seconds.  The far-field block, the
-profile calls whose f0 all lie at or above 40, gets a row of its own, and
-its share of the audit's seconds is printed.  A second run of each audit,
+calls, the nodes it tabulated and its seconds.  It also prints f0_far,
+where the audit's grid ended: past it a closed bound stands in for the
+grid, and no profile below |rho| = 1 goes there.  A second run of each audit,
 under tracemalloc, gives each band's peak: the most that one profile call
 allocated above what was allocated before it, in MB (10^6 bytes).
 tracemalloc about doubles the audit's time, so the timed run is untraced.
@@ -28,12 +28,10 @@ from tfiv.gaussian import Q95
 from tfiv.size_engine import ThresholdTF, TFProcedure
 from tfiv.tf_critical import build_cvf
 
-BANDS = ("< 0.99", "< 0.999", ">= 0.999", "= 1", "f0 >= 40")
+BANDS = ("< 0.99", "< 0.999", ">= 0.999", "= 1")
 
 
-def _band(rho: float, f0s) -> str:
-    if np.min(f0s) >= 40.0:
-        return BANDS[4]
+def _band(rho: float) -> str:
     a = abs(rho)
     if a < 0.99:
         return BANDS[0]
@@ -42,8 +40,8 @@ def _band(rho: float, f0s) -> str:
     return BANDS[2] if a < 1.0 else BANDS[3]
 
 
-def audit_bands(proc) -> tuple[dict, float]:
-    """Per-band counters and the audit's total seconds.
+def audit_bands(proc) -> tuple[dict, float, float]:
+    """Per-band counters, the audit's total seconds and its f0_far.
 
     A band's row is [calls, f0 points, seconds, kernel calls, dense
     evaluations, table calls, table nodes, table seconds].
@@ -54,7 +52,7 @@ def audit_bands(proc) -> tuple[dict, float]:
     tables = size_engine._t_region_tables
 
     def timed_profile(proc, rho, f0s):
-        row = stats[_band(rho, f0s)]
+        row = stats[_band(rho)]
         current.append(row)
         t0 = time.perf_counter()
         try:
@@ -87,9 +85,9 @@ def audit_bands(proc) -> tuple[dict, float]:
         (size_engine, "_t_region_tables", timed_tables),
     ):
         t0 = time.perf_counter()
-        worst_case.worst_case_size(proc)
+        wc = worst_case.worst_case_size(proc)
         total = time.perf_counter() - t0
-    return stats, total
+    return stats, total, wc.f0_far
 
 
 def band_peaks(proc) -> dict:
@@ -101,7 +99,7 @@ def band_peaks(proc) -> dict:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         out = profile(proc, rho, f0s)
-        band = _band(rho, f0s)
+        band = _band(rho)
         peaks[band] = max(peaks[band], tracemalloc.get_traced_memory()[1] - before)
         return out
 
@@ -139,10 +137,9 @@ def main() -> None:
     }
     for label, make in rules.items():
         proc = make()
-        stats, total = audit_bands(proc)
+        stats, total, f0_far = audit_bands(proc)
         peaks = band_peaks(proc)
-        far_share = stats[BANDS[4]][2] / total
-        print(f"{label}: worst_case_size {total:.2f} s, far field {far_share:.0%} of it")
+        print(f"{label}: worst_case_size {total:.2f} s, grid ends at f0_far = {f0_far:g}")
         print(
             f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8}"
             f" {'kernel calls':>12} {'dense evals':>12}"

@@ -52,8 +52,8 @@ def main() -> None:
     print(f"    size = {wc.max_prob:.6f} at rho = {wc.arg_rho:g}, f0 = {wc.arg_f0:.4f}")
     print(
         f"    certificate {wc.certified_tol:.3e} = max(1e-6, grid excess {wc.grid_excess:.3e}, "
-        f"approach violation {wc.approach_violation:.3e}); "
-        f"{wc.cells_refined} coarse cells refined"
+        f"approach violation {wc.approach_violation:.3e}, far excess {wc.far_excess:.3e}); "
+        f"{wc.cells_refined} coarse cells refined; grid ends at f0_far = {wc.f0_far:g}"
     )
     print(f"    (10/(sqrt(10)+1.96) = {10.0 / (math.sqrt(10.0) + 1.96):.4f})")
 

@@ -20,10 +20,10 @@ subcommand asked to combine them with a different ``--alpha`` refuses.
 Start-up is mostly imports.  scipy.special is loaded only when a command
 evaluates Phi, and no command loads scipy.optimize or scipy.integrate.  From
 a warm cache, ``cv``, ``test``, ``ci``, ``table3`` and ``audit`` take
-0.32-0.36 s and peak at 34-35 MB RSS, ``mc`` 0.40 s and 50 MB, ``size``
-0.68-0.73 s and 55-56 MB, and ``solve`` 1.2 s and 61 MB (medians of 7
+0.18-0.20 s and peak at 34-35 MB RSS, ``mc`` 0.24 s and 50 MB, ``size``
+0.40 s and 55-56 MB, and ``solve`` 0.62 s and 60 MB (medians of 5
 processes from ``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building
-a curve needs Phi, so a cold ``tfiv cv`` takes 0.75 s and 56 MB; set
+a curve needs Phi, so a cold ``tfiv cv`` takes 0.41 s and 56 MB; set
 ``TF_CACHE_DIR`` to keep the knot files on disk between invocations.  Cache
 files are versioned and checksummed, and a stale or corrupt file is
 silently rebuilt.
@@ -176,7 +176,8 @@ def _build_procedure(name: str, alpha: float):
 
 def _emit(payload: dict, plain_lines: list[str], fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # JSON has no inf or NaN: a payload cell that holds one is a bug.
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         for line in plain_lines:
             print(line)
@@ -286,11 +287,12 @@ def cmd_ci(args: argparse.Namespace) -> int:
     if math.isfinite(crit):
         half = math.sqrt(crit) * args.se
         inflation = adjusted / args.se
+        # A huge --se can overflow the interval's ends to +-inf.
         payload.update(
-            lower=args.beta - half,
-            upper=args.beta + half,
-            half_width=half,
-            inflation=inflation,
+            lower=_finite_or_none(args.beta - half),
+            upper=_finite_or_none(args.beta + half),
+            half_width=_finite_or_none(half),
+            inflation=_finite_or_none(inflation),
         )
         lines = [
             f"ci = ({_fmt(args.beta - half, args.raw)}, {_fmt(args.beta + half, args.raw)})",

@@ -50,11 +50,12 @@ rejects); the AR rules read t_ar^2 > crit instead at F <= `ar_gate`.  From
 those two the private base `_Rule` writes the (t, F) decision (`rejects`)
 that the corpus audit and the CLI apply, and the `regions` integrated;
 `ConventionalT.rejects` alone answers without F.  Each class adds its
-`breakpoints`, `rho1_profile`, `tail_limit`, `ridge_f0_grid` and `f0_star`;
-the curve rule adds `knot_cuts`, and the constant-cutoff rules share one
-more base with `f_threshold` (0 when ungated).  The public classes stay
-siblings, so that `mc_oracle`, the independent check, can tell them apart
-by type.  `flat` marks the AR rule, whose size is the same everywhere.
+`breakpoints`, `rho1_profile`, `tail_limit`, `ridge_f0_grid`, `f0_star` and
+`outer_cutoff`; the curve rule adds `knot_cuts`, and the constant-cutoff
+rules share one more base with `f_threshold` (0 when ungated).  The public
+classes stay siblings, so that `mc_oracle`, the independent check, can tell
+them apart by type.  `flat` marks the AR rule, whose size is the same
+everywhere.  Every evaluator refuses f0 above _F0_MAX.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _F_WINDOW = 8.5
 # Both evaluators hand |rho| beyond this to the exact degenerate formulas.
 _RHO1_EDGE = 1.0 - 1e-6
+# Every evaluator refuses f0 above this.  Past it the f0 +- 8.5 window is no
+# longer resolved in floating point: at f0 = 1e16 the conventional 5% size
+# read 0.0639 (the limit is 0.05) with a reported error of 2e-17.  At 1e12 the
+# value still lay inside its reported error.
+_F0_MAX = 1e8
 # Geometric ladder of panel-edge offsets laid down on both sides of every
 # breakpoint; root positions behave like sqrt(distance) at a root-birth
 # point, so panels must shrink towards the kink.
@@ -263,6 +269,11 @@ class _ConstantCutoff(_Rule):
     def tail_limit(self) -> float:
         return 2.0 * float(ndtr(-math.sqrt(self.crit)))
 
+    @property
+    def outer_cutoff(self) -> tuple[float, float]:
+        """(x, c): at |f| > x the rule is the conventional t test t^2 > c."""
+        return math.sqrt(self.f_threshold), self.crit
+
     def ridge_f0_grid(self) -> np.ndarray:
         """|rho| = 1 audit grid out to max(500, 3 sqrt(F) + 50), with f0*."""
         hi = max(500.0, 3.0 * math.sqrt(self.f_threshold) + 50.0)
@@ -331,6 +342,7 @@ class PureAR(_ConstantCutoff):
 
     ar_gate = math.inf
     flat = True
+    outer_cutoff = None  # the AR test everywhere
 
     def crit_at(self, F) -> np.ndarray:
         return np.full(np.shape(F), np.inf)
@@ -395,6 +407,12 @@ class TFProcedure(_Rule):
 
     def tail_limit(self) -> float:
         return 2.0 * float(ndtr(-self.knot_arrays[1][-1]))
+
+    @property
+    def outer_cutoff(self) -> tuple[float, float]:
+        """(x, c): past the last knot x the curve is flat at c = g_last^2."""
+        xs, gs, _ = self.knot_arrays
+        return float(xs[-1]), float(gs[-1]) ** 2
 
     def ridge_f0_grid(self) -> np.ndarray:
         """|rho| = 1 audit grid out to 100, with the cap edge, where the ridge peaks.
@@ -526,8 +544,8 @@ def _rho1_cvf_masses(
 
 def rejection_prob_rho1(proc: Procedure, f0: float) -> float:
     """Exact rejection probability at |rho| = 1 (same value for both signs)."""
-    if not isinstance(f0, (int, float)) or not math.isfinite(f0) or f0 < 0.0:
-        raise DomainError(f"rejection_prob_rho1: f0 must be finite and >= 0, got {f0!r}")
+    if not isinstance(f0, (int, float)) or not 0.0 <= f0 <= _F0_MAX:
+        raise DomainError(f"rejection_prob_rho1: f0 must lie in [0, {_F0_MAX:g}], got {f0!r}")
     _require_procedure(proc)
     return float(proc.rho1_profile(np.array([float(f0)]))[0])
 
@@ -569,6 +587,8 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
         raise DomainError("rejection_prob expects a NuisancePoint")
     if not (isinstance(tol, (int, float)) and 1e-12 < tol <= 1e-3):
         raise DomainError(f"tol must lie in (1e-12, 1e-3], got {tol!r}")
+    if p.f0 > _F0_MAX:
+        raise DomainError(f"rejection_prob: f0 must be at most {_F0_MAX:g}, got {p.f0!r}")
 
     _require_procedure(proc)
 
@@ -805,8 +825,8 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
         return np.empty(shape)
     if not math.isfinite(rho) or abs(rho) > 1.0:
         raise DomainError(f"rho must lie in [-1, 1], got {rho!r}")
-    if not np.all(np.isfinite(f0s)) or np.any(f0s < 0.0):
-        raise DomainError("f0 values must be finite and >= 0")
+    if not np.all((f0s >= 0.0) & (f0s <= _F0_MAX)):
+        raise DomainError(f"f0 values must lie in [0, {_F0_MAX:g}]")
 
     if abs(rho) > _RHO1_EDGE:
         return proc.rho1_profile(f0s).reshape(shape)

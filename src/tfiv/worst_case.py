@@ -22,11 +22,14 @@ exists at a given level, and it is why the 1% problem has no solution.
 `worst_case_size` audits a (rho, f0) grid coarse to fine: one row and one
 column in four first, then the working pitch only in the boxes around
 coarse cells whose claim (value plus midpoint bound) comes within 1e-4 of
-the best value.  max_prob is the largest of the grid, a far-field block in
-1/f0 that ends at the analytic f0 -> infinity limit, and the exact ridge on
-a dense grid that holds the analytic ridge peaks (f0* of a gated rule, 0 of
-the conventional rule, the cap edge of the curve rule); the certified
-tolerance is the largest of the parts it reports on `WorstCase`.
+the best value.  The grid ends at the rule's far edge f0_far, past which
+the rule is the conventional t test at one cutoff c and its size is
+bounded in closed form, P(chi2_1 > c) + A / f0^2 + B / f0^4 with A known
+and |B| measured.  max_prob is the largest of the grid, the analytic
+f0 -> infinity limit, and the exact ridge on a dense grid that holds the
+analytic ridge peaks (f0* of a gated rule, 0 of the conventional rule, the
+cap edge of the curve rule); the certified tolerance is the largest of the
+parts it reports on `WorstCase`.
 The solvers bisect on the monotone closed forms and then certify their
 answers through the full audit.
 """
@@ -42,6 +45,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError, ToleranceUnmet
 from .gaussian import Q95, chi2_quantile_1df, ndtr
 from .size_engine import (
+    _F_WINDOW,
     ConventionalT,
     HybridAR,
     Procedure,
@@ -77,8 +81,8 @@ _CERT_SLACK = 3e-5
 # `solve_threshold_F` gives up when the ridge limit tops alpha by more than
 # this many ulps of alpha (it is 0 to 6 off at the quantiles of 1-20%) ...
 _LIMIT_ULPS = 64
-# ... or when a ridge hump needs a gate above this.  `worst_case_size`
-# certifies no gate past F ~ 1,400, whose fine zone sqrt(F) + 2.5 > 40.
+# ... or when a ridge hump needs a gate above this.  The audit grid of a gate
+# F reaches f0 = sqrt(F) + 8.5, 108.5 at the cap.
 _RIDGE_F_CAP = 1e4
 # The coarse audit pass keeps every _COARSE_STRIDE-th interior rho row and
 # f0 column of the working grid.
@@ -89,6 +93,18 @@ _COARSE_STRIDE = 4
 _REFINE_MARGIN = 1e-4
 # Iteration cap of `_brentq`, the default of the scipy routine it ports.
 _BRENT_MAXITER = 100
+# Past its far edge each rule is the conventional t test at one cutoff c,
+# of size P(chi2_1 > c) + A / f0^2 + B / f0^4 + ..., with
+# A = phi(sqrt c) c^{3/2} ((c - 3) rho^2 - 1) (Rothenberg, Handbook of
+# Econometrics II, ch. 15, 1984).  B is measured, not derived:
+# (p - limit - A / f0^2) f0^4, from `rejection_prob(tol=1e-11)`, was at most
+# 13.24 in size over c = 0.1 to 40 by 0.1, rho in {0, 0.3, 0.5, 0.7, 0.8,
+# 0.9, 0.97, 0.99, 0.999, 1} and f0 in {10, 12, 15, 25} (at c = 4.7,
+# rho = 1, f0 = 10).  The remainder constant is twice that, so the far part
+# of a certificate is an estimate ...
+_FAR_K = 27.0
+# ... and it holds from this f0 up only.
+_FAR_F0_MIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -100,12 +116,14 @@ class WorstCase:
 
     For rules audited on the grid, certified_tol is the largest of the
     certificate's parts, floored at 1e-6: grid_excess (the largest midpoint
-    claim over the audited grid, the f0* patch and the far-field block in
-    1/f0 out to the limit, minus max_prob) and approach_violation (how far
-    the last rows miss a monotone approach to |rho| = 1).  A negative
+    claim over the audited grid on [0, f0_far] and the f0* patch, minus
+    max_prob), approach_violation (how far the last rows miss a monotone
+    approach to |rho| = 1) and far_excess (the closed size bound over
+    [f0_far, inf), minus max_prob; it rests on a measured remainder
+    constant, so it is estimated, like the midpoint claims).  A negative
     excess clears max_prob by that much.  cells_refined counts the coarse
-    grid cells re-audited at the working pitch.  The parts are zero for
-    rules audited in closed form.
+    grid cells re-audited at the working pitch.  The parts and f0_far are
+    zero for rules audited in closed form.
     """
 
     max_prob: float
@@ -115,6 +133,8 @@ class WorstCase:
     grid_excess: float = 0.0
     approach_violation: float = 0.0
     cells_refined: int = 0
+    far_excess: float = 0.0
+    f0_far: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,17 +335,28 @@ def _refine_span(lines: np.ndarray, k: int, n: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _far_block(proc: Procedure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The far field f0 >= 40 as (rhos, f0s, values): flat in rho, so few rows.
+def _far_field(proc: Procedure, ref: float) -> tuple[float, float]:
+    """(f0_far, bound): where the audit grid ends, and a size bound beyond it.
 
-    The columns are even in u = 1/f0 from f0 = 40 to 140 (a profile's panels
-    span its whole f0 range), then u = 0, the f0 -> infinity limit.
+    With (x, c) = `proc.outer_cutoff`, from f0 = x + 8.5 on every f of the
+    window is past the rule's last kink in F, so the rule is the
+    conventional t test at c.  Its size there is at most limit + g(f0),
+    g = A_max / f0^2 + _FAR_K / f0^4, where A_max = phi(sqrt c) c^{3/2}
+    max(c - 4, -1) is the largest A over rho in [0, 1].  g falls while it is
+    positive, so over [f0, inf) the bound is limit + max(0, g(f0)).  f0_far
+    is the largest of x + 8.5, _FAR_F0_MIN and the smallest f0 <= 40 (40 if
+    none) at which that bound is within _CERT_FLOOR of ``ref``, rounded up
+    to 0.01.
     """
-    rhos = np.unique(np.concatenate([np.linspace(0.0, 1.0, 18), _RHO_LAYER[-3:], [1.0]]))
-    f0s = np.append(1.0 / np.linspace(1.0 / 40.0, 1.0 / 140.0, 26), math.inf)
-    values = np.full((rhos.size, f0s.size), proc.tail_limit())
-    values[:, :-1] = rejection_prob_matrix(proc, rhos, f0s[:-1])
-    return rhos, f0s, values
+    x, c = proc.outer_cutoff
+    limit = proc.tail_limit()
+    a_max = math.exp(-0.5 * c) / math.sqrt(2.0 * math.pi) * c**1.5 * max(c - 4.0, -1.0)
+    # g(f0) = t where v = 1 / f0^2 solves _FAR_K v^2 + A_max v = t.
+    t = ref - limit + _CERT_FLOOR
+    v = 2.0 * t / (a_max + math.sqrt(a_max * a_max + 4.0 * _FAR_K * t))
+    f0_budget = min(40.0, math.ceil(100.0 / math.sqrt(v)) / 100.0)
+    f0_far = max(x + _F_WINDOW, _FAR_F0_MIN, f0_budget)
+    return f0_far, limit + max(0.0, a_max / f0_far**2 + _FAR_K / f0_far**4)
 
 
 def worst_case_size(proc: Procedure) -> WorstCase:
@@ -334,37 +365,46 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     The surface is symmetric under rho -> -rho, so the audit runs on
     rho in [0,1].  Its working grid has 149 rho rows (134 uniform interior
     rows, 14 rows resolving the boundary layer against rho = 1, and rho = 1
-    itself) by 289 or more f0 columns on [0, 40].  The grid is audited
-    coarse to fine: first every 4th interior row plus the last interior
-    row, every boundary-layer row and rho = 1, by every 4th column plus the
-    last; then every coarse cell whose claim (value plus the h^2/8 midpoint
-    estimates of `_midpoint_bound`) comes within 1e-4 of the best value seen
-    so far is re-audited at the working pitch over the box between its
-    neighbouring coarse lines.  The last three rows are audited at every
-    column for the monotone approach check into |rho| = 1.  max_prob is the
-    largest of that grid, the far-field block in 1/f0 of `_far_block`, whose
-    last column is the f0 -> infinity limit (reported at rho = 1), and the
-    exact rho = 1 ridge on the rule's dense f0 grid (`ridge_f0_grid`, which
-    holds f0* of a gated rule and the cap edge of the curve rule).  The
-    certified tolerance is the largest of the grid excess (coarse claims of
-    unrefined cells, fine claims of the refined boxes, the far block's
-    claims along 1/f0) and the approach violation, floored at _CERT_FLOOR;
+    itself) by f0 columns on [0, f0_far] (`_far_field`): 0.05 apart below
+    8, 0.25 apart above, one at f0_far, and 0.04 apart around f0* of a
+    gated rule.  The grid is audited coarse to fine: first every 4th
+    interior row plus the last interior row, every boundary-layer row and
+    rho = 1, by every 4th column plus the last; then every coarse cell whose
+    claim (value plus the h^2/8 midpoint estimates of `_midpoint_bound`)
+    comes within 1e-4 of the best value seen so far is re-audited at the
+    working pitch over the box between its neighbouring coarse lines.  The
+    last three rows are audited at every column for the monotone approach
+    check into |rho| = 1.  No profile below rho = 1 reaches past f0_far.
+    max_prob is the largest of that grid, the f0 -> infinity limit
+    (reported at rho = 1, f0 = inf), and the exact rho = 1 ridge on the
+    rule's dense f0 grid (`ridge_f0_grid`, which holds f0* of a gated rule
+    and the cap edge of the curve rule).  The certified tolerance is the
+    largest of the grid excess (coarse claims of unrefined cells, fine
+    claims of the refined boxes), the approach violation and the far excess
+    (the closed bound over [f0_far, inf)), floored at _CERT_FLOOR;
     ToleranceUnmet is raised if it exceeds _REFINE_MARGIN (1e-4).  The
     claims rest on midpoint terms, which estimate the off-grid excess from
-    divided differences and do not bound it, so the certificate is an
+    divided differences and do not bound it, and the far bound on a
+    remainder constant measured on a grid, so the certificate is an
     estimate too.
     """
     _require_procedure(proc)
     if proc.flat:
         return WorstCase(max_prob=proc.tail_limit(), arg_rho=0.0, arg_f0=0.0, certified_tol=1e-13)
 
+    # Exact ridge with analytic candidates; with the limit it sets the far edge.
+    ridge_f0 = proc.ridge_f0_grid()
+    ridge = rejection_prob_profile(proc, 1.0, ridge_f0)
+    limit = proc.tail_limit()
+    f0_far, far_bound = _far_field(proc, max(float(ridge.max()), limit))
+
     interior = np.linspace(0.0, 1.0, 135)[:-1]
     rhos = np.unique(np.concatenate([interior, _RHO_LAYER, [1.0]]))
-    f0_blocks = [np.arange(0.0, 8.0, 0.05), np.arange(8.0, 40.01, 0.25)]
+    f0_blocks = [np.arange(0.0, 8.0, 0.05), np.arange(8.0, f0_far, 0.25), [f0_far]]
     star = proc.f0_star
     if star is not None:
         # Resolve the transition zone (gate edge / stationary point) finely.
-        zone_hi = min(40.0, math.sqrt(proc.f_threshold) + 2.5)
+        zone_hi = math.sqrt(proc.f_threshold) + 2.5
         if zone_hi > 8.0:
             f0_blocks.append(np.arange(max(0.0, star - 2.5), zone_hi, 0.04))
     f0s = np.unique(np.concatenate(f0_blocks))
@@ -391,16 +431,10 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     claims_c = _claims(mat[np.ix_(rows_c, cols_c)], rhos[rows_c], f0s[cols_c])
     claims_c[masked[np.ix_(rows_c, cols_c)]] = 0.0
 
-    rhos_far, f0s_far, mat_far = _far_block(proc)
-
-    # Exact ridge with analytic candidates.
-    ridge_f0 = proc.ridge_f0_grid()
-    ridge = rejection_prob_profile(proc, 1.0, ridge_f0)
-
     # Refinement: a coarse cell whose claim comes within _REFINE_MARGIN of the
     # best value is re-audited at the working pitch over the box between its
     # neighbouring coarse lines; every other cell keeps its coarse claim.
-    best_seen = max(float(np.nanmax(mat)), float(mat_far.max()), float(ridge.max()))
+    best_seen = max(float(np.nanmax(mat)), limit, float(ridge.max()))
     refined = claims_c > best_seen - _REFINE_MARGIN
     boxes = [
         _refine_span(rows_c, a, n_rho) + _refine_span(cols_c, b, n_f0)
@@ -422,27 +456,25 @@ def worst_case_size(proc: Procedure) -> WorstCase:
 
     i, j = np.unravel_index(int(np.nanargmax(mat)), mat.shape)
     best_prob, best_rho, best_f0 = float(mat[i, j]), float(rhos[i]), float(f0s[j])
-    i_far, j_far = np.unravel_index(int(np.argmax(mat_far)), mat_far.shape)
-    if float(mat_far[i_far, j_far]) > best_prob:
-        best_prob, best_f0 = float(mat_far[i_far, j_far]), float(f0s_far[j_far])
+    if limit > best_prob:
         # The limit ties across the rows; it is reported on the ridge.
-        best_rho = 1.0 if best_f0 == math.inf else float(rhos_far[i_far])
+        best_prob, best_rho, best_f0 = limit, 1.0, math.inf
     k = int(np.argmax(ridge))
     if float(ridge[k]) >= best_prob:
         best_prob, best_rho, best_f0 = float(ridge[k]), 1.0, float(ridge_f0[k])
 
-    # Certification: the midpoint claims over the audited window, and over
-    # the far block along u = 1/f0 out to the limit.
-    far_claims = _claims(mat_far, rhos_far, 1.0 / f0s_far)
-    claims = [claims_c[~refined], fine_claims.ravel(), far_claims.ravel()]
-    approach_viol = max(_final_approach_violation(mat), _final_approach_violation(mat_far))
+    # Certification: the midpoint claims over the audited window, and the
+    # closed bound beyond it.
+    claims = [claims_c[~refined], fine_claims.ravel()]
+    approach_viol = _final_approach_violation(mat)
     if star is not None:
         f0s_patch = np.unique(np.append(np.arange(w_lo, w_hi, 0.0012), star))
         mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
         claims.append(_claims(mat_patch, rhos[near], f0s_patch).ravel())
         approach_viol = max(approach_viol, _final_approach_violation(mat_patch))
     grid_excess = float(np.max(np.concatenate(claims))) - best_prob
-    certified = max(_CERT_FLOOR, grid_excess, approach_viol, 0.0)
+    far_excess = far_bound - best_prob
+    certified = max(_CERT_FLOOR, grid_excess, approach_viol, far_excess)
     if certified > _REFINE_MARGIN:
         raise ToleranceUnmet(
             f"worst-case certificate {certified:.2e} exceeds {_REFINE_MARGIN:.0e}"
@@ -455,6 +487,8 @@ def worst_case_size(proc: Procedure) -> WorstCase:
         grid_excess=grid_excess,
         approach_violation=approach_viol,
         cells_refined=int(refined.sum()),
+        far_excess=far_excess,
+        f0_far=f0_far,
     )
 
 

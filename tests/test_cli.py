@@ -14,6 +14,7 @@ import pytest
 from tfiv import cli
 from tfiv.cli import main
 from tfiv.errors import ConstructionError
+from tfiv.gaussian import Q95, ndtr
 from tfiv.tf_critical import _canonical_payload, build_cvf, default_knot_grid, load_cvf, table3_csv
 
 
@@ -171,6 +172,21 @@ def test_ci_unbounded(cli_env, capsys, schema):
     assert doc["unbounded"] and doc["lower"] is None and doc["se_adjusted"] is None
 
 
+def test_ci_overflowing_ends_are_null(cli_env, capsys, schema):
+    # sqrt(c) * 1e308 overflows: JSON has no Infinity, so the ends are null.
+    def refuse(name):
+        raise AssertionError(f"not valid JSON: {name}")
+
+    code, out, _ = run_cli(
+        ["ci", "--beta", "1", "--se", "1e308", "--f", "50", "--format", "json"], capsys
+    )
+    assert code == 0
+    doc = json.loads(out, parse_constant=refuse)
+    jsonschema.validate(doc, schema)
+    assert doc["lower"] is None and doc["upper"] is None and doc["half_width"] is None
+    assert not doc["unbounded"] and doc["se_adjusted"] > 1e308
+
+
 # ---------------------------------------------------------------------------
 # size
 
@@ -226,6 +242,25 @@ def test_size_sweep(cli_env, capsys, schema):
     )
     doc = check_json(out, schema)
     assert len(doc["sweep"]["rho"]) == 201 == len(doc["sweep"]["prob"])
+
+
+def test_size_refuses_f0_past_the_cap(cli_env, capsys):
+    # Past f0 = 1e8 the engine no longer resolves its window in floating
+    # point; there the answers were 0.0639 (limit 0.05), 0 and overflows.
+    for argv in (
+        ["--procedure", "conventional", "--rho", "0.3", "--f0", "1e16"],
+        ["--procedure", "hybrid-2b", "--rho", "0.3", "--ef", "1e300"],
+        ["--procedure", "conventional", "--sweep", "--f0", "1e200"],
+    ):
+        code, out, err = run_cli(["size", *argv], capsys)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError" and "1e+08" in error["message"]
+    argv = ["size", "--procedure", "conventional", "--rho", "0.3", "--f0", "1e8"]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["prob"] - 2.0 * ndtr(-math.sqrt(Q95))) <= doc["abs_err"]
 
 
 def test_size_rejects_bad_rho(cli_env, capsys):

@@ -17,6 +17,7 @@ from tfiv.size_engine import (
     ThresholdTF,
     TFProcedure,
     _BLOCK,
+    _F0_MAX,
     _F_WINDOW,
     _GK_WK,
     _GK_X,
@@ -254,9 +255,30 @@ def test_rejection_prob_rho1_rejects_bad_f0():
         rejection_prob_rho1(PureAR(crit=Q95), math.inf)
 
 
+def test_evaluators_refuse_f0_past_the_cap():
+    # Past f0 = 1e8 the f0 +- 8.5 window is no longer resolved in floating
+    # point.  At the cap the size is still its limit, to within the error
+    # that `rejection_prob` reports.
+    proc = ConventionalT(crit=Q95)
+    limit = proc.tail_limit()
+    at = rejection_prob(proc, NuisancePoint(0.3, _F0_MAX))
+    assert at.abs_err < 1e-10 and abs(at.prob - limit) <= at.abs_err
+    assert abs(rejection_prob_profile(proc, 0.3, [_F0_MAX])[0] - limit) < 1e-11
+    assert abs(rejection_prob_rho1(proc, _F0_MAX) - limit) < 1e-10
+    evaluators = (
+        lambda f0: rejection_prob(proc, NuisancePoint(0.3, f0)),
+        lambda f0: rejection_prob_profile(proc, 0.3, [0.0, f0]),
+        lambda f0: rejection_prob_rho1(proc, f0),
+    )
+    for call in evaluators:
+        for f0 in (math.nextafter(_F0_MAX, math.inf), 1e16, 1e200):
+            with pytest.raises(DomainError, match=r"1e\+08"):
+                call(f0)
+
+
 def test_profile_matches_pointwise_on_coarse_sweep():
-    # Step-1 f0 values, as in the audit's far field: neighbouring windows
-    # share only part of their panels, so each f0 must sum its own.
+    # Step-1 f0 values: neighbouring windows share only part of their
+    # panels, so each f0 must sum its own.
     proc = ThresholdTF(crit=Q95, f_threshold=10.0)
     f0s = np.arange(40.0, 140.01, 1.0)
     for rho in (0.7, 0.99):
@@ -664,10 +686,12 @@ def test_point_skips_saturated_panels(cvf, f0, monkeypatch):
 
 def test_tf_audit_kernel_work(cvf, monkeypatch):
     # K15 panels up to 2.4 s wide, with no 0.3 cap, saturated panels
-    # skipped at every rho, and a far-field block of 26 finite f0 columns:
-    # the 5% curve's audit sends 1.63M node-f0 pairs through the kernel in
-    # 158 blocks (1.875M in 171 with 101 far columns, 7.23M on GL-24 panels,
-    # 4,298 calls when each f0 chunk made its own).
+    # skipped at every rho, and a grid that ends at f0_far = 18.73, past
+    # which a closed bound stands in: the 5% curve's audit sends 1.32M
+    # node-f0 pairs through the kernel in 122 blocks (1.63M in 158 with a
+    # far-field block of 26 columns from f0 = 40 to 140, 1.875M in 171 with
+    # 101 far columns, 7.23M on GL-24 panels, 4,298 calls when each f0 chunk
+    # made its own).
     seen = _dense_pairs(monkeypatch)
     worst_case_size(TFProcedure(cvf=cvf))
     assert seen.pairs <= 3.0e6

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tfiv.errors import DomainError, ToleranceUnmet
-from tfiv.gaussian import ndtr
+from tfiv.gaussian import chi2_quantile_1df, ndtr
 from tfiv import size_engine, worst_case
 from tfiv.size_engine import (
     ConventionalT,
     HybridAR,
+    NuisancePoint,
     PureAR,
     TFProcedure,
     ThresholdTF,
+    rejection_prob,
     rejection_prob_rho1,
 )
 from tfiv.worst_case import (
@@ -76,35 +78,44 @@ def test_worst_case_container_fields():
 
 
 @pytest.mark.parametrize(
-    "make, expected, refined",
+    "make, expected, refined, f0_far",
     [
         # The tF maximum sits on the ridge, at the cap edge; no grid cell
-        # comes near it.
-        (TFProcedure, (0.05062634954027448, 1.0, 0.07393112939487596, 1e-06), 0),
+        # comes near it.  The grid ends where the window clears the last
+        # knot, x_last + 8.5.
+        (
+            TFProcedure,
+            (0.05062634954027448, 1.0, 0.07393112939487596, 1e-06),
+            0,
+            18.730872601962318,
+        ),
         # The only refined cell is the corner (rho = 1, f0 = 0), whose box
         # must be widened to three rows to carry a midpoint bound.
-        (lambda cvf: ConventionalT(Q95), (1.0, 1.0, 0.0, 1e-06), 1),
+        (lambda cvf: ConventionalT(Q95), (1.0, 1.0, 0.0, 1e-06), 1, 10.0),
         # The gated rule's argmax is f0*, found on the ridge grid alone.
         (
             lambda cvf: HybridAR(Q95, 10.0),
             (0.13813802562292885, 1.0, 1.9522702546316941, 6.911999999870133e-05),
             1,
+            math.sqrt(10.0) + 8.5,
         ),
-        # The supremum is the f0 -> infinity limit, the far block's last
-        # column, reported on the ridge.
+        # The supremum is the f0 -> infinity limit, a candidate of its own,
+        # reported on the ridge; the grid ends where the far bound comes
+        # within 1e-6 of it, past sqrt(104.7) + 8.5 = 18.73.
         (
             lambda cvf: ThresholdTF(1.96**2, 104.7),
             (ThresholdTF(1.96**2, 104.7).tail_limit(), 1.0, math.inf, 2.9373760114234648e-05),
-            370,
+            54,
+            19.63,
         ),
     ],
     ids=["tf", "conventional", "hybrid", "threshold-2b"],
 )
-def test_worst_case_size_pins_the_audit(cvf, make, expected, refined, monkeypatch):
+def test_worst_case_size_pins_the_audit(cvf, make, expected, refined, f0_far, monkeypatch):
     # Record every profile row.  The strip 1 - 5e-5 < |rho| < 1 is certified
-    # by the monotone approach check, so the audit must never integrate it.
-    # A profile's panels span its whole f0 range, so no row below rho = 1
-    # (whose ridge is in closed form) may reach past f0 = 140.
+    # by the monotone approach check, so the audit must never integrate it,
+    # and past f0_far the closed far-field bound stands in for the grid, so
+    # no row below rho = 1 (whose ridge is in closed form) may reach there.
     seen = []
     profile = size_engine.rejection_prob_profile
 
@@ -116,33 +127,66 @@ def test_worst_case_size_pins_the_audit(cvf, make, expected, refined, monkeypatc
     monkeypatch.setattr(worst_case, "rejection_prob_profile", recording)
     wc = worst_case_size(make(cvf))
     assert seen and not [r for r, _ in seen if 1.0 - 5e-5 < r < 1.0]
-    assert not [(r, top) for r, top in seen if r < 1.0 and top > 140.0]
+    assert not [(r, top) for r, top in seen if r < 1.0 and top > wc.f0_far]
     assert (wc.max_prob, wc.arg_rho, wc.arg_f0, wc.certified_tol) == expected
-    assert wc.cells_refined == refined
-    assert wc.certified_tol == max(1e-6, wc.grid_excess, wc.approach_violation)
+    assert wc.cells_refined == refined and wc.f0_far == f0_far
+    parts = (wc.grid_excess, wc.approach_violation, wc.far_excess)
+    assert wc.certified_tol == max(1e-6, *parts)
+
+
+def _rothenberg_a(rho, c):
+    """A of the conventional size P(chi2_1 > c) + A / f0^2 + O(f0^-4)."""
+    return math.exp(-0.5 * c) / math.sqrt(2.0 * math.pi) * c**1.5 * ((c - 3.0) * rho * rho - 1.0)
 
 
 @pytest.mark.parametrize(
-    "proc",
-    [ConventionalT(Q99), ThresholdTF(1.96**2, 104.7)],
-    ids=["conventional-1pct", "threshold-2b"],
+    "make",
+    [lambda cvf: ConventionalT(Q99), lambda cvf: ThresholdTF(1.96**2, 104.7), TFProcedure],
+    ids=["conventional-1pct", "threshold-2b", "tf"],
 )
-def test_far_block_claims_cover_f0_to_3000(proc):
-    # The far block runs in u = 1/f0 from f0 = 40 to u = 0, where every row
-    # holds the limit; between two columns the surface stays below the
-    # larger of their claims.  The conventional 1% rule nears its limit from
-    # above at rho near 1, the F > 104.7 screen from below.
-    rhos, f0s, mat = worst_case._far_block(proc)
-    assert f0s[0] == 40.0 and f0s[-2] <= 140.0 and f0s[-1] == math.inf
-    assert (mat[:, -1] == proc.tail_limit()).all()
-    claims = worst_case._claims(mat, rhos, 1.0 / f0s)
-    dense = 1.0 / np.linspace(1.0 / 40.0, 1.0 / 3000.0, 461)
-    left = np.minimum(np.searchsorted(f0s, dense, side="right") - 1, f0s.size - 2)
-    rows = [0, 8, 16, rhos.size - 2]
-    assert rhos[rows[0]] == 0.0 and math.isclose(rhos[rows[-1]], 1.0 - 5e-5)
-    for i in rows:
-        values = size_engine.rejection_prob_profile(proc, float(rhos[i]), dense)
-        assert (values <= np.maximum(claims[i, left], claims[i, left + 1])).all()
+def test_far_bound_covers_f0_to_3000(cvf, make):
+    # Past f0_far each rule is the conventional t test at its outer cutoff c,
+    # and limit + max(0, A_max / f0^2 + K / f0^4), A_max the largest A over
+    # rho, bounds it at every f0; at f0_far that is the part the audit
+    # reports.  The conventional 1% rule nears its limit from above at rho
+    # near 1, the F > 104.7 screen and the tF rule from below.
+    proc = make(cvf)
+    wc = worst_case_size(proc)
+    c = proc.outer_cutoff[1]
+    dense = 1.0 / np.linspace(1.0 / wc.f0_far, 1.0 / 3000.0, 461)
+    a_max = max(_rothenberg_a(0.0, c), _rothenberg_a(1.0, c))
+    bound = proc.tail_limit() + np.maximum(0.0, a_max / dense**2 + worst_case._FAR_K / dense**4)
+    assert math.isclose(bound[0], wc.max_prob + wc.far_excess, rel_tol=0.0, abs_tol=1e-15)
+    assert (np.diff(bound) <= 0.0).all()
+    for rho in (0.0, 8 / 17, 16 / 17, 1.0 - 5e-5, 1.0):
+        values = size_engine.rejection_prob_profile(proc, rho, dense)
+        assert (values <= bound).all()
+
+
+def test_far_bound_takes_the_largest_a_over_rho():
+    # A is linear in rho^2, so over rho in [0, 1] it peaks at rho = 0 below
+    # c = 4 and at rho = 1 above; below c = 4 the bound at f0 = 10 is
+    # positive for c = 1 and negative for c = 2, so both branches show.
+    for c in (1.0, 2.0, Q95, 4.5, Q99):
+        proc = ConventionalT(c)
+        f0_far, bound = worst_case._far_field(proc, 1.0)
+        a_max = max(_rothenberg_a(0.0, c), _rothenberg_a(1.0, c))
+        g = a_max / f0_far**2 + worst_case._FAR_K / f0_far**4
+        assert (g > 0.0) == (c != 2.0)
+        assert math.isclose(bound, proc.tail_limit() + max(0.0, g), rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("c", [Q99, Q95, chi2_quantile_1df(0.8), 3.43**2, 4.5])
+def test_far_expansion_matches_rejection_prob(c):
+    # limit + A / f0^2 is within K / f0^4 of the size from f0_far on; every
+    # conventional rule's f0_far is the smallest f0 at which K was measured.
+    proc = ConventionalT(c)
+    assert worst_case._far_field(proc, 1.0)[0] == worst_case._FAR_F0_MIN == 10.0
+    for f0 in (10.0, 40.0, 80.0, 160.0):
+        for rho in (0.0, 0.3, 0.6, 0.9, 0.99, 1.0 - 5e-5, 1.0):
+            p = rejection_prob(proc, NuisancePoint(rho, f0), tol=1e-11).prob
+            expansion = proc.tail_limit() + _rothenberg_a(rho, c) / f0**2
+            assert abs(p - expansion) <= worst_case._FAR_K / f0**4
 
 
 def test_tf_worst_case_is_the_cap_edge(cvf):

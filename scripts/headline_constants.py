@@ -6,9 +6,11 @@ bounds (142.6, 0.565) at the 5% level and (none, 0.43) at the 1% level, and
 the hybrid-rule nonexistence bound.  It ends with the threshold solver at
 the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99 (where the
 ridge-supremum stage binds), the critical-value solver's floor case,
-every `worst_case_size` field of the 5% tF rule, and `rejection_prob` (what
-`tfiv size` prints) for the six CLI rules at three nuisance points, all in
-repr, so two trees can be diffed for bit identity.  It takes about 10 s on a 2-core Intel
+every `worst_case_size` field of the 5% tF rule and of the CLI's
+threshold-2b, threshold-2c and hybrid-2b rules, and `rejection_prob` (what
+`tfiv size` prints) for the six CLI rules at three nuisance points and at
+rho = 1 with f0 in {0.5, 1.95, 12.66, 1e4}, all in repr, so two trees can be
+diffed for bit identity.  It takes about 10 s on a 2-core Intel
 Xeon, a quarter of it in the two validity-region grids.
 """
 
@@ -109,10 +111,17 @@ def main() -> None:
         "ar": PureAR(Q95),
         "tf": TFProcedure(cvf),
     }
-    for rho, f0 in ((0.5, 1.5), (0.99, 0.7), (0.999, 10.0)):
+    points = [(0.5, 1.5), (0.99, 0.7), (0.999, 10.0)]
+    points += [(1.0, f0) for f0 in (0.5, 1.95, 12.66, 1e4)]
+    for rho, f0 in points:
         for name, rule in rules.items():
             res = rejection_prob(rule, NuisancePoint(rho, f0))
             print(f"    {name} ({rho}, {f0}): {res.prob!r}, {res.abs_err!r}")
+
+    print("worst_case_size of the gated CLI rules:")
+    for name in ("threshold-2b", "threshold-2c", "hybrid-2b"):
+        wc_rule = timed(f"worst_case_size({name})", worst_case_size, rules[name])
+        print(f"    {wc_rule!r}")
 
 
 if __name__ == "__main__":

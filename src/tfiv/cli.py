@@ -106,7 +106,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def _fmt(value: Optional[float], raw: bool, nd: int = 4) -> str:
-    """Plain-output number: fixed decimals by default, repr under --raw."""
+    """Plain-output number: fixed decimals by default (exponent form from
+    1e9 on), repr under --raw."""
     if value is None:
         return "none"
     v = float(value)
@@ -114,7 +115,7 @@ def _fmt(value: Optional[float], raw: bool, nd: int = 4) -> str:
         return "inf" if v > 0 else "-inf"
     if raw:
         return repr(v)
-    return f"{v:.{nd}f}"
+    return f"{v:.{nd}e}" if abs(v) >= 1e9 else f"{v:.{nd}f}"
 
 
 def _finite_or_none(value: float) -> Optional[float]:
@@ -294,14 +295,17 @@ def cmd_ci(args: argparse.Namespace) -> int:
             half_width=_finite_or_none(half),
             inflation=_finite_or_none(inflation),
         )
+        # An end that overflows is null in JSON, and not an unbounded interval.
+        ends = [_fmt(end, args.raw) if math.isfinite(end) else "overflow"
+                for end in (args.beta - half, args.beta + half)]
         lines = [
-            f"ci = ({_fmt(args.beta - half, args.raw)}, {_fmt(args.beta + half, args.raw)})",
+            f"ci = ({ends[0]}, {ends[1]})",
             f"adjusted se = {_fmt(adjusted, args.raw)}"
             f" (inflation {_fmt(inflation, args.raw)}x over conventional)",
         ]
     else:
         lines = [
-            "ci = (-inf, inf)",
+            "ci = (-inf, inf), unbounded",
             "adjusted se = inf (F below the chi-square cutoff; "
             "no bounded interval holds its level)",
         ]

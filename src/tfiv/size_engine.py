@@ -39,23 +39,26 @@ the same nodes next to each value.  `rejection_prob_profile` and
 
 At |rho| = 1 the conditional law degenerates to the point t_ar = +-(f - f0)
 and everything collapses to exact univariate normal computations (the
-rejection probability is the same for rho = +1 and rho = -1).  Each
-procedure's `rho1_profile` evaluates those closed forms; they double as
-oracles for the quadrature path, and both evaluators route |rho| > 1 - 1e-6
-to them because the conditional sd underflows there.
+rejection probability is the same for rho = +1 and rho = -1).  One kernel,
+`_rho1_masses`, evaluates those closed forms for every rule's t test, and
+`rho1_profile` adds the AR band below the gate; both evaluators route
+|rho| > 1 - 1e-6 to it because the conditional sd underflows there.
 
-Each procedure class carries its whole rule.  It states its t test once, as
+Each procedure class carries its whole rule.  It states its t test as
 `crit_at(F)`, the t^2 critical value at F (+inf where the t test never
-rejects); the AR rules read t_ar^2 > crit instead at F <= `ar_gate`.  From
-those two the private base `_Rule` writes the (t, F) decision (`rejects`)
-that the corpus audit and the CLI apply, and the `regions` integrated;
-`ConventionalT.rejects` alone answers without F.  Each class adds its
-`breakpoints`, `rho1_profile`, `tail_limit`, `ridge_f0_grid`, `f0_star` and
-`outer_cutoff`; the curve rule adds `knot_cuts`, and the constant-cutoff
-rules share one more base with `f_threshold` (0 when ungated).  The public
-classes stay siblings, so that `mc_oracle`, the independent check, can tell
-them apart by type.  `flat` marks the AR rule, whose size is the same
-everywhere.  Every evaluator refuses f0 above _F0_MAX.
+rejects), and as `cutoff_knots` (X, G) in sqrt F and sqrt c from the
+support edge on: one knot (sqrt f_threshold, sqrt crit) for a constant
+cutoff.  The AR rules read t_ar^2 > crit instead at F <= `ar_gate`.  From
+these the private base `_Rule` writes the (t, F) decision (`rejects`) that
+the corpus audit and the CLI apply, the `regions` integrated, and
+`rho1_profile` and `tail_limit`; `ConventionalT.rejects` alone answers
+without F, and `PureAR` keeps its flat `rho1_profile`.  Each class adds its
+`breakpoints`, `ridge_f0_grid`, `f0_star` and `outer_cutoff`; the curve
+rule adds `knot_cuts`, and the constant-cutoff rules share one more base
+with `f_threshold` (0 when ungated).  The public classes stay siblings, so
+that `mc_oracle`, the independent check, can tell them apart by type.
+`flat` marks the AR rule, whose size is the same everywhere.  Every
+evaluator refuses f0 above _F0_MAX.
 """
 
 from __future__ import annotations
@@ -191,11 +194,12 @@ def _require_procedure(proc) -> None:
 
 
 class _Rule:
-    """Base of every rule: `rejects` and `regions` from `crit_at` and `ar_gate`.
+    """Base of every rule: `rejects`, `regions`, `rho1_profile` and `tail_limit`.
 
-    At F <= ar_gate (-inf: nowhere) a rule reads t_ar^2 > crit, with its
-    constant `crit`, in place of t^2 > crit_at(F).  The defaults of `flat`,
-    `f0_star` and `knot_cuts` live here too.
+    They come from `crit_at`, `cutoff_knots` and `ar_gate`: at F <= ar_gate
+    (-inf: nowhere) a rule reads t_ar^2 > crit, with its constant `crit`,
+    in place of t^2 > crit_at(F).  The defaults of `flat`, `f0_star` and
+    `knot_cuts` live here too.
     """
 
     ar_gate = -math.inf
@@ -220,6 +224,22 @@ class _Rule:
         below = F <= self.ar_gate
         return tuple(np.where(below, v, t) for t, v in zip(tables, (1.0, -1.0, -sc, sc)))
 
+    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
+        """Exact size at |rho| = 1: the t test's `_rho1_masses`, plus the AR band."""
+        f0s = np.asarray(f0s, dtype=float)
+        p = sum(_rho1_masses(*self.cutoff_knots, f0s))
+        if self.ar_gate != -math.inf:
+            # AR rejections z^2 > crit inside the band |f0 + z| <= sqrt(ar_gate).
+            sc, sa = math.sqrt(self.crit), math.sqrt(self.ar_gate)
+            hi, lo = sa - f0s, -sa - f0s
+            p = p + np.maximum(0.0, ndtr(hi) - ndtr(np.maximum(sc, lo)))
+            p = p + np.maximum(0.0, ndtr(np.minimum(-sc, hi)) - ndtr(lo))
+        return np.clip(p, 0.0, 1.0)
+
+    def tail_limit(self) -> float:
+        """The f0 -> infinity size, 2 Phi(-g), g the last knot value."""
+        return 2.0 * float(ndtr(-self.cutoff_knots[1][-1]))
+
 
 @dataclass(frozen=True)
 class _ConstantCutoff(_Rule):
@@ -234,40 +254,14 @@ class _ConstantCutoff(_Rule):
     def crit_at(self, F) -> np.ndarray:
         return np.full(np.shape(F), self.crit)
 
+    @property
+    def cutoff_knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """One knot: sqrt(crit) from the gate sqrt(f_threshold) on."""
+        return np.array([math.sqrt(self.f_threshold)]), np.array([math.sqrt(self.crit)])
+
     def breakpoints(self, s: float) -> list[float]:
         sc = math.sqrt(self.crit)
         return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
-
-    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
-        """P(t^2 > crit, F > f_threshold) at |rho| = 1.
-
-        |z (z + f0)| > f0 sqrt(crit) has an outer root pair (always real) and
-        an inner pair that exists iff f0 >= 4 sqrt(crit); at f0 = 0 the outer
-        pair collapses to [0, 0], which reproduces the correct degenerate
-        limits (t is infinite wherever t_ar != 0).
-        """
-        sc = math.sqrt(self.crit)
-        sf = math.sqrt(self.f_threshold)
-        f0s = np.asarray(f0s, dtype=float)
-        outer = np.sqrt(f0s * f0s + 4.0 * f0s * sc)
-        ra_hi = 0.5 * (-f0s + outer)
-        ra_lo = 0.5 * (-f0s - outer)
-        upper_cut = sf - f0s
-        lower_cut = -sf - f0s
-        p = 1.0 - ndtr(np.maximum(ra_hi, upper_cut)) + ndtr(np.minimum(ra_lo, lower_cut))
-        disc = f0s * f0s - 4.0 * f0s * sc
-        inner = np.sqrt(np.maximum(disc, 0.0))
-        rb_hi = 0.5 * (-f0s + inner)
-        rb_lo = 0.5 * (-f0s - inner)
-        mid = np.where(
-            (disc >= 0.0) & (upper_cut < rb_hi),
-            ndtr(rb_hi) - ndtr(np.maximum(rb_lo, upper_cut)),
-            0.0,
-        )
-        return np.clip(p + mid, 0.0, 1.0)
-
-    def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-math.sqrt(self.crit)))
 
     @property
     def outer_cutoff(self) -> tuple[float, float]:
@@ -324,17 +318,6 @@ class HybridAR(_GatedCutoff):
     def ar_gate(self) -> float:
         return self.f_threshold
 
-    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
-        base = super().rho1_profile(f0s)
-        sc = math.sqrt(self.crit)
-        sf = math.sqrt(self.f_threshold)
-        upper_cut = sf - f0s
-        lower_cut = -sf - f0s
-        # AR rejections inside the sub-threshold band L < z < U.
-        upper = np.maximum(0.0, ndtr(upper_cut) - ndtr(np.maximum(sc, lower_cut)))
-        lower = np.maximum(0.0, ndtr(np.minimum(-sc, upper_cut)) - ndtr(lower_cut))
-        return np.clip(base + upper + lower, 0.0, 1.0)
-
 
 @dataclass(frozen=True)
 class PureAR(_ConstantCutoff):
@@ -342,7 +325,7 @@ class PureAR(_ConstantCutoff):
 
     ar_gate = math.inf
     flat = True
-    outer_cutoff = None  # the AR test everywhere
+    outer_cutoff = None  # the AR test everywhere; `cutoff_knots` set only `tail_limit`
 
     def crit_at(self, F) -> np.ndarray:
         return np.full(np.shape(F), np.inf)
@@ -375,9 +358,10 @@ class TFProcedure(_Rule):
                 raise DomainError(f"TFProcedure.cvf lacks required attribute {attr!r}")
 
     @cached_property
-    def knot_arrays(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(knot positions, knot values, sqrt(lower_support))."""
-        return (*self.cvf.arrays, math.sqrt(self.cvf.lower_support))
+    def cutoff_knots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The curve's knots after one at the support edge, at the first value."""
+        xs, gs = self.cvf.arrays
+        return np.append(math.sqrt(self.cvf.lower_support), xs), np.append(gs[0], gs)
 
     def crit_at(self, F) -> np.ndarray:
         """c(F) = g(sqrt(F))^2, g the curve's `sqrt_crit_profile`; +inf below
@@ -386,10 +370,10 @@ class TFProcedure(_Rule):
         return g * g
 
     def breakpoints(self, s: float) -> list[float]:
-        xs, _, sq = self.knot_arrays
+        X = self.cutoff_knots[0]
         return _mirrored([
-            sq,
-            xs[-1],  # last kink: the pin, or where a curve that never pins goes flat
+            X[0],
+            X[-1],  # last kink: the pin, or where a curve that never pins goes flat
             _cvf_crossing(self, 1.0),  # asymptote: f^2 = c(f^2)
             _cvf_crossing(self, s),  # root birth: f = s sqrt(c)
         ])
@@ -399,32 +383,26 @@ class TFProcedure(_Rule):
         # c(F) is linear in sqrt(F) between knots and kinks at each one; the
         # integrand is smooth only between kinks, and |K15 - G7| measures the
         # error only where it is smooth.  Sorted, for `rejection_prob`.
-        xs = self.knot_arrays[0]
+        xs = self.cvf.arrays[0]
         return np.concatenate([-xs[::-1], xs])
-
-    def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
-        return np.clip(sum(_rho1_cvf_masses(*self.knot_arrays, f0s)), 0.0, 1.0)
-
-    def tail_limit(self) -> float:
-        return 2.0 * float(ndtr(-self.knot_arrays[1][-1]))
 
     @property
     def outer_cutoff(self) -> tuple[float, float]:
         """(x, c): past the last knot x the curve is flat at c = g_last^2."""
-        xs, gs, _ = self.knot_arrays
-        return float(xs[-1]), float(gs[-1]) ** 2
+        X, G = self.cutoff_knots
+        return float(X[-1]), float(G[-1]) ** 2
 
     def ridge_f0_grid(self) -> np.ndarray:
         """|rho| = 1 audit grid out to 100, with the cap edge, where the ridge peaks.
 
         Up to f0 = sq^2 / (sq + g0), sq = sqrt(lower_support) and g0 the first
         knot value, the whole upper tail f >= sq rejects (up_ratio[0] in
-        `_rho1_cvf_masses`).
+        `_rho1_masses`).
         """
         # Cost sets the pitch: on a 2-core Intel Xeon the ridge takes 4 ms on
         # this grid and 15 ms on the constant rules' (0.002 pitch, out to 500).
-        _, gs, sq = self.knot_arrays
-        edge = sq * sq / (sq + gs[0])
+        X, G = self.cutoff_knots
+        edge = X[0] * X[0] / (X[0] + G[0])
         return np.unique(
             np.concatenate([np.arange(0.0, 40.0, 0.005), np.arange(40.0, 100.01, 0.05), [edge]])
         )
@@ -451,8 +429,7 @@ class SizeResult:
 #
 # At rho = +-1, write f = f0 + z with z standard normal; then t_ar = +-z and
 # t^2 = z^2 (f0 + z)^2 / f0^2, so every event is a union of z-intervals with
-# endpoints that solve quadratics (`_ConstantCutoff.rho1_profile` above for
-# a constant cutoff, `_rho1_cvf_masses` for the curve).
+# endpoints that solve quadratics (`_rho1_masses`, for every rule's knots).
 
 
 def _range_pairs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,15 +440,15 @@ def _range_pairs(starts: np.ndarray, stops: np.ndarray) -> tuple[np.ndarray, np.
     return i, np.arange(i.size) + np.repeat(starts - first, counts)
 
 
-def _rho1_cvf_masses(
-    xs: np.ndarray, gs: np.ndarray, sq: float, f0s
+def _rho1_masses(
+    X: np.ndarray, G: np.ndarray, f0s
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact |rho| = 1 rejection mass of the curve rule: (lower, hump, upper).
+    """Exact |rho| = 1 mass of t^2 > g(|f|)^2 on |f| >= X[0]: (lower, hump, upper).
 
-    With x = |f|, the rule rejects iff x >= sq and x |f - f0| > f0 g(x), g the
-    knot curve (flat at its first value on [sq, first knot] and at its last
-    value beyond the last knot), so on each knot interval g = c + m x and
-    every crossing is a quadratic root:
+    (X, G) are a rule's `cutoff_knots`: X[0] = sq is the support edge, and
+    g is the knots' linear interpolant, flat at G[-1] beyond the last knot.
+    With x = |f|, the rule rejects iff x >= sq and x |f - f0| > f0 g(x), so
+    on each knot interval g = c + m x and every crossing is a quadratic root:
 
       lower tail f = -a <= -sq:      a (a + f0) >= f0 g(a)  iff  f0 <= a^2 / (g - a)
       upper tail f = x >= max(sq, f0): x (x - f0) >= f0 g(x)  iff  f0 <= x^2 / (x + g)
@@ -484,11 +461,13 @@ def _rho1_cvf_masses(
     So each interval enters the hump (v turns positive), leaves it, or holds
     a dip above zero for one range of f0; roots are solved only on those
     (interval, f0) pairs, and intervals positive at both ends telescope.
-    v < 0 at sq and at every x >= f0, which bounds the hump to (sq, f0).
+    v < 0 at every x >= f0, which bounds the hump to [sq, f0).  Where
+    g(sq) < sq, as for a gate above its cutoff, v > 0 already at sq for
+    f0 > sq^2 / (sq - g(sq)), and the hump opens at the support edge.
     """
     f0s = np.asarray(f0s, dtype=float)
-    X = np.concatenate(([sq], xs, [np.inf]))
-    G = np.concatenate(([gs[0]], gs, [gs[-1]]))
+    X, G = np.append(X, np.inf), np.append(G, G[-1])
+    sq = X[0]
     m = np.diff(G) / np.diff(X)
     c = G[:-1] - m * X[:-1]
     x, g = X[:-1], G[:-1]
@@ -537,6 +516,8 @@ def _rho1_cvf_masses(
         if enters:
             w -= ndtr(np.clip(2.0 * cc / (b + root), X[i], X[i + 1]) - f0)
         hump += np.bincount(rows, w, minlength=F.size)
+    opens = F > hump_ratio[0]
+    hump[opens] -= ndtr(sq - F[opens])
     in_order = np.empty(F.size)
     in_order[order] = hump
     return ndtr(-a - f0s), in_order, ndtr(f0s - np.maximum(u, f0s))
@@ -558,14 +539,12 @@ def _cvf_crossing(proc: TFProcedure, scale: float) -> float:
     linear piece, below the pin when the curve has one.  If the margin is
     already >= 0 at the support edge the crossing is clamped there.
     """
-    xs, gs, sq = proc.knot_arrays
-    X = np.concatenate(([sq], xs))
-    G = np.concatenate(([gs[0]], gs))
+    X, G = proc.cutoff_knots
     j = int(np.searchsorted(X - scale * G, 0.0))
     if j == 0:
-        return sq
+        return X[0]
     if j == X.size:  # flat beyond the last knot
-        return scale * gs[-1]
+        return scale * G[-1]
     m = (G[j] - G[j - 1]) / (X[j] - X[j - 1])
     return scale * (G[j - 1] - m * X[j - 1]) / (1.0 - scale * m)
 
@@ -579,9 +558,9 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     is accepted when |K15 - G7| <= tol width / 17 and bisected otherwise.
     abs_err is the sum of the accepted |K15 - G7|, plus Phi(-9) per
     saturated panel and the 2e-17 tail mass beyond the window.
-    |rho| > 1 - 1e-6 is answered by the exact degenerate formulas instead.
-    Raises ToleranceUnmet when _GK_MAX_PANELS panels have been evaluated
-    without meeting tol.
+    |rho| > 1 - 1e-6 is answered by the exact degenerate formulas instead,
+    with abs_err max(1e-13, 4.4e-16 f0).  Raises ToleranceUnmet when
+    _GK_MAX_PANELS panels have been evaluated without meeting tol.
     """
     if not isinstance(p, NuisancePoint):
         raise DomainError("rejection_prob expects a NuisancePoint")
@@ -593,8 +572,11 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     _require_procedure(proc)
 
     if abs(p.rho) > _RHO1_EDGE:
+        # The closed forms' roots near f0 carry the rounding of f0 itself:
+        # against 50-digit references (cutoffs 1e-3 to 40, f0 up to 1e8) they
+        # were at most 1.5e-16 f0 off, and at most 4.6e-14 for f0 < 1,000.
         prob = float(proc.rho1_profile(np.array([p.f0]))[0])
-        return SizeResult(prob=prob, abs_err=1e-13, point=p)
+        return SizeResult(prob=prob, abs_err=max(1e-13, 4.4e-16 * p.f0), point=p)
 
     rho, f0 = p.rho, np.array([p.f0])
     s = math.sqrt((1.0 - rho) * (1.0 + rho))

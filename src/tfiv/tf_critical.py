@@ -35,8 +35,10 @@ exactly alpha.  The new curve is the nonincreasing upper envelope of all
 requirements, and sweeps repeat until the knot values stabilize.  Both
 rejected-mass pieces are computed exactly: on each knot interval the margin
 is a quadratic minus a linear function, so crossings are quadratic roots,
-not searches.  The sweep and the size engine's |rho| = 1 path share one
-evaluator, `size_engine._rho1_cvf_masses`, vectorised over f0.
+not searches.  The sweep and the size engine's |rho| = 1 path of every
+rule share one evaluator, `size_engine._rho1_masses`, vectorised over f0;
+the sweep hands it the knots after one at the support edge, as
+`TFProcedure.cutoff_knots` does.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .gaussian import chi2_quantile_1df, ndtri
-from .size_engine import TFProcedure, _rho1_cvf_masses, rejection_prob_profile
+from .size_engine import TFProcedure, _rho1_masses, rejection_prob_profile
 
 __all__ = [
     "CriticalValueFunction",
@@ -147,7 +149,7 @@ def _sweep_requirements(
     xs: np.ndarray, gs: np.ndarray, sq: float, f0s: np.ndarray, alpha: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Jacobi sweep: requirement points (x, y) sorted by x."""
-    lower, hump, _ = _rho1_cvf_masses(xs, gs, sq, f0s)
+    lower, hump, _ = _rho1_masses(np.append(sq, xs), np.append(gs[0], gs), f0s)
     need = alpha - (lower + hump)
     z = ndtri(1.0 - need)
     x_req = f0s + z

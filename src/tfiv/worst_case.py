@@ -468,7 +468,10 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     claims = [claims_c[~refined], fine_claims.ravel()]
     approach_viol = _final_approach_violation(mat)
     if star is not None:
-        f0s_patch = np.unique(np.append(np.arange(w_lo, w_hi, 0.0012), star))
+        # Columns a whole number of steps from f0*, so none lies a rounding
+        # error from its neighbour.
+        f0s_patch = star + 0.0012 * np.arange(-125, 125)
+        f0s_patch = f0s_patch[f0s_patch >= 0.0]
         mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
         claims.append(_claims(mat_patch, rhos[near], f0s_patch).ravel())
         approach_viol = max(approach_viol, _final_approach_violation(mat_patch))

@@ -81,7 +81,7 @@ def test_worst_case_size_of_f10_screen():
     # The coarse pass alone claims 2.3e-3 here; only the refined boxes bring
     # the certificate down to the full working grid's value.
     assert wc.arg_f0 == 1.9522565279429387
-    assert wc.certified_tol == 6.623999999876007e-05
+    assert wc.certified_tol == 3.3691524906523385e-05
     assert wc.cells_refined > 0
 
 

@@ -163,7 +163,7 @@ def test_ci_lines(cli_env, capsys):
 def test_ci_unbounded(cli_env, capsys, schema):
     code, out, _ = run_cli(["ci", "--beta", "0", "--se", "1", "--f", "2"], capsys)
     assert code == 0
-    assert out.splitlines()[0] == "ci = (-inf, inf)"
+    assert out.splitlines()[0] == "ci = (-inf, inf), unbounded"
 
     code, out, _ = run_cli(
         ["ci", "--beta", "0", "--se", "1", "--f", "2", "--format", "json"], capsys
@@ -185,6 +185,26 @@ def test_ci_overflowing_ends_are_null(cli_env, capsys, schema):
     jsonschema.validate(doc, schema)
     assert doc["lower"] is None and doc["upper"] is None and doc["half_width"] is None
     assert not doc["unbounded"] and doc["se_adjusted"] > 1e308
+
+
+def test_ci_plain_lines_of_huge_se(cli_env, capsys):
+    # Large values print in exponent form.  The plain line says "unbounded"
+    # exactly when the JSON does; ends that overflow a float say so instead.
+    code, out, _ = run_cli(["ci", "--beta", "1", "--se", "1e300", "--f", "50"], capsys)
+    assert code == 0
+    ci_line, se_line = out.splitlines()
+    lower, upper = ci_line.removeprefix("ci = (").removesuffix(")").split(", ")
+    assert lower.startswith("-") and lower.endswith("e+300") and upper.endswith("e+300")
+    assert float(lower) == -float(upper) and len(ci_line) < 40
+    assert se_line.startswith("adjusted se = ") and "e+300 (inflation" in se_line
+    for argv in (["--se", "1e300"], ["--se", "1e308"], ["--se", "1", "--f", "2"]):
+        argv = ["ci", "--beta", "1", "--f", "50", *argv]
+        code, out, _ = run_cli(argv, capsys)
+        unbounded = "unbounded" in out.splitlines()[0]
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert unbounded == json.loads(out)["unbounded"], argv
+    code, out, _ = run_cli(["ci", "--beta", "1", "--se", "1e308", "--f", "50"], capsys)
+    assert out.splitlines()[0] == "ci = (overflow, overflow)"
 
 
 # ---------------------------------------------------------------------------

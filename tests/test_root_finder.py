@@ -63,13 +63,13 @@ def test_solver_gaps_match_scipy(monkeypatch):
     monkeypatch.setattr(worst_case, "_brentq", checked)
     assert worst_case.solve_threshold_F(1.96**2, 0.05) == 104.65067399395062
     assert worst_case.solve_threshold_F(Q95, 0.05) == 104.67075060130466
-    assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404113
+    assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404117
     worst_case.solve_threshold_F(chi2_quantile_1df(0.90), 0.10)
     worst_case.solve_critical_value(10.0, 0.10)
     # At crit = 3.99 the closed-form gate 117.13789084712506 leaves a ridge
     # hump above alpha, so the ridge-supremum stage binds.
     alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
-    assert worst_case.solve_threshold_F(3.99, alpha) == 156.5268968577954
+    assert worst_case.solve_threshold_F(3.99, alpha) == 156.52689685762726
     assert seen[-2][0] == 117.13789084712506
     assert len(seen) == 7
     assert all(same_bits(ours, theirs) for ours, theirs in seen)

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from tfiv.errors import DomainError
+from tfiv.gaussian import chi2_quantile_1df
 from tfiv.size_engine import (
     ConventionalT,
     HybridAR,
@@ -22,7 +23,7 @@ from tfiv.size_engine import (
     _GK_WK,
     _GK_X,
     _profile_panels,
-    _rho1_cvf_masses,
+    _rho1_masses,
     _saturation_hulls,
     _weighted_rejection,
     rejection_prob,
@@ -36,6 +37,7 @@ from tfiv.worst_case import worst_case_size
 
 Q95 = 3.8414588206941254
 SQRT_Q95 = 1.959963984540054
+Q99 = chi2_quantile_1df(0.99)
 
 
 def test_nuisance_point_validation():
@@ -140,20 +142,6 @@ def test_threshold_ridge_anchor():
     f0_star = 10.0 / (math.sqrt(10.0) + SQRT_Q95)
     p = rejection_prob_rho1(ThresholdTF(crit=Q95, f_threshold=10.0), f0_star)
     assert math.isclose(p, 0.11313818286955638, rel_tol=1e-9)
-
-
-def test_rho1_matches_quadrature_limit():
-    # The closed-form rho = 1 evaluator and the generic quadrature must agree
-    # where both apply.
-    for proc in (
-        ConventionalT(crit=Q95),
-        ThresholdTF(crit=Q95, f_threshold=10.0),
-        HybridAR(crit=Q95, f_threshold=10.0),
-    ):
-        for f0 in (0.5, 1.9522, 4.0):
-            exact = rejection_prob_rho1(proc, f0)
-            quad = rejection_prob(proc, NuisancePoint(rho=1.0, f0=f0)).prob
-            assert math.isclose(exact, quad, rel_tol=1e-7, abs_tol=1e-9)
 
 
 def _hybrid_extra_term(f_threshold: float, crit: float, f0: float) -> float:
@@ -380,63 +368,101 @@ def test_profile_matches_tight_pointwise_integral(cvf):
 
 
 # ---------------------------------------------------------------------------
-# independent |rho| = 1 oracle for the curve rule: a sign scan plus brentq
+# independent |rho| = 1 oracle for every rule: a sign scan plus brentq
 
 
-def _rho1_cvf_scanner(cvf, f0: float) -> float:
-    """|rho| = 1 size of the curve-based test, by locating every f-crossing.
+def _rho1_scanner(g, sq: float, f0: float, kinks=()) -> float:
+    """|rho| = 1 size of the t test t^2 > g(|f|)^2 on |f| >= sq, by locating every f-crossing.
 
-    In f-space the test rejects iff |f| >= sqrt(lower_support) and
-    |f| |f - f0| > f0 g(|f|) with g the sqrt-critical curve.  On f <= -sq and
-    on f >= max(sq, f0) the margin is strictly increasing (g is
-    nonincreasing), giving one crossing each; on sq < f < f0 the margin is
-    negative at both ends and can poke above zero in between, contributing
-    a bounded "hump" interval scanned on the knot grid plus a 257-point
-    grid, so a hump that starts and ends inside one scan cell is missed.
+    g is a nonincreasing sqrt-critical function of |f| (scalars or arrays),
+    sq the support edge and ``kinks`` the points where g bends.  In f-space
+    the test rejects iff |f| >= sq and |f| |f - f0| > f0 g(|f|).  On f <= -sq
+    and on f >= max(sq, f0) the margin is strictly increasing, giving one
+    crossing each; on sq <= f < f0 it is negative at f0 and can be positive
+    in between, or already at sq, contributing "hump" intervals scanned on
+    the kinks plus a 257-point grid, so a hump that starts and ends inside
+    one scan cell is missed.
     """
-    xs = np.asarray([k[0] for k in cvf.knots], dtype=float)
-    gs = np.asarray([k[1] for k in cvf.knots], dtype=float)
-    sq = math.sqrt(cvf.lower_support)
-
-    def g(x: float) -> float:
-        return float(np.interp(x, xs, gs))
 
     def w_low(a: float) -> float:
         return a * (a + f0) - f0 * g(a)
 
-    if w_low(sq) >= 0.0:
-        a_star = sq
-    else:
-        vals = xs * (xs + f0) - f0 * gs
-        pos = np.nonzero(vals >= 0.0)[0]
-        if pos.size:
-            j = int(pos[0])
-            a_star = brentq(w_low, xs[j - 1] if j else sq, xs[j], xtol=1e-12)
-        else:
-            a_star = 0.5 * (-f0 + math.sqrt(f0 * f0 + 4.0 * f0 * gs[-1]))
+    # The lower margin is positive from a = g(sq) on, since g(a) <= g(sq).
+    top = max(sq, g(sq)) + 1.0
+    a_star = sq if w_low(sq) >= 0.0 else brentq(w_low, sq, top, xtol=1e-12)
 
     def w_up(x: float) -> float:
         return x * (x - f0) - f0 * g(x)
 
     lo = max(sq, f0)
-    u_star = lo if w_up(lo) >= 0.0 else brentq(w_up, lo, f0 + 9.0, xtol=1e-12)
+    u_star = lo if w_up(lo) >= 0.0 else brentq(w_up, lo, f0 + g(lo) + 1.0, xtol=1e-12)
     p = ndtr(-a_star - f0) + 1.0 - ndtr(u_star - f0)
 
     if f0 > sq + 1e-12:
-        grid = np.unique(
-            np.concatenate([xs[(xs > sq) & (xs < f0)], np.linspace(sq, f0, 257)])
-        )
-        vals = grid * (f0 - grid) - f0 * np.interp(grid, xs, gs)
+        kinks = np.asarray(kinks, dtype=float)
+        inner = kinks[(kinks > sq) & (kinks < f0)]
+        grid = np.unique(np.concatenate([inner, np.linspace(sq, f0, 257)]))
+        vals = grid * (f0 - grid) - f0 * g(grid)
 
         def w_mid(x: float) -> float:
             return x * (f0 - x) - f0 * g(x)
 
         inside = vals > 0.0
         flips = np.nonzero(inside[:-1] != inside[1:])[0]
-        edges = [brentq(w_mid, grid[i], grid[i + 1], xtol=1e-12) for i in flips]
+        edges = [sq] if inside[0] else []  # the hump opens at the support edge
+        edges += [brentq(w_mid, grid[i], grid[i + 1], xtol=1e-12) for i in flips]
         for x1, x2 in zip(edges[0::2], edges[1::2]):
             p += ndtr(x2 - f0) - ndtr(x1 - f0)
     return float(min(max(p, 0.0), 1.0))
+
+
+def _rho1_cvf_scanner(cvf, f0: float) -> float:
+    xs = np.asarray([k[0] for k in cvf.knots], dtype=float)
+    gs = np.asarray([k[1] for k in cvf.knots], dtype=float)
+    return _rho1_scanner(lambda x: np.interp(x, xs, gs), math.sqrt(cvf.lower_support), f0, xs)
+
+
+def _ar_band(crit: float, gate: float, f0: float) -> float:
+    """P(|z| > sqrt(crit), |f0 + z| <= sqrt(gate)): the AR rejections below the gate."""
+    sc, sa = math.sqrt(crit), math.sqrt(gate)
+    lo, hi = -sa - f0, sa - f0
+    inner = max(0.0, ndtr(min(sc, hi)) - ndtr(max(-sc, lo)))
+    return float(ndtr(hi) - ndtr(lo) - inner)
+
+
+@pytest.mark.parametrize(
+    "proc",
+    [
+        ConventionalT(Q95),
+        ConventionalT(Q99),
+        ConventionalT(4.5),
+        ThresholdTF(Q95, 104.7),
+        ThresholdTF(3.43**2, 10.0),
+        ThresholdTF(4.5, 3000.0),
+        ThresholdTF(Q95, 1.0),
+        HybridAR(Q95, 104.7),
+        HybridAR(Q95, 1.0),
+        HybridAR(3.43**2, 10.0),
+    ],
+    ids=repr,
+)
+def test_rho1_constant_rules_match_scanner(proc):
+    # The constant cutoff is a one-knot curve: the same kernel as the tF
+    # rule, against the scanner.  Where the gate's sqrt(F) exceeds
+    # sqrt(crit), the hump opens at the gate for f0 > F / (sqrt F - sqrt
+    # crit): 12.66 for (Q95, 104.7) and 56.98 for (4.5, 3000), where the
+    # kernel once missed Phi(sqrt F - f0).  Every 7th point of the ridge
+    # grid, for time; f0* of a gated rule is always in.
+    sc, sq = math.sqrt(proc.crit), math.sqrt(proc.f_threshold)
+    grid = proc.ridge_f0_grid()
+    star = [] if proc.f0_star is None else [proc.f0_star]
+    f0s = np.unique(np.concatenate([grid[::7], star, [12.66, 56.98]]))
+    exact = rejection_prob_profile(proc, 1.0, f0s)
+    for f0, value in zip(f0s, exact):
+        scanned = _rho1_scanner(lambda x: sc + 0.0 * x, sq, float(f0))
+        if isinstance(proc, HybridAR):
+            scanned += _ar_band(proc.crit, proc.f_threshold, float(f0))
+        assert abs(value - scanned) <= 1e-12, (f0, value, scanned)
 
 
 def test_rho1_curve_matches_scanner_on_ridge_grid(cvf):
@@ -457,7 +483,7 @@ def test_rho1_curve_finds_hump_inside_one_scan_cell():
     half = math.sqrt(16.0 - 8.0 * g)
     hump = float(ndtr(4.0 + half - f0) - ndtr(4.0 - half - f0))
     assert 2.39e-7 < hump < 2.40e-7
-    _, found, _ = _rho1_cvf_masses(*TFProcedure(cvf=cvf).knot_arrays, [f0])
+    _, found, _ = _rho1_masses(*TFProcedure(cvf=cvf).cutoff_knots, [f0])
     assert math.isclose(float(found[0]), hump, rel_tol=1e-6)
     exact = rejection_prob_rho1(TFProcedure(cvf=cvf), f0)
     assert math.isclose(exact - _rho1_cvf_scanner(cvf, f0), hump, rel_tol=1e-6)

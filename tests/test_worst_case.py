@@ -95,7 +95,7 @@ def test_worst_case_container_fields():
         # The gated rule's argmax is f0*, found on the ridge grid alone.
         (
             lambda cvf: HybridAR(Q95, 10.0),
-            (0.13813802562292885, 1.0, 1.9522702546316941, 6.911999999870133e-05),
+            (0.13813802562292885, 1.0, 1.9522702546316941, 3.3691954387987666e-05),
             1,
             math.sqrt(10.0) + 8.5,
         ),
@@ -104,7 +104,7 @@ def test_worst_case_container_fields():
         # within 1e-6 of it, past sqrt(104.7) + 8.5 = 18.73.
         (
             lambda cvf: ThresholdTF(1.96**2, 104.7),
-            (ThresholdTF(1.96**2, 104.7).tail_limit(), 1.0, math.inf, 2.9373760114234648e-05),
+            (ThresholdTF(1.96**2, 104.7).tail_limit(), 1.0, math.inf, 1.3647568928604192e-05),
             54,
             19.63,
         ),
@@ -189,6 +189,21 @@ def test_far_expansion_matches_rejection_prob(c):
             assert abs(p - expansion) <= worst_case._FAR_K / f0**4
 
 
+@pytest.mark.parametrize("c", [0.5, Q95, Q99])
+def test_rho1_error_bound_grows_with_f0(c):
+    # At |rho| = 1 the closed forms lose digits as f0 grows, to 2.9e-11 at
+    # f0 = 1e7 to 1e8 for c = Q95, and the reported error grows with them.
+    # Past f0 = 1e4 the expansion's f0^-4 term is below 1e-15.
+    proc = ConventionalT(c)
+    errs = []
+    for f0 in (1e4, 1e6, 1e7, 1e8):
+        res = rejection_prob(proc, NuisancePoint(1.0, f0))
+        expansion = proc.tail_limit() + _rothenberg_a(1.0, c) / f0**2
+        assert abs(res.prob - expansion) <= res.abs_err, (f0, res)
+        errs.append(res.abs_err)
+    assert errs == sorted(errs) and errs[-1] > 1e-11
+
+
 def test_tf_worst_case_is_the_cap_edge(cvf):
     # On the ridge the whole upper tail f >= sq rejects up to the cap edge
     # f0 = sq^2 / (sq + g0); the ridge grid holds that point, and no f0 on a
@@ -200,6 +215,31 @@ def test_tf_worst_case_is_the_cap_edge(cvf):
     assert wc.arg_f0 == sq * sq / (sq + cvf.knots[0][1])
     fine = size_engine.rejection_prob_profile(proc, 1.0, np.arange(0.0, 100.0 + 1e-9, 0.0005))
     assert fine.max() <= wc.max_prob
+
+
+@pytest.mark.parametrize(
+    "proc",
+    [
+        ThresholdTF(1.96**2, 104.7),
+        ThresholdTF(1.96**2, 10.0),
+        ThresholdTF(3.43**2, 10.0),
+        HybridAR(Q95, 104.7),
+        HybridAR(Q95, 10.0),
+    ],
+    ids=repr,
+)
+def test_f0_star_pocket_stays_below_max_prob(proc):
+    # The pocket around f0* next to |rho| = 1, which the audit certifies on
+    # its own 0.0012-pitch patch, scanned on a pitch of 0.0005 that shares no
+    # column with it.  Nothing tops max_prob by more than its last digits,
+    # the ridge near f0* evaluated a rounding away from f0* itself.  (On 30,001
+    # f0 by 41 rho the scan takes 23 to 61 s per rule and finds the same.)
+    wc = worst_case_size(proc)
+    star = proc.f0_star
+    f0s = np.linspace(max(0.0, star - 0.15), star + 0.15, 601)
+    rhos = np.linspace(1.0 - 1e-3, 1.0, 21)
+    scan = size_engine.rejection_prob_matrix(proc, rhos, f0s)
+    assert float(scan.max()) <= wc.max_prob + 1e-15
 
 
 def test_ridge_hump_peak_is_found_on_the_grid():

@@ -4,7 +4,8 @@ Runs `worst_case_size` for the 5% tF rule and for the F > 10 screen at the
 1.96^2 cutoff, with `rejection_prob_profile`, the dense panel kernel
 `_weighted_rejection` and the region kernel `_t_region_tables` wrapped from
 outside, and prints per |rho| band (< 0.99, < 0.999, >= 0.999 and = 1): the
-profile calls, the f0 points they evaluated, their seconds, the dense
+profile calls, the f0 points they evaluated, their seconds, the K15
+panels their passes laid and the (f0, panel) pairs those meant, the dense
 kernel's calls and the node-f0 pairs it evaluated, and the region kernel's
 calls, the nodes it tabulated and its seconds.  It also prints f0_far,
 where the audit's grid ended: past it a closed bound stands in for the
@@ -44,12 +45,13 @@ def audit_bands(proc) -> tuple[dict, float, float]:
     """Per-band counters, the audit's total seconds and its f0_far.
 
     A band's row is [calls, f0 points, seconds, kernel calls, dense
-    evaluations, table calls, table nodes, table seconds].
+    evaluations, table calls, table nodes, table seconds, panels,
+    (f0, panel) pairs].
     """
-    stats = {b: [0, 0, 0.0, 0, 0, 0, 0, 0.0] for b in BANDS}
+    stats = {b: [0, 0, 0.0, 0, 0, 0, 0, 0.0, 0, 0] for b in BANDS}
     current = []
     profile, kernel = size_engine.rejection_prob_profile, size_engine._weighted_rejection
-    tables = size_engine._t_region_tables
+    tables, panel_pass = size_engine._t_region_tables, size_engine._panel_pass
 
     def timed_profile(proc, rho, f0s):
         row = stats[_band(rho)]
@@ -79,10 +81,19 @@ def audit_bands(proc) -> tuple[dict, float, float]:
             current[-1][7] += time.perf_counter() - t0
         return out
 
+    def counted_pass(proc, rho, s, f0s, a, b):
+        if current:
+            first = np.searchsorted(b, f0s - size_engine._F_WINDOW, side="right")
+            stop = np.searchsorted(a, f0s + size_engine._F_WINDOW, side="left")
+            current[-1][8] += a.size
+            current[-1][9] += int((stop - first).sum())
+        return panel_pass(proc, rho, s, f0s, a, b)
+
     with _patched(
         timed_profile,
         (size_engine, "_weighted_rejection", counted_kernel),
         (size_engine, "_t_region_tables", timed_tables),
+        (size_engine, "_panel_pass", counted_pass),
     ):
         t0 = time.perf_counter()
         wc = worst_case.worst_case_size(proc)
@@ -142,19 +153,23 @@ def main() -> None:
         print(f"{label}: worst_case_size {total:.2f} s, grid ends at f0_far = {f0_far:g}")
         print(
             f"  {'|rho|':>9} {'calls':>6} {'f0 points':>10} {'seconds':>8}"
-            f" {'kernel calls':>12} {'dense evals':>12}"
+            f" {'panels':>8} {'f0-panel':>10} {'kernel calls':>12} {'dense evals':>12}"
             f" {'table calls':>11} {'table nodes':>12} {'table s':>8} {'peak MB':>8}"
         )
         for band in BANDS:
-            calls, points, secs, kernel_calls, evals, t_calls, t_nodes, t_secs = stats[band]
+            calls, points, secs, kernel_calls, evals, t_calls, t_nodes, t_secs = stats[band][:8]
+            panels, pairs = stats[band][8:]
             print(
                 f"  {band:>9} {calls:6d} {points:10d} {secs:8.3f}"
-                f" {kernel_calls:12,d} {evals:12,d}"
+                f" {panels:8,d} {pairs:10,d} {kernel_calls:12,d} {evals:12,d}"
                 f" {t_calls:11,d} {t_nodes:12,d} {t_secs:8.3f} {peaks[band] / 1e6:8.2f}"
             )
-        kernel_calls, evals, t_calls, t_nodes, t_secs = map(sum, list(zip(*stats.values()))[3:])
+        kernel_calls, evals, t_calls, t_nodes, t_secs, panels, pairs = map(
+            sum, list(zip(*stats.values()))[3:]
+        )
         print(
-            f"  {'all':>9} {'':6} {'':10} {'':8} {kernel_calls:12,d} {evals:12,d}"
+            f"  {'all':>9} {'':6} {'':10} {'':8} {panels:8,d} {pairs:10,d}"
+            f" {kernel_calls:12,d} {evals:12,d}"
             f" {t_calls:11,d} {t_nodes:12,d} {t_secs:8.3f}"
         )
 

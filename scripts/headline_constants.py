@@ -6,7 +6,7 @@ bounds (142.6, 0.565) at the 5% level and (none, 0.43) at the 1% level, and
 the hybrid-rule nonexistence bound.  It ends with the threshold solver at
 the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99 (where the
 ridge-supremum stage binds), the critical-value solver's floor case,
-every `worst_case_size` field of the 5% tF rule and of the CLI's
+every `worst_case_size` field of the 1%, 5% and 10% tF rules and of the CLI's
 threshold-2b, threshold-2c and hybrid-2b rules, and `rejection_prob` (what
 `tfiv size` prints) for the six CLI rules at three nuisance points and at
 rho = 1 with f0 in {0.5, 1.95, 12.66, 1e4}, all in repr, so two trees can be
@@ -101,6 +101,10 @@ def main() -> None:
     cvf = timed("build_cvf(0.05)", build_cvf, 0.05)
     wc_tf = timed("worst_case_size(TFProcedure(cvf))", worst_case_size, TFProcedure(cvf))
     print(f"    {wc_tf!r}")
+    for level in (0.01, 0.10):
+        curve = timed(f"build_cvf({level})", build_cvf, level)
+        wc_level = timed(f"worst_case_size(TFProcedure({level}))", worst_case_size, TFProcedure(curve))
+        print(f"    {wc_level!r}")
 
     print("rejection_prob(rule, NuisancePoint(rho, f0)) -> prob, abs_err, for the CLI rules:")
     rules = {

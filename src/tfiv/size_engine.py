@@ -25,10 +25,13 @@ probability is then a 1-D integral over f of smooth CDF differences:
         (discarded tail mass < 2e-17).
 
 Both evaluators integrate it in one pass (`_panel_pass`) over Gauss-Kronrod
-K15 panels cut at the geometry's breakpoints (+-sqrt(crit) asymptotes,
-+-s sqrt(crit) root-birth points, +-sqrt(f_threshold), and the curve
-procedure's support/crossing points), graded towards them and no wider than
-2.4 s, to resolve the conditional law's edges of width ~s.  Where every node
+K15 panels no wider than 2.4 s, to resolve the conditional law's edges of
+width ~s.  The panels are graded towards each rule's singular points, the
++-s sqrt(c) root births and the +-sqrt(c) asymptotes, where an edge moves
+like sqrt(distance) or runs off to infinity, and cut once at its support
+edge, gate +-sqrt(f_threshold) and pin, where c(F) only jumps or kinks; a
+profile of the curve rule also cuts at the knots near its support edge
+where some f0 can see them (`_live_knots`).  Where every node
 of a panel keeps both edges of its conditional rejection set at least 9
 conditional sds from the conditional mean at an f0, the panel is integrated
 exactly, as a normal CDF difference, to within Phi(-9) = 1.1e-19; near
@@ -53,8 +56,9 @@ these the private base `_Rule` writes the (t, F) decision (`rejects`) that
 the corpus audit and the CLI apply, the `regions` integrated, and
 `rho1_profile` and `tail_limit`; `ConventionalT.rejects` alone answers
 without F, and `PureAR` keeps its flat `rho1_profile`.  Each class adds its
-`breakpoints`, `ridge_f0_grid`, `f0_star` and `outer_cutoff`; the curve
-rule adds `knot_cuts`, and the constant-cutoff rules share one more base
+`breakpoints` (singular points, then plain cuts), `ridge_f0_grid`,
+`f0_star` and `outer_cutoff`; the curve rule adds `knot_cuts` and
+`profile_knots`, and the constant-cutoff rules share one more base
 with `f_threshold` (0 when ungated).  The public classes stay siblings, so
 that `mc_oracle`, the independent check, can tell them apart by type.
 `flat` marks the AR rule, whose size is the same everywhere.  Every
@@ -101,13 +105,19 @@ _RHO1_EDGE = 1.0 - 1e-6
 # read 0.0639 (the limit is 0.05) with a reported error of 2e-17.  At 1e12 the
 # value still lay inside its reported error.
 _F0_MAX = 1e8
-# Geometric ladder of panel-edge offsets laid down on both sides of every
-# breakpoint; root positions behave like sqrt(distance) at a root-birth
-# point, so panels must shrink towards the kink.
+# Geometric ladder of panel-edge offsets laid down on both sides of a rule's
+# singular points: root positions behave like sqrt(distance) at the root
+# birth f = s sqrt(c), and one root runs off to infinity at the asymptote
+# f^2 = c, so panels must shrink towards both.  At the support edge, the gate
+# and the pin c(F) only jumps or kinks, and one plain cut serves.
 _GRADED_OFFSETS = np.array([1e-4, 4e-4, 1.6e-3, 6.4e-3, 2.56e-2])
-# Profiles of the curve rule also cut at its knots below this |x|, where c(F)
-# has 5,801 of the 5% curve's total slope change of 5,805 (in sqrt F).
+# Profiles of the curve rule also cut at its knots below max(_KNOT_CUT_X,
+# support edge + _KNOT_CUT_SPAN) in |x|.  There c(F) holds, of its total slope
+# change in sqrt F, 5,801 of 5,805 for the 5% curve (below 2.5 = 1.96 + 0.54),
+# 7,656 of 7,658 for the 10% curve (below 2.5) and 4,628 of 4,637 for the 1%
+# curve (below 3.116 = 2.576 + 0.54, where its knots begin).
 _KNOT_CUT_X = 2.5
+_KNOT_CUT_SPAN = 0.54
 # A pass sends its live node-f0 pairs through the kernel in blocks of at most
 # this many, and builds its (f0, panel) pairs in groups of f0 of about this
 # many.  Blocks of 2^14 to 2^17 ran the tF audit equally fast, and 2^12 up to
@@ -198,14 +208,14 @@ class _Rule:
 
     They come from `crit_at`, `cutoff_knots` and `ar_gate`: at F <= ar_gate
     (-inf: nowhere) a rule reads t_ar^2 > crit, with its constant `crit`,
-    in place of t^2 > crit_at(F).  The defaults of `flat`, `f0_star` and
-    `knot_cuts` live here too.
+    in place of t^2 > crit_at(F).  The defaults of `flat`, `f0_star`,
+    `knot_cuts` and `profile_knots` live here too.
     """
 
     ar_gate = -math.inf
     flat = False
     f0_star = None
-    knot_cuts = ()
+    knot_cuts = profile_knots = ()
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         """None without t or F, or at F <= ar_gate: (t, F) lacks the AR statistic."""
@@ -259,9 +269,9 @@ class _ConstantCutoff(_Rule):
         """One knot: sqrt(crit) from the gate sqrt(f_threshold) on."""
         return np.array([math.sqrt(self.f_threshold)]), np.array([math.sqrt(self.crit)])
 
-    def breakpoints(self, s: float) -> list[float]:
+    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
         sc = math.sqrt(self.crit)
-        return _mirrored([sc, s * sc, math.sqrt(self.f_threshold)])
+        return _mirrored([sc, s * sc]), _mirrored([math.sqrt(self.f_threshold)])
 
     @property
     def outer_cutoff(self) -> tuple[float, float]:
@@ -330,8 +340,8 @@ class PureAR(_ConstantCutoff):
     def crit_at(self, F) -> np.ndarray:
         return np.full(np.shape(F), np.inf)
 
-    def breakpoints(self, s: float) -> list[float]:
-        return []
+    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
+        return [], []
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         return np.full(f0s.shape, self.tail_limit())
@@ -369,13 +379,14 @@ class TFProcedure(_Rule):
         g = self.cvf.sqrt_crit_profile(np.sqrt(np.maximum(F, 0.0)))
         return g * g
 
-    def breakpoints(self, s: float) -> list[float]:
+    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
         X = self.cutoff_knots[0]
         return _mirrored([
+            _cvf_crossing(self, s),  # root birth: f = s sqrt(c)
+            _cvf_crossing(self, 1.0),  # asymptote: f^2 = c(f^2)
+        ]), _mirrored([
             X[0],
             X[-1],  # last kink: the pin, or where a curve that never pins goes flat
-            _cvf_crossing(self, 1.0),  # asymptote: f^2 = c(f^2)
-            _cvf_crossing(self, s),  # root birth: f = s sqrt(c)
         ])
 
     @cached_property
@@ -385,6 +396,12 @@ class TFProcedure(_Rule):
         # error only where it is smooth.  Sorted, for `rejection_prob`.
         xs = self.cvf.arrays[0]
         return np.concatenate([-xs[::-1], xs])
+
+    @cached_property
+    def profile_knots(self) -> np.ndarray:
+        """The knots a profile may cut: |x| < max(_KNOT_CUT_X, support edge + _KNOT_CUT_SPAN)."""
+        zone = max(_KNOT_CUT_X, self.cutoff_knots[0][0] + _KNOT_CUT_SPAN)
+        return self.knot_cuts[np.abs(self.knot_cuts) < zone]
 
     @property
     def outer_cutoff(self) -> tuple[float, float]:
@@ -580,7 +597,7 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
 
     rho, f0 = p.rho, np.array([p.f0])
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    edges = _profile_panels(proc, s, p.f0 - _F_WINDOW, p.f0 + _F_WINDOW)
+    edges = _profile_panels(proc, rho, p.f0, p.f0)
     a, b = edges[:-1], edges[1:]
     knots = np.asarray(proc.knot_cuts, dtype=float)
     per_width = tol / (2.0 * _F_WINDOW)
@@ -610,22 +627,59 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
 # vectorised profiles: many f0 at once on fixed K15 panels
 
 
-def _profile_panels(proc: Procedure, s: float, lo: float, hi: float) -> np.ndarray:
-    """A profile's panel edges on [lo, hi].
+def _profile_panels(proc: Procedure, rho: float, f0_lo: float, f0_hi: float) -> np.ndarray:
+    """A profile's panel edges on the windows of every f0 in [f0_lo, f0_hi].
 
-    Cut at the breakpoints, graded on both sides, and at the knots below
-    _KNOT_CUT_X; each piece is split evenly to width <= 2.4 s.
+    The rule's `breakpoints` give its singular points, each cut with a
+    graded ladder on both sides, and its plain cuts; its `profile_knots`
+    are cut where `_live_knots` keeps them, which leaves the profiles of the
+    1%, 5% and 10% curves as with all of them cut, to 1e-15.  Each piece is
+    split evenly to width <= 2.4 s.  Knots past the `profile_knots` zone
+    stay uncut; `rejection_prob_profile` states what that costs.
     """
-    breaks = np.asarray(proc.breakpoints(s), dtype=float)
-    knots = np.asarray(proc.knot_cuts, dtype=float)
-    graded = breaks[:, None] + np.concatenate([-_GRADED_OFFSETS, _GRADED_OFFSETS])
-    cuts = np.concatenate([breaks, graded.ravel(), knots[np.abs(knots) < _KNOT_CUT_X]])
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    lo, hi = f0_lo - _F_WINDOW, f0_hi + _F_WINDOW
+    singular, plain = (np.asarray(p, dtype=float) for p in proc.breakpoints(s))
+    knots = np.asarray(proc.profile_knots, dtype=float)
+    knots = knots[(knots > lo) & (knots < hi)]
+    if knots.size:
+        knots = knots[_live_knots(proc, knots, rho, s, f0_lo, f0_hi)]
+    graded = singular[:, None] + np.concatenate([-_GRADED_OFFSETS, _GRADED_OFFSETS])
+    cuts = np.concatenate([singular, plain, graded.ravel(), knots])
     inside = cuts[(cuts > lo + 1e-9) & (cuts < hi - 1e-9)]
     cuts = np.unique(np.concatenate([[lo, hi], inside]))
     width = np.diff(cuts)
     n = np.ceil(width / (2.4 * s)).astype(int)
     piece, k = _range_pairs(np.zeros_like(n), n)
     return np.append(cuts[piece] + width[piece] * k / n[piece], hi)
+
+
+def _live_knots(
+    proc: Procedure, knots: np.ndarray, rho: float, s: float, f0_lo: float, f0_hi: float
+) -> np.ndarray:
+    """Mask of the knots (sorted, nonempty) that a profile over f0 in [f0_lo, f0_hi] must cut.
+
+    At a knot x the rule's `regions` give the edges e of the conditional
+    rejection set, at the cutoff g(x)^2.  As in `_saturation_hulls`, an edge
+    sits (u - c) / s conditional sds from the mean, u = rho f0 and
+    c = rho x - e.  A knot is live when, for some f0 of the range whose
+    window reaches x, that is under _SAT_Z + 3 (3 more for the edges' drift
+    over the panels next to it) for either edge, or when an edge is NaN or
+    infinite; elsewhere the panels on both sides saturate and the kink does
+    not show.  A knot where the rule never rejects has no edges and no kink
+    to show.  The neighbours of a live knot are kept too.
+    """
+    _, sign, lo, hi = proc.regions(knots, rho)
+    u = rho * np.maximum(knots - _F_WINDOW, f0_lo), rho * np.minimum(knots + _F_WINDOW, f0_hi)
+    r = (_SAT_Z + 3.0) * s
+    with np.errstate(invalid="ignore", over="ignore"):
+        c = rho * knots - np.stack([lo, hi])
+        near = ~np.isfinite(c) | ((c > np.minimum(*u) - r) & (c < np.maximum(*u) + r))
+    live = near.any(0) & (sign != 0.0)
+    keep = live.copy()
+    keep[1:] |= live[:-1]
+    keep[:-1] |= live[1:]
+    return keep
 
 
 def _t_region_tables(f: np.ndarray, c, rho: float) -> _Tables:
@@ -793,12 +847,14 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
     Returns an array of the shape of ``f0s``: one `_panel_pass` over the
     panels of `_profile_panels` on the windows of all f0, so a value can
     move in its last digits with the other f0 of the call.  No error is
-    reported per f0: the curve rule's knots above _KNOT_CUT_X are not cut,
-    and |K15 - G7| does not see them.  Against `rejection_prob(tol=1e-10)`
-    the profile was at most 4.7e-8 off for the 5% curve rule (rho 0.9 to
-    0.9999, f0 <= 1.95) and 6.1e-8 for the conventional rules at Q95 and
-    3.43^2 (rho 0 to 0.99).  For |rho| > 1 - 1e-6 the degenerate closed
-    forms take over, as in `rejection_prob`.
+    reported per f0: the curve rule's knots outside its `profile_knots`
+    zone (|x| < 2.5 for the 5% and 10% curves, < 3.116 for the 1% curve)
+    are not cut, and |K15 - G7| does not see them.  Against
+    `rejection_prob(tol=1e-10)` the profile was at most 4.7e-8 off for the
+    5% curve rule, 4.9e-8 for the 10% and 1.5e-8 for the 1% (rho 0 to
+    0.9999, f0 <= 1.95 and 3 to 20), and 6.1e-8 for the conventional rules
+    at Q95 and 3.43^2 (rho 0 to 0.99).  For |rho| > 1 - 1e-6 the
+    degenerate closed forms take over, as in `rejection_prob`.
     """
     _require_procedure(proc)
     f0s = np.atleast_1d(np.asarray(f0s, dtype=float))
@@ -814,7 +870,7 @@ def rejection_prob_profile(proc: Procedure, rho: float, f0s) -> np.ndarray:
         return proc.rho1_profile(f0s).reshape(shape)
 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    edges = _profile_panels(proc, s, float(f0s.min()) - _F_WINDOW, float(f0s.max()) + _F_WINDOW)
+    edges = _profile_panels(proc, rho, float(f0s.min()), float(f0s.max()))
     value = _panel_pass(proc, rho, s, f0s, edges[:-1], edges[1:])[0]
     return np.clip(value, 0.0, 1.0).reshape(shape)
 

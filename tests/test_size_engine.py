@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -22,6 +23,8 @@ from tfiv.size_engine import (
     _F_WINDOW,
     _GK_WK,
     _GK_X,
+    _GRADED_OFFSETS,
+    _cvf_crossing,
     _profile_panels,
     _rho1_masses,
     _saturation_hulls,
@@ -32,7 +35,7 @@ from tfiv.size_engine import (
     rejection_prob_rho1,
 )
 from tfiv.statistics import t_squared_identity
-from tfiv.tf_critical import CriticalValueFunction
+from tfiv.tf_critical import CriticalValueFunction, build_cvf
 from tfiv.worst_case import worst_case_size
 
 Q95 = 3.8414588206941254
@@ -608,9 +611,7 @@ def _dense_profile(proc, rho, f0s):
     """
     f0s = np.asarray(f0s, dtype=float)
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
-    lo = float(f0s.min()) - _F_WINDOW
-    hi = float(f0s.max()) + _F_WINDOW
-    edges = _profile_panels(proc, s, lo, hi)
+    edges = _profile_panels(proc, rho, float(f0s.min()), float(f0s.max()))
     mids, halfs = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
     nodes = (mids[:, None] + halfs[:, None] * _GK_X).ravel()
     weights = (halfs[:, None] * _GK_WK).ravel()
@@ -679,14 +680,15 @@ def test_saturated_panels_match_dense_sweep(cvf, which, monkeypatch):
 
 @pytest.mark.parametrize("rho", [0.0, 0.9, -0.999])
 def test_block_edges_inside_one_f0(cvf, rho, monkeypatch):
-    # Blocks of 7 panels and groups of about 105 (f0, panel) pairs: each f0
-    # meets more panels than that, so block and group edges fall inside the
-    # pairs of one f0, whose sum must come out as with the default blocks.
+    # Blocks of 5 panels and groups of about 75 (f0, panel) pairs: each f0
+    # meets more panels than that (8 or more), so block and group edges fall
+    # inside the pairs of one f0, whose sum must come out as with the
+    # default blocks.
     import tfiv.size_engine as engine
 
     proc = TFProcedure(cvf=cvf)
     whole = rejection_prob_profile(proc, rho, _SWEEP)
-    monkeypatch.setattr(engine, "_BLOCK", 7 * _GK_X.size)
+    monkeypatch.setattr(engine, "_BLOCK", 5 * _GK_X.size)
     seen = _dense_pairs(monkeypatch)
     split = rejection_prob_profile(proc, rho, _SWEEP)
     # Each call takes a run of the f0-major pairs; more calls than f0 values
@@ -702,9 +704,8 @@ def test_point_skips_saturated_panels(cvf, f0, monkeypatch):
     # panels saturate, it sends a small share of its panels' nodes through
     # the kernel, where a dense sweep of the same panels sends them all.
     rho = 0.9999
-    s = math.sqrt((1.0 - rho) * (1.0 + rho))
     for proc in (ConventionalT(Q95), ThresholdTF(Q95, 10.0), TFProcedure(cvf)):
-        panels = _profile_panels(proc, s, f0 - _F_WINDOW, f0 + _F_WINDOW).size - 1
+        panels = _profile_panels(proc, rho, f0, f0).size - 1
         seen = _dense_pairs(monkeypatch)
         rejection_prob(proc, NuisancePoint(rho=rho, f0=f0))
         assert seen.pairs < 0.25 * _GK_X.size * panels
@@ -712,12 +713,14 @@ def test_point_skips_saturated_panels(cvf, f0, monkeypatch):
 
 def test_tf_audit_kernel_work(cvf, monkeypatch):
     # K15 panels up to 2.4 s wide, with no 0.3 cap, saturated panels
-    # skipped at every rho, and a grid that ends at f0_far = 18.73, past
-    # which a closed bound stands in: the 5% curve's audit sends 1.32M
-    # node-f0 pairs through the kernel in 122 blocks (1.63M in 158 with a
-    # far-field block of 26 columns from f0 = 40 to 140, 1.875M in 171 with
-    # 101 far columns, 7.23M on GL-24 panels, 4,298 calls when each f0 chunk
-    # made its own).
+    # skipped at every rho, graded ladders only at the root births and
+    # asymptotes, knot cuts only where live, and a grid that ends at
+    # f0_far = 18.73, past which a closed bound stands in: the 5% curve's
+    # audit sends 1.11M node-f0 pairs through the kernel in 117 blocks
+    # (1.32M in 122 with ladders at every breakpoint and every knot below
+    # 2.5 cut, 1.63M in 158 with a far-field block of 26 columns from
+    # f0 = 40 to 140, 1.875M in 171 with 101 far columns, 7.23M on GL-24
+    # panels, 4,298 calls when each f0 chunk made its own).
     seen = _dense_pairs(monkeypatch)
     worst_case_size(TFProcedure(cvf=cvf))
     assert seen.pairs <= 3.0e6
@@ -762,7 +765,7 @@ class _Patched:
 
     def __init__(self, proc, patch):
         self.proc, self.patch = proc, patch
-        self.knot_cuts = proc.knot_cuts
+        self.knot_cuts, self.profile_knots = proc.knot_cuts, proc.profile_knots
 
     def breakpoints(self, s):
         return self.proc.breakpoints(s)
@@ -793,6 +796,74 @@ def test_non_finite_edges_keep_their_panels_live(value, column):
         np.testing.assert_allclose(prof, dense, rtol=0.0, atol=1e-14)
         if math.isnan(value):
             assert np.isnan(prof).any() and not np.isnan(prof).all()
+
+
+# ---------------------------------------------------------------------------
+# panel layout
+
+
+@functools.cache
+def _tf_rule(alpha: float) -> TFProcedure:
+    return TFProcedure(build_cvf(alpha))
+
+
+def test_ladders_only_at_singular_points():
+    # The graded ladder goes on both sides of the root birth f = s sqrt(c)
+    # and the asymptote f^2 = c; the support edge, the gate and the pin get
+    # one plain cut each.
+    rho = 0.9
+    s = math.sqrt((1.0 - rho) * (1.0 + rho))
+    sc = SQRT_Q95
+    tf = _tf_rule(0.05)
+    X = tf.cutoff_knots[0]
+    cases = [
+        (ConventionalT(Q95), [s * sc, sc], []),
+        (ThresholdTF(Q95, 10.0), [s * sc, sc], [math.sqrt(10.0)]),
+        (HybridAR(Q95, 10.0), [s * sc, sc], [math.sqrt(10.0)]),
+        (tf, [_cvf_crossing(tf, s), _cvf_crossing(tf, 1.0)], [X[0], X[-1]]),
+    ]
+    ladder = np.concatenate([-_GRADED_OFFSETS, _GRADED_OFFSETS])
+    for proc, singular, plain in cases:
+        assert proc.breakpoints(s) == (
+            sorted(-x for x in singular) + sorted(singular),
+            sorted(-x for x in plain) + sorted(plain),
+        )
+        edges = _profile_panels(proc, rho, 0.0, 12.0)  # on [-8.5, 20.5]
+        for x in singular:
+            for point in (x, -x):
+                assert np.isin(point + ladder, edges).all()
+        for x in plain:
+            for point in (x, -x) if x < 8.5 else (x,):
+                assert point in edges
+                assert not np.isin(point + ladder, edges).any()
+    assert _profile_panels(PureAR(Q95), rho, 0.0, 12.0).size - 1 == math.ceil(29.0 / (2.4 * s))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
+def test_live_knot_filter_drops_only_dead_knots(alpha, monkeypatch):
+    # With every candidate knot cut, the profile is the same to 1e-15: the
+    # knots the filter drops sit where every pair of their panels saturates.
+    import tfiv.size_engine as engine
+
+    proc = _tf_rule(alpha)
+    rhos = (0.0, 0.5, -0.9, 0.99, 0.999, 0.9999)
+    filtered = [rejection_prob_profile(proc, rho, _SWEEP) for rho in rhos]
+    monkeypatch.setattr(engine, "_live_knots", lambda proc, knots, *args: np.ones(knots.size, bool))
+    for rho, prof in zip(rhos, filtered):
+        every = rejection_prob_profile(proc, rho, _SWEEP)
+        np.testing.assert_allclose(prof, every, rtol=0.0, atol=1e-15)
+
+
+def test_one_percent_profile_cuts_its_knots():
+    # The 1% curve's knots begin at its support edge 2.576, above 2.5; its
+    # cut zone follows that edge, so the profile sees its kinks near |rho| = 1.
+    proc = _tf_rule(0.01)
+    f0s = np.array([0.0, 0.07, 0.3])
+    for rho in (0.999, 0.9995):
+        prof = rejection_prob_profile(proc, rho, f0s)
+        for f0, value in zip(f0s, prof):
+            tight = rejection_prob(proc, NuisancePoint(rho=rho, f0=float(f0)), tol=1e-11).prob
+            assert abs(value - tight) <= 1e-7
 
 
 def test_profile_keeps_the_shape_of_f0s():

@@ -12,7 +12,10 @@ the last line of each run's standard output is kept.  For every end-to-end
 metric the file records both sides' median and quartiles and how many
 pairs the change won, in the direction that the change's BENCHMARK.json
 gives, with each run's correct/attempted/failed counts.  Each workload
-needs at least two seeds.  The script uses only the standard library.
+needs at least two seeds.  A checkout that holds a `__pycache__` under
+src/ or bench/ is refused before any run: it would load from bytecode where
+the other compiles, and every process of a run would pay the difference.
+The script uses only the standard library.
 """
 
 from __future__ import annotations
@@ -93,6 +96,11 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("give one --seeds per --workload")
     if min(map(len, args.seeds)) < 2:
         ap.error("give each workload at least two seeds")
+    for side in ("parent", "change"):
+        root = getattr(args, side)
+        cached = [p for d in ("src", "bench") for p in sorted((root / d).rglob("__pycache__"))]
+        if cached:
+            ap.error(f"--{side} holds bytecode in {cached[0]}; remove it before measuring")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = float(spec["run_seconds"])
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}

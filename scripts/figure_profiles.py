@@ -1,8 +1,9 @@
 """Emit figure-ready CSV profiles of rejection probability.
 
-One file per procedure: rows are E[F] values, columns are rho values, cells
-are exact rejection probabilities under the null.  This is the layout behind
-the size-profile figures; plotting is left to whatever reads the CSV.
+One file per procedure of `tfiv size` at the 5% level, built as the CLI
+builds it: rows are E[F] values, columns are rho values, cells are exact
+rejection probabilities under the null.  This is the layout behind the
+size-profile figures; plotting is left to whatever reads the CSV.
 """
 
 import argparse
@@ -10,29 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from tfiv.gaussian import Q95
-from tfiv.size_engine import (
-    ConventionalT,
-    HybridAR,
-    PureAR,
-    TFProcedure,
-    ThresholdTF,
-    rejection_prob_matrix,
-)
-from tfiv.tf_critical import build_cvf
+from tfiv.cli import _SIZE_PROCEDURES, _build_procedure
+from tfiv.size_engine import rejection_prob_matrix
 
 RHOS = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 
 
 def procedures() -> dict:
-    return {
-        "conventional": ConventionalT(Q95),
-        "threshold-2b": ThresholdTF(Q95, 104.7),
-        "threshold-2c": ThresholdTF(3.43**2, 10.0),
-        "hybrid-2b": HybridAR(Q95, 104.7),
-        "ar": PureAR(Q95),
-        "tf": TFProcedure(build_cvf(0.05)),
-    }
+    return {name: _build_procedure(name, 0.05) for name in _SIZE_PROCEDURES}
 
 
 def main() -> None:

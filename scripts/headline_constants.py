@@ -19,16 +19,9 @@ import time
 
 import numpy as np
 
+from tfiv.cli import _SIZE_PROCEDURES, _build_procedure
 from tfiv.gaussian import Q95, chi2_quantile_1df, ndtr
-from tfiv.size_engine import (
-    ConventionalT,
-    HybridAR,
-    NuisancePoint,
-    PureAR,
-    TFProcedure,
-    ThresholdTF,
-    rejection_prob,
-)
+from tfiv.size_engine import NuisancePoint, TFProcedure, ThresholdTF, rejection_prob
 from tfiv.tf_critical import build_cvf
 from tfiv.worst_case import (
     hybrid_nonexistence_certificate,
@@ -107,14 +100,9 @@ def main() -> None:
         print(f"    {wc_level!r}")
 
     print("rejection_prob(rule, NuisancePoint(rho, f0)) -> prob, abs_err, for the CLI rules:")
-    rules = {
-        "conventional": ConventionalT(Q95),
-        "threshold-2b": ThresholdTF(1.96 * 1.96, 104.7),
-        "threshold-2c": ThresholdTF(3.43 * 3.43, 10.0),
-        "hybrid-2b": HybridAR(1.96 * 1.96, 104.7),
-        "ar": PureAR(Q95),
-        "tf": TFProcedure(cvf),
-    }
+    # The CLI's own rules, the curve last: the one built and timed above.
+    rules = {name: _build_procedure(name, 0.05) for name in _SIZE_PROCEDURES if name != "tf"}
+    rules["tf"] = TFProcedure(cvf)
     points = [(0.5, 1.5), (0.99, 0.7), (0.999, 10.0)]
     points += [(1.0, f0) for f0 in (0.5, 1.95, 12.66, 1e4)]
     for rho, f0 in points:

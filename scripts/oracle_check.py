@@ -8,18 +8,9 @@ z-score.  A healthy run stays within ~3 sigma everywhere.
 import argparse
 import math
 
-from tfiv.gaussian import Q95
+from tfiv.cli import _SIZE_PROCEDURES, _build_procedure
 from tfiv.mc_oracle import McConfig, mc_rejection
-from tfiv.size_engine import (
-    ConventionalT,
-    HybridAR,
-    NuisancePoint,
-    PureAR,
-    TFProcedure,
-    ThresholdTF,
-    rejection_prob,
-)
-from tfiv.tf_critical import build_cvf
+from tfiv.size_engine import NuisancePoint, rejection_prob
 
 
 def main() -> None:
@@ -28,13 +19,8 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=20260501)
     args = ap.parse_args()
 
-    procs = {
-        "conventional": ConventionalT(Q95),
-        "threshold-2b": ThresholdTF(Q95, 104.7),
-        "hybrid-2b": HybridAR(Q95, 104.7),
-        "ar": PureAR(Q95),
-        "tf": TFProcedure(build_cvf(0.05)),
-    }
+    # The procedures of `tfiv size` at the 5% level, built as the CLI builds them.
+    procs = {name: _build_procedure(name, 0.05) for name in _SIZE_PROCEDURES}
     points = [(0.0, 1.0), (0.5, 2.0), (0.9, 4.0), (-0.7, 1.5), (1.0, 3.0)]
 
     worst = 0.0

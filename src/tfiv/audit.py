@@ -14,8 +14,10 @@ same paper), so every paper contributes equally.  The report also tracks,
 among records that look solid under the conventional reading (|t| > 1.96 and
 F > 10), how many each rule reclassifies as insignificant.
 
-Aggregation sorts per-record contributions before summing, so the report is
-bit-identical under any permutation of the input records.
+The report is bit-identical under any permutation of the input records:
+every weighted sum is a `math.fsum`, which is exactly rounded and so does not
+depend on the order of its terms, every other aggregate is an integer count,
+and the weights depend only on each paper's number of records.
 """
 
 from __future__ import annotations
@@ -113,10 +115,6 @@ class AuditReport:
     caveat: str = CAVEAT
 
 
-def _sort_key(rec: SpecRecord) -> tuple:
-    return (rec.spec_id, rec.paper_id, repr(rec.t), repr(rec.F), repr(rec.weight))
-
-
 def _resolved_weights(records: Sequence[SpecRecord]) -> list[float]:
     per_paper = Counter(r.paper_id for r in records)
     return [
@@ -149,7 +147,6 @@ def classify_corpus(
     ]
     if not universe:
         raise DomainError("empty corpus: no record carries both t and F")
-    universe.sort(key=lambda rw: _sort_key(rw[0]))
     total_w = math.fsum(w for _, w in universe)
 
     screen = ThresholdTF(chi2_quantile_1df(0.95), _F_RULE_OF_THUMB)

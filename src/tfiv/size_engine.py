@@ -47,22 +47,24 @@ rejection probability is the same for rho = +1 and rho = -1).  One kernel,
 `rho1_profile` adds the AR band below the gate; both evaluators route
 |rho| > 1 - 1e-6 to it because the conditional sd underflows there.
 
-Each procedure class carries its whole rule.  It states its t test as
+Each procedure class states only its own rule.  It states its t test as
 `crit_at(F)`, the t^2 critical value at F (+inf where the t test never
 rejects), and as `cutoff_knots` (X, G) in sqrt F and sqrt c from the
 support edge on: one knot (sqrt f_threshold, sqrt crit) for a constant
-cutoff.  The AR rules read t_ar^2 > crit instead at F <= `ar_gate`.  From
-these the private base `_Rule` writes the (t, F) decision (`rejects`) that
-the corpus audit and the CLI apply, the `regions` integrated, and
-`rho1_profile` and `tail_limit`; `ConventionalT.rejects` alone answers
-without F, and `PureAR` keeps its flat `rho1_profile`.  Each class adds its
-`breakpoints` (singular points, then plain cuts), `ridge_f0_grid`,
-`f0_star` and `outer_cutoff`; the curve rule adds `knot_cuts` and
-`profile_knots`, and the constant-cutoff rules share one more base
-with `f_threshold` (0 when ungated).  The public classes stay siblings, so
-that `mc_oracle`, the independent check, can tell them apart by type.
-`flat` marks the AR rule, whose size is the same everywhere.  Every
-evaluator refuses f0 above _F0_MAX.
+cutoff.  The AR rules read t_ar^2 > crit instead at F <= `ar_gate`.  Each
+class also names its `singular_points(s)`, its `ridge_f0_grid` and its
+`f0_star`.  From these the private base `_Rule` writes the (t, F) decision
+(`rejects`) that the corpus audit and the CLI apply, the `regions`
+integrated, `rho1_profile` and `tail_limit`, and the panel geometry:
+`breakpoints` (the singular points, then plain cuts at X[0] and X[-1]),
+`knot_cuts` (+-X[1:], none for a constant cutoff), `profile_knots` and
+`outer_cutoff` (X[-1], crit_at(inf)).  `ConventionalT.rejects` alone
+answers without F, and `PureAR` keeps its flat `rho1_profile` and has no
+`outer_cutoff`.  The constant-cutoff rules share one more base with
+`f_threshold` (0 when ungated).  The public classes stay siblings, so that
+`mc_oracle`, the independent check, can tell them apart by type.  `flat`
+marks the AR rule, whose size is the same everywhere.  Every evaluator
+refuses f0 above _F0_MAX.
 """
 
 from __future__ import annotations
@@ -155,8 +157,8 @@ _GK_WK = np.concatenate([_WK, _WK[-2::-1]])
 _GK_WG = np.concatenate([_WG, _WG[-2::-1]])
 # Panels one `rejection_prob` call may evaluate before giving up on tol.
 _GK_MAX_PANELS = 100_000
-# Per-node conditional rejection set: (base, sign, lo, hi), see `_t_region_tables`.
-_Tables = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# Per-node conditional rejection set: (sign, lo, hi), see `_t_region_tables`.
+_Tables = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -204,18 +206,19 @@ def _require_procedure(proc) -> None:
 
 
 class _Rule:
-    """Base of every rule: `rejects`, `regions`, `rho1_profile` and `tail_limit`.
+    """Base of every rule: its decision, regions and panel geometry.
 
-    They come from `crit_at`, `cutoff_knots` and `ar_gate`: at F <= ar_gate
-    (-inf: nowhere) a rule reads t_ar^2 > crit, with its constant `crit`,
-    in place of t^2 > crit_at(F).  The defaults of `flat`, `f0_star`,
-    `knot_cuts` and `profile_knots` live here too.
+    `rejects`, `regions`, `rho1_profile` and `tail_limit` come from
+    `crit_at`, `cutoff_knots` (X, G) and `ar_gate`: at F <= ar_gate (-inf:
+    nowhere) a rule reads t_ar^2 > crit, with its constant `crit`, in place
+    of t^2 > crit_at(F).  `breakpoints`, `knot_cuts`, `profile_knots` and
+    `outer_cutoff` come from the knots X and the rule's `singular_points`.
+    The defaults of `flat` and `f0_star` live here too.
     """
 
     ar_gate = -math.inf
     flat = False
     f0_star = None
-    knot_cuts = profile_knots = ()
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
         """None without t or F, or at F <= ar_gate: (t, F) lacks the AR statistic."""
@@ -232,7 +235,7 @@ class _Rule:
         # The AR event t_ar^2 > crit: 1 - P(-sqrt(crit) < t_ar < sqrt(crit)).
         sc = math.sqrt(self.crit)
         below = F <= self.ar_gate
-        return tuple(np.where(below, v, t) for t, v in zip(tables, (1.0, -1.0, -sc, sc)))
+        return tuple(np.where(below, v, t) for t, v in zip(tables, (-1.0, -sc, sc)))
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         """Exact size at |rho| = 1: the t test's `_rho1_masses`, plus the AR band."""
@@ -249,6 +252,33 @@ class _Rule:
     def tail_limit(self) -> float:
         """The f0 -> infinity size, 2 Phi(-g), g the last knot value."""
         return 2.0 * float(ndtr(-self.cutoff_knots[1][-1]))
+
+    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
+        """(singular points, plain cuts), mirrored: the `singular_points(s)`,
+        then the support edge X[0] (a constant cutoff's gate) and the last
+        knot X[-1] (the curve's pin, or where a curve that never pins goes flat)."""
+        X = self.cutoff_knots[0]
+        return _mirrored(self.singular_points(s)), _mirrored([X[0], X[-1]])
+
+    @cached_property
+    def knot_cuts(self) -> np.ndarray:
+        # c(F) is linear in sqrt(F) between knots and kinks at each one past
+        # the support edge; the integrand is smooth only between kinks, and
+        # |K15 - G7| measures the error only where it is smooth.  Sorted, for
+        # `rejection_prob`; empty for a constant cutoff.
+        xs = self.cutoff_knots[0][1:]
+        return np.concatenate([-xs[::-1], xs])
+
+    @cached_property
+    def profile_knots(self) -> np.ndarray:
+        """The knots a profile may cut: |x| < max(_KNOT_CUT_X, support edge + _KNOT_CUT_SPAN)."""
+        zone = max(_KNOT_CUT_X, self.cutoff_knots[0][0] + _KNOT_CUT_SPAN)
+        return self.knot_cuts[np.abs(self.knot_cuts) < zone]
+
+    @property
+    def outer_cutoff(self) -> tuple[float, float]:
+        """(x, c): at |f| > x, past the last knot, the rule is the conventional t test t^2 > c."""
+        return float(self.cutoff_knots[0][-1]), float(self.crit_at(math.inf))
 
 
 @dataclass(frozen=True)
@@ -269,14 +299,10 @@ class _ConstantCutoff(_Rule):
         """One knot: sqrt(crit) from the gate sqrt(f_threshold) on."""
         return np.array([math.sqrt(self.f_threshold)]), np.array([math.sqrt(self.crit)])
 
-    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
+    def singular_points(self, s: float) -> list[float]:
+        """The root birth f = s sqrt(crit) and the asymptote f = sqrt(crit)."""
         sc = math.sqrt(self.crit)
-        return _mirrored([sc, s * sc]), _mirrored([math.sqrt(self.f_threshold)])
-
-    @property
-    def outer_cutoff(self) -> tuple[float, float]:
-        """(x, c): at |f| > x the rule is the conventional t test t^2 > c."""
-        return math.sqrt(self.f_threshold), self.crit
+        return [sc, s * sc]
 
     def ridge_f0_grid(self) -> np.ndarray:
         """|rho| = 1 audit grid out to max(500, 3 sqrt(F) + 50), with f0*."""
@@ -340,8 +366,8 @@ class PureAR(_ConstantCutoff):
     def crit_at(self, F) -> np.ndarray:
         return np.full(np.shape(F), np.inf)
 
-    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
-        return [], []
+    def singular_points(self, s: float) -> list[float]:
+        return []
 
     def rho1_profile(self, f0s: np.ndarray) -> np.ndarray:
         return np.full(f0s.shape, self.tail_limit())
@@ -379,35 +405,9 @@ class TFProcedure(_Rule):
         g = self.cvf.sqrt_crit_profile(np.sqrt(np.maximum(F, 0.0)))
         return g * g
 
-    def breakpoints(self, s: float) -> tuple[list[float], list[float]]:
-        X = self.cutoff_knots[0]
-        return _mirrored([
-            _cvf_crossing(self, s),  # root birth: f = s sqrt(c)
-            _cvf_crossing(self, 1.0),  # asymptote: f^2 = c(f^2)
-        ]), _mirrored([
-            X[0],
-            X[-1],  # last kink: the pin, or where a curve that never pins goes flat
-        ])
-
-    @cached_property
-    def knot_cuts(self) -> np.ndarray:
-        # c(F) is linear in sqrt(F) between knots and kinks at each one; the
-        # integrand is smooth only between kinks, and |K15 - G7| measures the
-        # error only where it is smooth.  Sorted, for `rejection_prob`.
-        xs = self.cvf.arrays[0]
-        return np.concatenate([-xs[::-1], xs])
-
-    @cached_property
-    def profile_knots(self) -> np.ndarray:
-        """The knots a profile may cut: |x| < max(_KNOT_CUT_X, support edge + _KNOT_CUT_SPAN)."""
-        zone = max(_KNOT_CUT_X, self.cutoff_knots[0][0] + _KNOT_CUT_SPAN)
-        return self.knot_cuts[np.abs(self.knot_cuts) < zone]
-
-    @property
-    def outer_cutoff(self) -> tuple[float, float]:
-        """(x, c): past the last knot x the curve is flat at c = g_last^2."""
-        X, G = self.cutoff_knots
-        return float(X[-1]), float(G[-1]) ** 2
+    def singular_points(self, s: float) -> list[float]:
+        """The root birth f = s g(f) and the asymptote f^2 = c(f^2)."""
+        return [_cvf_crossing(self, s), _cvf_crossing(self, 1.0)]
 
     def ridge_f0_grid(self) -> np.ndarray:
         """|rho| = 1 audit grid out to 100, with the cap edge, where the ridge peaks.
@@ -599,7 +599,7 @@ def rejection_prob(proc: Procedure, p: NuisancePoint, tol: float = 1e-6) -> Size
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     edges = _profile_panels(proc, rho, p.f0, p.f0)
     a, b = edges[:-1], edges[1:]
-    knots = np.asarray(proc.knot_cuts, dtype=float)
+    knots = proc.knot_cuts
     per_width = tol / (2.0 * _F_WINDOW)
     value, err, spent = 0.0, 2e-17, 0
     while a.size:
@@ -640,7 +640,7 @@ def _profile_panels(proc: Procedure, rho: float, f0_lo: float, f0_hi: float) -> 
     s = math.sqrt((1.0 - rho) * (1.0 + rho))
     lo, hi = f0_lo - _F_WINDOW, f0_hi + _F_WINDOW
     singular, plain = (np.asarray(p, dtype=float) for p in proc.breakpoints(s))
-    knots = np.asarray(proc.profile_knots, dtype=float)
+    knots = proc.profile_knots
     knots = knots[(knots > lo) & (knots < hi)]
     if knots.size:
         knots = knots[_live_knots(proc, knots, rho, s, f0_lo, f0_hi)]
@@ -669,7 +669,7 @@ def _live_knots(
     not show.  A knot where the rule never rejects has no edges and no kink
     to show.  The neighbours of a live knot are kept too.
     """
-    _, sign, lo, hi = proc.regions(knots, rho)
+    sign, lo, hi = proc.regions(knots, rho)
     u = rho * np.maximum(knots - _F_WINDOW, f0_lo), rho * np.minimum(knots + _F_WINDOW, f0_hi)
     r = (_SAT_Z + 3.0) * s
     with np.errstate(invalid="ignore", over="ignore"):
@@ -683,11 +683,12 @@ def _live_knots(
 
 
 def _t_region_tables(f: np.ndarray, c, rho: float) -> _Tables:
-    """Per-node conditional rejection set for {t^2 > c}: base + sign * band.
+    """Per-node conditional rejection set for {t^2 > c}: (sign < 0) + sign * band.
 
     ``c`` is one positive cutoff, or one per node; +inf rejects nowhere.
-    Returns (base, sign, lo, hi) so that the conditional probability is
-    base + sign * (Phi((hi-mu)/s) - Phi((lo-mu)/s)); sign 0 encodes "never".
+    Returns (sign, lo, hi) so that the conditional probability is
+    (sign < 0) + sign * (Phi((hi-mu)/s) - Phi((lo-mu)/s)): sign -1 rejects
+    outside [lo, hi], +1 inside it, and 0 never.
 
     The edges are the roots of r^2 (f^2 - c) + 2 b r - c f^2, b = rho c f,
     real where gap = f^2 - c (1 - rho^2) > 0, which also rules out c = +inf
@@ -705,12 +706,10 @@ def _t_region_tables(f: np.ndarray, c, rho: float) -> _Tables:
         b = rho * c * f
         q = -(b + np.copysign(np.sqrt(c * f2 * gap), b))
         r1, r2 = q / denom, -c * f2 / q
-    outside = exists & (denom > 0.0)
-    base = np.where(outside, 1.0, 0.0)
-    sign = np.where(outside, -1.0, np.where(exists, 1.0, 0.0))
+    sign = np.where(exists & (denom > 0.0), -1.0, np.where(exists, 1.0, 0.0))
     lo = np.where(exists, np.minimum(r1, r2), 0.0)
     hi = np.where(exists, np.maximum(r1, r2), 0.0)
-    return base, sign, lo, hi
+    return sign, lo, hi
 
 
 def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndarray:
@@ -719,17 +718,17 @@ def _weighted_rejection(regions, d: np.ndarray, rho: float, s: float) -> np.ndar
     ``regions`` are a procedure's `regions` tables at the nodes f, broadcast
     against d; given f, t_ar is normal with mean rho d and sd s.
     """
-    base, sign, lo, hi = regions
+    sign, lo, hi = regions
     dens = np.where(np.abs(d) <= _F_WINDOW, _INV_SQRT_2PI * np.exp(-0.5 * d * d), 0.0)
     mu = rho * d
     band = ndtr((hi - mu) / s) - ndtr((lo - mu) / s)
-    return dens * (base + sign * band)
+    return dens * ((sign < 0) + sign * band)
 
 
 def _saturation_hulls(
     nodes: np.ndarray, tables: _Tables, rho: float, s: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per K15 panel: its (base, sign) and the u = rho f0 hulls outside which it saturates.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per K15 panel: its sign and the u = rho f0 hulls outside which it saturates.
 
     At a node f an edge e of the conditional rejection set sits
     z = (u - c) / s conditional sds from the mean rho f - u, c = rho f - e, so
@@ -738,25 +737,25 @@ def _saturation_hulls(
     (low, high) bounds those intervals of the upper edge over the panel's
     nodes, row 1 those of the lower edge.  For u outside both hulls every
     Phi is 0 or 1 to within Phi(-_SAT_Z), the same one on every node.
-    A panel whose nodes differ in (base, sign), or with a hull bound that is
+    A panel whose nodes differ in sign, or with a hull bound that is
     not finite (a NaN is never read as saturated), gets hulls (-inf, inf)
     and stays live for every u; a panel that never rejects gets (inf, inf).
     """
     # One row per K15 node, one column per panel, so the reductions run fast.
-    f, base, sign, lo, hi = (t.reshape(-1, _GK_X.size).T.copy() for t in (nodes, *tables))
+    f, sign, lo, hi = (t.reshape(-1, _GK_X.size).T.copy() for t in (nodes, *tables))
     r = _SAT_Z * s
     low, high = np.empty((2, 2, f.shape[1]))
     with np.errstate(invalid="ignore", over="ignore"):
         for row, edge in enumerate((hi, lo)):
             c = rho * f - edge
             low[row], high[row] = c.min(0) - r, c.max(0) + r
-    pbase, psign = base[0], sign[0]
-    uniform = ((base == pbase) & (sign == psign)).all(0)
+    psign = sign[0]
+    uniform = (sign == psign).all(0)
     live = ~(uniform & np.isfinite(low).all(0) & np.isfinite(high).all(0))
     low[:, live], high[:, live] = -math.inf, math.inf
     dead = uniform & (psign == 0.0)
     low[:, dead] = high[:, dead] = math.inf
-    return pbase, psign, low, high
+    return psign, low, high
 
 
 def _run_mass(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -782,13 +781,14 @@ def _panel_pass(
     The pairs are built in groups of f0 of about _BLOCK pairs, so no
     temporary grows with the number of f0, and the nodes, region tables
     and hulls _PANELS panels at a time, so none grows with the panels
-    either; only the per-panel rows they fill do.
+    either; only the per-panel rows they fill do: four per node (the node
+    and its (sign, lo, hi)), and each panel's sign and hulls.
     """
     halfs = 0.5 * (b - a)
     # Nodes and tables with one row per panel, to gather live panels from,
-    # and each panel's (base, sign) and hulls, filled _PANELS at a time.
-    rows = np.empty((5, a.size, _GK_X.size))
-    pbase, psign = np.empty((2, a.size))
+    # and each panel's sign and hulls, filled _PANELS at a time.
+    rows = np.empty((4, a.size, _GK_X.size))
+    psign = np.empty(a.size)
     low, high = np.empty((2, 2, a.size))
     for k in range(0, a.size, _PANELS):
         block = np.s_[k : k + _PANELS]
@@ -796,9 +796,7 @@ def _panel_pass(
         tables = proc.regions(nodes, rho)
         for row, t in zip(rows, (nodes, *tables)):
             row[block] = np.reshape(t, (-1, _GK_X.size))
-        pbase[block], psign[block], low[:, block], high[:, block] = _saturation_hulls(
-            nodes, tables, rho, s
-        )
+        psign[block], low[:, block], high[:, block] = _saturation_hulls(nodes, tables, rho, s)
     per_block = _BLOCK // _GK_X.size
 
     # The panels [first, stop) meet an f0's window; a group of f0 begins at
@@ -818,7 +816,7 @@ def _panel_pass(
         below = [u <= bound[p] for bound in low]
         above = [u >= bound[p] for bound in high]  # Phi = 1 at that edge
         sat = (below[0] | above[0]) & (below[1] | above[1])
-        ones = sat & (pbase[p] + psign[p] * (1.0 * above[0] - above[1]) == 1.0)
+        ones = sat & ((psign[p] < 0) + psign[p] * (1.0 * above[0] - above[1]) == 1.0)
         # Runs of P = 1 panels of one f0 span [a[p_begin], b[p_end]].
         same = (i[1:] == i[:-1]) & (a[p[1:]] == b[p[:-1]])
         begin, end = ones.copy(), ones.copy()

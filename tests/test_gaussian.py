@@ -46,10 +46,10 @@ def test_stored_q95_is_the_ndtri_quantile():
 
 def test_pdf_matches_formula():
     # The density the integrators weight by: phi(d) inside the window, with
-    # tables that reject every t_ar (base 1, no band).
+    # tables that reject every t_ar (outside an empty band).
     xs = np.linspace(-5, 5, 11)
     expect = np.exp(-0.5 * xs * xs) / math.sqrt(2 * math.pi)
-    got = _weighted_rejection((1.0, 0.0, 0.0, 0.0), xs, 0.5, math.sqrt(0.75))
+    got = _weighted_rejection((-1.0, 0.0, 0.0), xs, 0.5, math.sqrt(0.75))
     assert np.allclose(got, expect, rtol=1e-14)
 
 

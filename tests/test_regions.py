@@ -23,21 +23,21 @@ rhos = st.floats(-1.0, 1.0)
 
 
 def _roots(f, crit, rho):
-    base, sign, lo, hi = _t_region_tables(np.array([f]), np.array([crit]), rho)
-    return float(base[0]), float(sign[0]), float(lo[0]), float(hi[0])
+    sign, lo, hi = _t_region_tables(np.array([f]), np.array([crit]), rho)
+    return float(sign[0]), float(lo[0]), float(hi[0])
 
 
 def _rejects_on_rho1_line(crit, f0, zeta):
     """The kernel's verdict at rho = 1, where t_ar = f - f0 = zeta exactly."""
-    base, sign, lo, hi = ConventionalT(crit=crit).regions(np.array([f0 + zeta]), 1.0)
-    return bool(base[0] + sign[0] * (lo[0] < zeta < hi[0]) > 0.5)
+    sign, lo, hi = ConventionalT(crit=crit).regions(np.array([f0 + zeta]), 1.0)
+    return bool((sign[0] < 0) + sign[0] * (lo[0] < zeta < hi[0]) > 0.5)
 
 
 @given(finite_f, crits, rhos)
 def test_boundary_roots_are_roots(f, crit, rho):
     assume(abs(f * f - crit) > 1e-4 * crit)
     assume(f * f - crit * (1 - rho * rho) > 1e-8)
-    _, sign, lo, hi = _roots(f, crit, rho)
+    sign, lo, hi = _roots(f, crit, rho)
     assert sign == (1.0 if f * f < crit else -1.0)
     assert lo <= hi
     for r in (lo, hi):
@@ -50,13 +50,13 @@ def test_boundary_roots_are_roots(f, crit, rho):
 def test_boundary_roots_antisymmetric(f, crit, rho):
     assume(abs(f * f - crit) > 1e-4 * crit)
     assume(f * f - crit * (1 - rho * rho) > 1e-8)
-    _, _, lo, hi = _roots(f, crit, rho)
+    _, lo, hi = _roots(f, crit, rho)
     # (t_ar, f) -> (-t_ar, -f) preserves t^2 at the same rho ...
-    _, _, m_lo, m_hi = _roots(-f, crit, rho)
+    _, m_lo, m_hi = _roots(-f, crit, rho)
     assert math.isclose(lo, -m_hi, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(hi, -m_lo, rel_tol=1e-9, abs_tol=1e-12)
     # ... and (t_ar, rho) -> (-t_ar, -rho) preserves it at the same f
-    _, _, n_lo, n_hi = _roots(f, crit, -rho)
+    _, n_lo, n_hi = _roots(f, crit, -rho)
     assert math.isclose(lo, -n_hi, rel_tol=1e-9, abs_tol=1e-12)
     assert math.isclose(hi, -n_lo, rel_tol=1e-9, abs_tol=1e-12)
 
@@ -65,7 +65,7 @@ def test_boundary_roots_edge_cases():
     # The asymptote f^2 = crit, the band f^2 < crit (1 - rho^2) = 3 where h
     # has no real roots, f = 0, and an infinite cutoff all reject nowhere.
     for f, crit in ((2.0, 4.0), (1.0, 4.0), (0.0, 4.0), (1.0, math.inf)):
-        assert _roots(f, crit, 0.5) == (0.0, 0.0, 0.0, 0.0)
+        assert _roots(f, crit, 0.5) == (0.0, 0.0, 0.0)
 
 
 def test_boundary_roots_cancellation_guard():
@@ -73,7 +73,7 @@ def test_boundary_roots_cancellation_guard():
     # stable root pair must still give finite roots that t^2 maps to crit.
     crit, rho = 4.0, 0.7
     f = math.sqrt(crit) * (1.0 + 1e-9)
-    _, _, lo, hi = _roots(f, crit, rho)
+    _, lo, hi = _roots(f, crit, rho)
     for r in (lo, hi):
         t2 = t_squared_identity(r, f, rho)
         assert math.isclose(t2, crit, rel_tol=1e-5)
@@ -97,7 +97,7 @@ def test_boundary_roots_backward_stable(node, rho):
     # h: |h(r)| over the sum of its terms' magnitudes, in long double, with
     # the leading coefficient taken as 1 + crit/f^2, before it cancels.
     f, crit = node
-    _, sign, lo, hi = _roots(f, crit, rho)
+    sign, lo, hi = _roots(f, crit, rho)
     assume(sign != 0.0)
     f, crit, rho = (np.longdouble(v) for v in (f, crit, rho))
     for r in (np.longdouble(lo), np.longdouble(hi)):

@@ -30,7 +30,7 @@ def test_script_imports(path):
     assert callable(_load(path).main)
 
 
-def test_bench_pairs_summary():
+def test_bench_pairs_summary(tmp_path, capsys):
     bench_pairs = _load(Path(__file__).parent.parent / "scripts" / "bench_pairs.py")
     assert bench_pairs.parse_seeds("401-403,7") == [401, 402, 403, 7]
 
@@ -54,3 +54,18 @@ def test_bench_pairs_summary():
         bench_pairs.main(["--parent", ".", "--change", ".", "--workload", "tf-curve",
                           "--seeds", "401", "--out", "unused.json"])
     assert exit_info.value.code == 2
+    # so is a checkout that holds bytecode under src/ or bench/, by name
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        (root / "src" / "tfiv").mkdir(parents=True)
+        (root / "bench").mkdir()
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "tf-curve",
+            "--seeds", "401-402", "--out", str(tmp_path / "out.json")]
+    for cached in (parent / "src" / "tfiv" / "__pycache__", change / "bench" / "__pycache__"):
+        cached.mkdir()
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+        assert exit_info.value.code == 2
+        assert str(cached) in capsys.readouterr().err
+        cached.rmdir()
+    assert not (tmp_path / "out.json").exists()

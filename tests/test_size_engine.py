@@ -497,8 +497,8 @@ def test_rho1_curve_finds_hump_inside_one_scan_cell():
 
 
 def _kernel_rejects(proc, t_ar: float, f: float, rho: float) -> bool:
-    base, sign, lo, hi = proc.regions(np.array([f]), rho)
-    return bool(base[0] + sign[0] * (lo[0] < t_ar < hi[0]) > 0.5)
+    sign, lo, hi = proc.regions(np.array([f]), rho)
+    return bool((sign[0] < 0) + sign[0] * (lo[0] < t_ar < hi[0]) > 0.5)
 
 
 # |f| where a rule's region changes: the 5% curve's support edge, the F > 10
@@ -771,13 +771,13 @@ class _Patched:
         return self.proc.breakpoints(s)
 
     def regions(self, f, rho):
-        base, sign, lo, hi = (np.array(t, dtype=float) for t in self.proc.regions(f, rho))
-        self.patch(f, base, sign, lo, hi)
-        return base, sign, lo, hi
+        sign, lo, hi = (np.array(t, dtype=float) for t in self.proc.regions(f, rho))
+        self.patch(f, sign, lo, hi)
+        return sign, lo, hi
 
 
 def _plant(value, column):
-    def patch(f, base, sign, lo, hi):
+    def patch(f, sign, lo, hi):
         hit = (np.abs(f - 7.0) < 0.05) & (sign != 0.0)
         (lo, hi)[column][hit] = value
 
@@ -824,6 +824,7 @@ def test_ladders_only_at_singular_points():
     ]
     ladder = np.concatenate([-_GRADED_OFFSETS, _GRADED_OFFSETS])
     for proc, singular, plain in cases:
+        assert sorted(proc.singular_points(s)) == sorted(singular)
         assert proc.breakpoints(s) == (
             sorted(-x for x in singular) + sorted(singular),
             sorted(-x for x in plain) + sorted(plain),
@@ -836,7 +837,41 @@ def test_ladders_only_at_singular_points():
             for point in (x, -x) if x < 8.5 else (x,):
                 assert point in edges
                 assert not np.isin(point + ladder, edges).any()
+    assert PureAR(Q95).singular_points(s) == [] and PureAR(Q95).breakpoints(s) == ([], [])
     assert _profile_panels(PureAR(Q95), rho, 0.0, 12.0).size - 1 == math.ceil(29.0 / (2.4 * s))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ConventionalT(Q95),
+        lambda: ConventionalT(2.0),  # sqrt(2.0)^2 != 2.0
+        lambda: ThresholdTF(Q95, 10.0),
+        lambda: HybridAR(1.96 * 1.96, 104.7),
+        lambda: PureAR(Q95),
+        *(functools.partial(_tf_rule, alpha) for alpha in (0.01, 0.05, 0.10)),
+    ],
+    ids=[
+        "conventional", "conventional-2", "threshold", "hybrid-2b", "ar",
+        "tf-1pct", "tf-5pct", "tf-10pct",
+    ],
+)
+def test_cuts_and_outer_cutoff_follow_from_the_knots(make):
+    # The base derives every rule's geometry from its knots (X, G): the
+    # outer cutoff is (X[-1], c(inf)), with a constant crit returned as it
+    # is, and the knot cuts are +-X[1:], none for a constant cutoff.
+    proc = make()
+    X, G = proc.cutoff_knots
+    if isinstance(proc, TFProcedure):
+        xs = proc.cvf.arrays[0]
+        assert proc.outer_cutoff == (X[-1], G[-1] ** 2)
+        np.testing.assert_array_equal(proc.knot_cuts, np.concatenate([-xs[::-1], xs]))
+        assert proc.profile_knots.size
+    else:
+        outer = None if proc.flat else (math.sqrt(proc.f_threshold), proc.crit)
+        assert proc.outer_cutoff == outer
+        assert proc.knot_cuts.size == 0
+    assert np.isin(proc.profile_knots, proc.knot_cuts).all()
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.10])
@@ -881,7 +916,7 @@ def test_profile_keeps_the_shape_of_f0s():
 def test_saturation_hulls_edge_cases():
     n = _GK_X.size
     nodes = np.repeat([0.5, 3.0, 6.0, 9.0, 12.0], n) + np.tile(0.01 * np.arange(n), 5)
-    base, sign = np.zeros(nodes.size), np.ones(nodes.size)
+    sign = np.ones(nodes.size)
     lo, hi = np.full(nodes.size, -1.0), np.full(nodes.size, 1.0)
     sign[n : n + 5] = 0.0  # panel 1 mixes never-reject and active nodes
     lo[n : n + 5] = hi[n : n + 5] = 0.0
@@ -889,7 +924,7 @@ def test_saturation_hulls_edge_cases():
     hi[3 * n + 7] = math.nan  # panel 3 has a NaN edge
     nodes[4 * n + 3] = math.inf  # panel 4 has a non-finite c
     for rho, s in ((0.99, 0.14), (-0.99, 0.14), (0.0, 1.0)):
-        pbase, psign, low, high = _saturation_hulls(nodes, (base, sign, lo, hi), rho, s)
+        psign, low, high = _saturation_hulls(nodes, (sign, lo, hi), rho, s)
         # Hulls of u = rho f0 around c = rho f - e, +- r = 9 s; row 0 is the
         # upper edge hi = 1, row 1 the lower edge lo = -1.
         r = 9.0 * s
@@ -904,10 +939,10 @@ def test_saturation_hulls_edge_cases():
 
 def test_mixed_panels_match_dense_sweep():
     # Every other node of a stretch never rejects: those panels mix
-    # (base, sign) and must stay on the kernel.
-    def patch(f, base, sign, lo, hi):
+    # signs and must stay on the kernel.
+    def patch(f, sign, lo, hi):
         hit = (np.abs(f - 4.0) < 0.6) & (np.arange(f.size) % 2 == 0)
-        base[hit] = sign[hit] = lo[hit] = hi[hit] = 0.0
+        sign[hit] = lo[hit] = hi[hit] = 0.0
 
     proc = _Patched(ThresholdTF(crit=Q95, f_threshold=10.0), patch)
     for rho in (0.9999, -0.99):

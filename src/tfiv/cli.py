@@ -20,13 +20,13 @@ subcommand asked to combine them with a different ``--alpha`` refuses.
 Start-up is mostly imports.  scipy.special is loaded only when a command
 evaluates Phi, and no command loads scipy.optimize or scipy.integrate.  From
 a warm cache, ``cv``, ``test``, ``ci``, ``table3`` and ``audit`` take
-0.18-0.20 s and peak at 34-35 MB RSS, ``mc`` 0.24 s and 50 MB, ``size``
-0.40 s and 55-56 MB, and ``solve`` 0.62 s and 60 MB (medians of 5
-processes from ``scripts/cli_startup.py`` on a 2-core Intel Xeon).  Building
-a curve needs Phi, so a cold ``tfiv cv`` takes 0.41 s and 56 MB; set
-``TF_CACHE_DIR`` to keep the knot files on disk between invocations.  Cache
-files are versioned and checksummed, and a stale or corrupt file is
-silently rebuilt.
+0.30-0.37 s and peak at 34-35 MB RSS, ``mc`` 0.41 s and 50 MB, ``size``
+0.69-0.75 s and 55-56 MB, and ``solve`` 1.22 s and 61 MB (medians of 5
+processes from ``scripts/cli_startup.py`` on a 2-core Intel Xeon under
+outside load).  Building a curve needs Phi, so a cold ``tfiv cv`` takes
+0.89 s and 56 MB; set ``TF_CACHE_DIR`` to keep the knot files on disk
+between invocations.  Cache files are versioned and checksummed, and a
+stale or corrupt file is silently rebuilt.
 """
 
 from __future__ import annotations
@@ -76,14 +76,16 @@ from .worst_case import (
 __all__ = ["main"]
 
 _PRESET_ALPHA = 0.05
-# The fixed pairs the -2b / -2c preset names refer to: (t^2 cutoff,
-# F threshold).  Both are 5%-only constants with no analogue elsewhere.
-_PRESET_2B = (1.96 * 1.96, 104.7)
-_PRESET_2C = (3.43 * 3.43, 10.0)
+# The rules the -2b / -2c preset names refer to: (rule class, (t^2 cutoff,
+# F threshold)).  The pairs are 5%-only constants with no analogue elsewhere.
+_PRESETS = {
+    "threshold-2b": (ThresholdTF, (1.96 * 1.96, 104.7)),
+    "threshold-2c": (ThresholdTF, (3.43 * 3.43, 10.0)),
+    "hybrid-2b": (HybridAR, (1.96 * 1.96, 104.7)),
+}
 
 _TEST_PROCEDURES = ("conventional", "threshold-2b", "threshold-2c", "tf")
 _SIZE_PROCEDURES = _TEST_PROCEDURES + ("hybrid-2b", "ar")
-_AUDIT_PROCEDURES = _TEST_PROCEDURES
 
 _SWEEP_RHOS = np.linspace(-1.0, 1.0, 201)
 
@@ -148,26 +150,17 @@ def _get_cvf(alpha: float) -> CriticalValueFunction:
     return cvf
 
 
-def _require_preset_alpha(name: str, alpha: float) -> None:
-    if abs(alpha - _PRESET_ALPHA) > 1e-9:
-        raise DomainError(
-            f"procedure {name!r} is a 5% preset; alpha = {alpha!r} is unsupported"
-        )
-
-
 def _build_procedure(name: str, alpha: float):
     """Map a CLI procedure name to a size-engine procedure object."""
+    if name in _PRESETS:
+        if abs(alpha - _PRESET_ALPHA) > 1e-9:
+            raise DomainError(
+                f"procedure {name!r} is a 5% preset; alpha = {alpha!r} is unsupported"
+            )
+        rule, pair = _PRESETS[name]
+        return rule(*pair)
     if name == "conventional":
         return ConventionalT(chi2_quantile_1df(1.0 - alpha))
-    if name == "threshold-2b":
-        _require_preset_alpha(name, alpha)
-        return ThresholdTF(*_PRESET_2B)
-    if name == "threshold-2c":
-        _require_preset_alpha(name, alpha)
-        return ThresholdTF(*_PRESET_2C)
-    if name == "hybrid-2b":
-        _require_preset_alpha(name, alpha)
-        return HybridAR(*_PRESET_2B)
     if name == "ar":
         return PureAR(chi2_quantile_1df(1.0 - alpha))
     if name == "tf":
@@ -184,42 +177,47 @@ def _emit(payload: dict, plain_lines: list[str], fmt: str) -> None:
             print(line)
 
 
+def _write_out(out: Optional[Path], text: str) -> tuple[Optional[str], list[str]]:
+    """Write text to --out when given; return the payload's "out" and the plain lines."""
+    if out is None:
+        return None, text.splitlines()
+    out.write_text(text, encoding="utf-8")
+    return str(out), [f"wrote {out}"]
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its JSON payload and its plain-output lines
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
+def cmd_cv(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if not (math.isfinite(args.f) and args.f >= 0.0):
         raise DomainError(f"--f must be a finite nonnegative real, got {args.f!r}")
     cvf = _get_cvf(args.alpha)
     crit = cvf_eval(cvf, args.f)
+    unbounded = not math.isfinite(crit)
     payload = {
         "command": "cv",
         "alpha": args.alpha,
         "F": args.f,
-        "unbounded": not math.isfinite(crit),
+        "unbounded": unbounded,
         "crit": _finite_or_none(crit),
         "sqrt_crit": None,
         "sqrt_crit_table": None,
     }
-    if math.isfinite(crit):
-        sqrt_crit = math.sqrt(crit)
-        table_value = _round_up_2dp(sqrt_crit)
-        payload["sqrt_crit"] = sqrt_crit
-        payload["sqrt_crit_table"] = table_value
-        lines = [
-            f"sqrt c(F) = {table_value:.2f} (table value, rounded up)",
-            f"sqrt c(F) = {_fmt(sqrt_crit, args.raw)} unrounded",
-            f"c(F) = {_fmt(crit, args.raw)}",
-        ]
-    else:
-        lines = [
+    if unbounded:
+        return payload, [
             "unbounded",
             f"F = {_fmt(args.f, args.raw)} is below the chi-square cutoff "
             f"{_fmt(cvf.lower_support, args.raw)}; no critical value is valid there",
         ]
-    _emit(payload, lines, args.format)
-    return 0
+    sqrt_crit = math.sqrt(crit)
+    table_value = _round_up_2dp(sqrt_crit)
+    payload.update(sqrt_crit=sqrt_crit, sqrt_crit_table=table_value)
+    return payload, [
+        f"sqrt c(F) = {table_value:.2f} (table value, rounded up)",
+        f"sqrt c(F) = {_fmt(sqrt_crit, args.raw)} unrounded",
+        f"c(F) = {_fmt(crit, args.raw)}",
+    ]
 
 
 def _test_decision(name: str, alpha: float, t: float, F: float):
@@ -235,7 +233,7 @@ def _test_decision(name: str, alpha: float, t: float, F: float):
     return reject, cut, fbar, f"reject when |t| > {sc:.2f} and F > {fbar:g}"
 
 
-def cmd_test(args: argparse.Namespace) -> int:
+def cmd_test(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if not (math.isfinite(args.t) and math.isfinite(args.f)):
         raise DomainError("--t and --f must be finite reals")
     if args.f < 0.0:
@@ -252,17 +250,15 @@ def cmd_test(args: argparse.Namespace) -> int:
         "f_threshold": fbar,
         "rule": rule,
     }
-    lines = [
+    return payload, [
         "reject" if reject else "accept",
         f"|t| = {_fmt(abs(args.t), args.raw)} vs cutoff {_fmt(cut, args.raw)}"
         f" at F = {_fmt(args.f, args.raw)}",
         f"rule: {rule}",
     ]
-    _emit(payload, lines, args.format)
-    return 0
 
 
-def cmd_ci(args: argparse.Namespace) -> int:
+def cmd_ci(args: argparse.Namespace) -> tuple[dict, list[str]]:
     if not (math.isfinite(args.se) and args.se > 0.0):
         raise DomainError(f"--se must be a positive finite real, got {args.se!r}")
     if not math.isfinite(args.beta):
@@ -272,45 +268,43 @@ def cmd_ci(args: argparse.Namespace) -> int:
     cvf = _get_cvf(args.alpha)
     crit = cvf_eval(cvf, args.f)
     adjusted = tf_adjusted_se(args.se, args.f, cvf)
+    unbounded = not math.isfinite(crit)
     payload = {
         "command": "ci",
         "alpha": args.alpha,
         "beta": args.beta,
         "se": args.se,
         "F": args.f,
-        "unbounded": not math.isfinite(crit),
+        "unbounded": unbounded,
         "lower": None,
         "upper": None,
         "half_width": None,
         "se_adjusted": _finite_or_none(adjusted),
         "inflation": None,
     }
-    if math.isfinite(crit):
-        half = math.sqrt(crit) * args.se
-        inflation = adjusted / args.se
-        # A huge --se can overflow the interval's ends to +-inf.
-        payload.update(
-            lower=_finite_or_none(args.beta - half),
-            upper=_finite_or_none(args.beta + half),
-            half_width=_finite_or_none(half),
-            inflation=_finite_or_none(inflation),
-        )
-        # An end that overflows is null in JSON, and not an unbounded interval.
-        ends = [_fmt(end, args.raw) if math.isfinite(end) else "overflow"
-                for end in (args.beta - half, args.beta + half)]
-        lines = [
-            f"ci = ({ends[0]}, {ends[1]})",
-            f"adjusted se = {_fmt(adjusted, args.raw)}"
-            f" (inflation {_fmt(inflation, args.raw)}x over conventional)",
-        ]
-    else:
-        lines = [
+    if unbounded:
+        return payload, [
             "ci = (-inf, inf), unbounded",
             "adjusted se = inf (F below the chi-square cutoff; "
             "no bounded interval holds its level)",
         ]
-    _emit(payload, lines, args.format)
-    return 0
+    half = math.sqrt(crit) * args.se
+    inflation = adjusted / args.se
+    # A huge --se can overflow the interval's ends to +-inf.
+    payload.update(
+        lower=_finite_or_none(args.beta - half),
+        upper=_finite_or_none(args.beta + half),
+        half_width=_finite_or_none(half),
+        inflation=_finite_or_none(inflation),
+    )
+    # An end that overflows is null in JSON, and not an unbounded interval.
+    ends = [_fmt(end, args.raw) if math.isfinite(end) else "overflow"
+            for end in (args.beta - half, args.beta + half)]
+    return payload, [
+        f"ci = ({ends[0]}, {ends[1]})",
+        f"adjusted se = {_fmt(adjusted, args.raw)}"
+        f" (inflation {_fmt(inflation, args.raw)}x over conventional)",
+    ]
 
 
 def _resolve_f0(args: argparse.Namespace) -> float:
@@ -325,54 +319,41 @@ def _resolve_f0(args: argparse.Namespace) -> float:
     return math.sqrt(args.ef - 1.0)
 
 
-def cmd_size(args: argparse.Namespace) -> int:
+def cmd_size(args: argparse.Namespace) -> tuple[dict, list[str]]:
     f0 = _resolve_f0(args)
     if (args.rho is None) != args.sweep:
         raise DomainError("exactly one of --rho / --sweep must be given")
     if args.sweep and args.tol is not None:
         raise DomainError("--tol applies to --rho only; the --sweep profile reports no error")
     proc = _build_procedure(args.procedure, args.alpha)
-    if args.sweep:
-        probs = rejection_prob_matrix(proc, _SWEEP_RHOS, [f0])[:, 0]
-        payload = {
-            "command": "size",
-            "procedure": args.procedure,
-            "alpha": args.alpha,
-            "f0": f0,
-            "ef": 1.0 + f0 * f0,
-            "sweep": {
-                "rho": [float(r) for r in _SWEEP_RHOS],
-                "prob": [float(p) for p in probs],
-            },
-        }
-        lines = ["rho,prob"]
-        for r, p in zip(_SWEEP_RHOS, probs):
-            lines.append(f"{r:.2f},{_fmt(p, args.raw)}")
-        _emit(payload, lines, args.format)
-        return 0
-    if not (math.isfinite(args.rho) and abs(args.rho) <= 1.0):
-        raise DomainError(f"--rho must lie in [-1, 1], got {args.rho!r}")
-    tol = 1e-6 if args.tol is None else args.tol
-    res = rejection_prob(proc, NuisancePoint(args.rho, f0), tol=tol)
+    ef = 1.0 + f0 * f0
     payload = {
         "command": "size",
         "procedure": args.procedure,
         "alpha": args.alpha,
-        "rho": args.rho,
         "f0": f0,
-        "ef": 1.0 + f0 * f0,
-        "tol": tol,
-        "prob": res.prob,
-        "abs_err": res.abs_err,
+        "ef": ef,
     }
-    lines = [
+    if args.sweep:
+        probs = rejection_prob_matrix(proc, _SWEEP_RHOS, [f0])[:, 0]
+        payload["sweep"] = {
+            "rho": [float(r) for r in _SWEEP_RHOS],
+            "prob": [float(p) for p in probs],
+        }
+        return payload, ["rho,prob"] + [
+            f"{r:.2f},{_fmt(p, args.raw)}" for r, p in zip(_SWEEP_RHOS, probs)
+        ]
+    if not (math.isfinite(args.rho) and abs(args.rho) <= 1.0):
+        raise DomainError(f"--rho must lie in [-1, 1], got {args.rho!r}")
+    tol = 1e-6 if args.tol is None else args.tol
+    res = rejection_prob(proc, NuisancePoint(args.rho, f0), tol=tol)
+    payload.update(rho=args.rho, tol=tol, prob=res.prob, abs_err=res.abs_err)
+    return payload, [
         f"rejection probability = {_fmt(res.prob, args.raw)}"
         f" (abs err <= {res.abs_err:.1e})",
         f"rho = {_fmt(args.rho, args.raw)}, f0 = {_fmt(f0, args.raw)},"
-        f" E[F] = {_fmt(1.0 + f0 * f0, args.raw)}",
+        f" E[F] = {_fmt(ef, args.raw)}",
     ]
-    _emit(payload, lines, args.format)
-    return 0
 
 
 _CERT_THRESHOLD = (
@@ -384,10 +365,23 @@ _CERT_EF = (
     "no E[F] bound makes the conventional test valid for every rho at this "
     "level; corroborated by solve --mode threshold-F returning none"
 )
+# Plain output of the modes that take --crit: (label, decimals of the
+# rounded line, the text printed in place of a missing answer).
+_SOLVE_LINES = {
+    "threshold-F": ("F threshold", 1, _CERT_THRESHOLD),
+    "min-EF": ("min E[F]", 1, _CERT_EF),
+    "max-rho": ("max rho", 2, None),
+}
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> tuple[dict, list[str]]:
     mode = args.mode
+    # critical-value takes --fbar and refuses --crit; every other mode the reverse.
+    need, refuse = ("fbar", "crit") if mode == "critical-value" else ("crit", "fbar")
+    if getattr(args, need) is None:
+        raise DomainError(f"--mode {mode} requires --{need}")
+    if getattr(args, refuse) is not None:
+        raise DomainError(f"--mode {mode} does not take --{refuse}")
     payload = {
         "command": "solve",
         "mode": mode,
@@ -398,98 +392,48 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "exists": False,
         "certificate": None,
     }
-    if mode in ("threshold-F", "min-EF", "max-rho"):
-        if args.crit is None:
-            raise DomainError(f"--mode {mode} requires --crit")
-        if args.fbar is not None:
-            raise DomainError(f"--mode {mode} does not take --fbar")
-    else:
-        if args.fbar is None:
-            raise DomainError("--mode critical-value requires --fbar")
-        if args.crit is not None:
-            raise DomainError("--mode critical-value does not take --crit")
-
-    if mode == "threshold-F":
-        value = solve_threshold_F(args.crit, args.alpha)
-        if value is None:
-            payload["certificate"] = _CERT_THRESHOLD
-            lines = ["none", _CERT_THRESHOLD]
-        else:
-            payload.update(result=value, exists=True)
-            lines = [
-                f"F threshold = {value:.1f}",
-                f"unrounded: {_fmt(value, args.raw)}",
-            ]
-    elif mode == "critical-value":
+    if mode == "critical-value":
         value = solve_critical_value(args.fbar, args.alpha)
         payload.update(result=value, exists=True)
-        lines = [
+        return payload, [
             f"sqrt critical value = {math.sqrt(value):.2f}",
             f"c = {_fmt(value, args.raw)} (sqrt c = {_fmt(math.sqrt(value), args.raw)})",
         ]
-    elif mode == "max-rho":
-        region = validity_region(args.crit, args.alpha)
-        payload.update(result=region.rho_bar, exists=True)
-        lines = [
-            f"max rho = {region.rho_bar:.2f}",
-            f"unrounded: {_fmt(region.rho_bar, args.raw)}",
-        ]
-    else:  # min-EF
-        region = validity_region(args.crit, args.alpha)
-        if region.ef_bar is None:
-            payload["certificate"] = _CERT_EF
-            lines = ["none", _CERT_EF]
-        else:
-            payload.update(result=region.ef_bar, exists=True)
-            lines = [
-                f"min E[F] = {region.ef_bar:.1f}",
-                f"unrounded: {_fmt(region.ef_bar, args.raw)}",
-            ]
-    _emit(payload, lines, args.format)
-    return 0
-
-
-def cmd_table3(args: argparse.Namespace) -> int:
-    _require_table3_alpha(args.alpha)
-    cvf = _get_cvf(args.alpha)
-    csv_text = table3_csv(cvf)
-    out = None
-    if args.out is not None:
-        out = str(args.out)
-        Path(out).write_text(csv_text, encoding="utf-8")
-    payload = {"command": "table3", "alpha": args.alpha, "out": out, "csv": csv_text}
-    if out is not None:
-        lines = [f"wrote {out}"]
+    if mode == "threshold-F":
+        value = solve_threshold_F(args.crit, args.alpha)
     else:
-        lines = csv_text.splitlines()
-    _emit(payload, lines, args.format)
-    return 0
+        region = validity_region(args.crit, args.alpha)
+        value = region.rho_bar if mode == "max-rho" else region.ef_bar
+    label, nd, certificate = _SOLVE_LINES[mode]
+    if value is None:
+        payload["certificate"] = certificate
+        return payload, ["none", certificate]
+    payload.update(result=value, exists=True)
+    return payload, [f"{label} = {value:.{nd}f}", f"unrounded: {_fmt(value, args.raw)}"]
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
+def cmd_table3(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    _require_table3_alpha(args.alpha)
+    csv_text = table3_csv(_get_cvf(args.alpha))
+    out, lines = _write_out(args.out, csv_text)
+    return {"command": "table3", "alpha": args.alpha, "out": out, "csv": csv_text}, lines
+
+
+def cmd_audit(args: argparse.Namespace) -> tuple[dict, list[str]]:
     records = read_corpus_csv(args.input, prefer_reported=args.prefer_reported)
-    procedures = {name: _build_procedure(name, _PRESET_ALPHA) for name in _AUDIT_PROCEDURES}
-    report = classify_corpus(records, procedures)
-    report_json = report_to_json(report)
-    out = None
-    if args.out is not None:
-        out = str(args.out)
-        Path(out).write_text(report_json, encoding="utf-8")
+    procedures = {name: _build_procedure(name, _PRESET_ALPHA) for name in _TEST_PROCEDURES}
+    report_json = report_to_json(classify_corpus(records, procedures))
+    out, lines = _write_out(args.out, report_json)
     payload = {
         "command": "audit",
         "input": str(args.input),
         "out": out,
         "report": json.loads(report_json),
     }
-    if out is not None:
-        lines = [f"wrote {out}"]
-    else:
-        lines = report_json.splitlines()
-    _emit(payload, lines, args.format)
-    return 0
+    return payload, lines
 
 
-def cmd_mc(args: argparse.Namespace) -> int:
+def cmd_mc(args: argparse.Namespace) -> tuple[dict, list[str]]:
     f0 = _resolve_f0(args)
     if not (math.isfinite(args.rho) and abs(args.rho) <= 1.0):
         raise DomainError(f"--rho must lie in [-1, 1], got {args.rho!r}")
@@ -507,12 +451,10 @@ def cmd_mc(args: argparse.Namespace) -> int:
         "estimate": estimate,
         "std_error": std_error,
     }
-    lines = [
+    return payload, [
         f"estimate = {_fmt(estimate, args.raw)} +/- {_fmt(std_error, args.raw)}"
         f" (n = {args.n}, seed = {args.seed})",
     ]
-    _emit(payload, lines, args.format)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +553,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit_error("DomainError", f"--alpha must lie in (0, 1), got {args.alpha!r}")
         return 1
     try:
-        return args.func(args)
+        payload, lines = args.func(args)
+        _emit(payload, lines, args.format)
+        return 0
     except TfivError as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1

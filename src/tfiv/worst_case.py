@@ -30,8 +30,10 @@ f0 -> infinity limit, and the exact ridge on a dense grid that holds the
 analytic ridge peaks (f0* of a gated rule, 0 of the conventional rule, the
 cap edge of the curve rule); the certified tolerance is the largest of the
 parts it reports on `WorstCase`.
-The solvers bisect on the monotone closed forms and then certify their
-answers through the full audit.
+The solvers bisect on the monotone closed forms and then run the full audit
+on their answer.  They accept it only when the audit's max_prob is at most
+alpha up to rounding, 2^16 ulps of alpha (4.5e-13 at 5%); the audit's
+certified tolerance is reported on `WorstCase`, not added to max_prob.
 """
 
 from __future__ import annotations
@@ -76,11 +78,15 @@ _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
 # pass, refined by its own |K15 - G7|) for the tF rule and 6.1e-8 for the
 # conventional rule.  A measured error should replace it (ROADMAP.md, item 3).
 _CERT_FLOOR = 1e-6
-# Slack used when a solver checks its candidate against the global audit.
-_CERT_SLACK = 3e-5
-# `solve_threshold_F` gives up when the ridge limit tops alpha by more than
-# this many ulps of alpha (it is 0 to 6 off at the quantiles of 1-20%) ...
-_LIMIT_ULPS = 64
+# A size counts as alpha when it tops alpha by at most this many ulps of
+# alpha (4.5e-13 at 5%), far below the 1e-6 certificate floor.  The ridge
+# limit at the chi-square quantiles of 1-20% is 0 to 6 ulps off.  A solver's
+# root finder stops within its own tolerance, so the audited worst case at
+# its answer can land just above alpha: over 331 answers at levels 1-20% it
+# was up to 15,469 ulps above (threshold-F at crit = 1.96^2, 19%), and 13 of
+# them were more than 64 above.  `solve_threshold_F` gives up when the ridge
+# limit tops alpha by more ...
+_ALPHA_ULPS = 2**16
 # ... or when a ridge hump needs a gate above this.  The audit grid of a gate
 # F reaches f0 = sqrt(F) + 8.5, 108.5 at the cap.
 _RIDGE_F_CAP = 1e4
@@ -500,6 +506,11 @@ def _validate_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha!r}")
 
 
+def _within_alpha(size: float, alpha: float) -> bool:
+    """True when size is at most alpha, up to _ALPHA_ULPS ulps of rounding."""
+    return size - alpha <= _ALPHA_ULPS * math.ulp(alpha)
+
+
 def _ridge_sup(crit: float, f_threshold: float) -> float:
     """Supremum of the rho = 1 threshold-procedure size over all f0.
 
@@ -515,20 +526,23 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     """Smallest F threshold making the threshold procedure size-alpha.
 
     Returns None at once when the rho = 1 ridge's f0 -> infinity limit
-    2 Phi(-sqrt(crit)), which no gate lowers, exceeds alpha.  Otherwise
-    bisects the strictly decreasing local_max_size(., crit) to alpha and
-    certifies the candidate with worst_case_size.  If that fails for
-    crit < 4, an interior ridge hump is still above alpha past the gate
-    (as at crit = 3.99, alpha = limit + 1e-4), and the exact ridge supremum
-    is bisected instead until the gate swallows the hump; ToleranceUnmet
-    when that needs a gate above _RIDGE_F_CAP.  A failed candidate gives
-    None for crit >= 4, where the ridge nears its limit from above.
+    2 Phi(-sqrt(crit)), which no gate lowers, exceeds alpha by more than
+    rounding.  Otherwise bisects the strictly decreasing
+    local_max_size(., crit) to alpha and accepts the candidate when the
+    max_prob of worst_case_size is at most alpha up to rounding
+    (_ALPHA_ULPS ulps).  If that fails for crit < 4, an interior ridge hump
+    is still above alpha past the gate (as at crit = 3.99,
+    alpha = limit + 1e-4), and the exact ridge supremum is bisected instead
+    until the gate swallows the hump; that gate is accepted the same way, or
+    None.  ToleranceUnmet when that needs a gate above _RIDGE_F_CAP.  A
+    failed candidate gives None for crit >= 4, where the ridge nears its
+    limit from above.
     """
     if not (math.isfinite(crit) and crit > 0.0):
         raise DomainError(f"solve_threshold_F: crit > 0 required, got {crit!r}")
     _validate_alpha(alpha)
     # The threshold rule's limit, whatever its gate.
-    if ConventionalT(crit).tail_limit() - alpha > _LIMIT_ULPS * math.ulp(alpha):
+    if not _within_alpha(ConventionalT(crit).tail_limit(), alpha):
         return None
 
     def gap(f_threshold: float) -> float:
@@ -544,7 +558,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     f_star = _brentq(gap, lo, hi, xtol=1e-10, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
-    if audit.max_prob <= alpha + _CERT_SLACK:
+    if _within_alpha(audit.max_prob, alpha):
         return f_star
     if crit >= 4.0:
         return None
@@ -563,9 +577,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         )
     f_star = _brentq(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12)
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
-    if audit.max_prob > alpha + _CERT_SLACK:
-        return None
-    return f_star
+    return f_star if _within_alpha(audit.max_prob, alpha) else None
 
 
 def solve_critical_value(f_threshold: float, alpha: float) -> float:
@@ -576,7 +588,9 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
     limit 2 Phi(-sqrt(crit)) for large ones — which is why the answer floors
     at the chi-square quantile q_{1-alpha} once f_threshold is big enough and
     tends to it "from above" as the threshold grows.  Bisection runs on the
-    full ridge supremum, and the result is certified via worst_case_size.
+    full ridge supremum.  The result is returned only when the max_prob of
+    worst_case_size is at most alpha up to rounding (_ALPHA_ULPS ulps), and
+    ConstructionError, with that max_prob, is raised otherwise.
     """
     if not (math.isfinite(f_threshold) and f_threshold > 0.0):
         raise DomainError(
@@ -611,10 +625,10 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
         crit_star = _brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit_star, f_threshold=f_threshold))
-    if audit.max_prob > alpha + _CERT_SLACK:
+    if not _within_alpha(audit.max_prob, alpha):
         raise ConstructionError(
             f"solved critical value fails global certification: "
-            f"worst case {audit.max_prob:.6f} > alpha {alpha}"
+            f"worst case {audit.max_prob!r} > alpha {alpha}"
         )
     return crit_star
 

@@ -141,6 +141,15 @@ def test_presets_refuse_other_levels(cli_env, capsys):
     )
     assert code == 1
     assert json.loads(err)["error"]["type"] == "DomainError"
+    for name in ("threshold-2b", "threshold-2c", "hybrid-2b"):
+        code, out, err = run_cli(
+            ["size", "--procedure", name, "--rho", "0", "--f0", "1", "--alpha", "0.01"], capsys
+        )
+        assert (code, out) == (1, "")
+        assert json.loads(err) == {"error": {
+            "type": "DomainError",
+            "message": f"procedure {name!r} is a 5% preset; alpha = 0.01 is unsupported",
+        }}
 
 
 # ---------------------------------------------------------------------------
@@ -342,17 +351,16 @@ def test_solve_threshold_f_none_when_limit_exceeds_alpha(cli_env, capsys, schema
 
 
 def test_solve_flag_pairing(cli_env, capsys):
-    code, _, err = run_cli(["solve", "--mode", "threshold-F"], capsys)
-    assert code == 1
-    assert "requires --crit" in json.loads(err)["error"]["message"]
-    code, _, err = run_cli(
-        ["solve", "--mode", "critical-value", "--crit", "3.84"], capsys
-    )
-    assert code == 1
-    code, _, err = run_cli(
-        ["solve", "--mode", "min-EF", "--crit", "3.84", "--fbar", "10"], capsys
-    )
-    assert code == 1
+    # critical-value takes --fbar and refuses --crit; every other mode the reverse.
+    for mode in ("threshold-F", "min-EF", "max-rho", "critical-value"):
+        need, refuse = ("--fbar", "--crit") if mode == "critical-value" else ("--crit", "--fbar")
+        for argv, message in (
+            ([], f"--mode {mode} requires {need}"),
+            ([need, "10", refuse, "3.84"], f"--mode {mode} does not take {refuse}"),
+        ):
+            code, out, err = run_cli(["solve", "--mode", mode, *argv], capsys)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {"error": {"type": "DomainError", "message": message}}
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +384,20 @@ def test_table3_stdout_and_file(cli_env, capsys, tmp_path, schema):
     code, out, _ = run_cli(["table3", "--format", "json"], capsys)
     doc = check_json(out, schema)
     assert doc["csv"].splitlines()[0] == "sqrtF_int,2,3,4,5,6,7,8,9"
+
+
+@pytest.mark.parametrize("command", ["table3", "audit"])
+def test_out_under_json_writes_the_plain_output(cli_env, capsys, tmp_path, schema,
+                                               fixture_corpus, command):
+    argv = ["table3"] if command == "table3" else ["audit", "--input", str(fixture_corpus)]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    dest = tmp_path / "out.txt"
+    code, out, err = run_cli([*argv, "--out", str(dest), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    doc = check_json(out, schema)
+    assert doc["out"] == str(dest)
+    assert dest.read_text(encoding="utf-8") == plain
 
 
 def test_table3_refuses_unbuildable_level(cli_env, capsys):

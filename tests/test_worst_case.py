@@ -1,10 +1,12 @@
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tfiv.errors import DomainError, ToleranceUnmet
+from tfiv.errors import ConstructionError, DomainError, ToleranceUnmet
 from tfiv.gaussian import chi2_quantile_1df, ndtr
 from tfiv import size_engine, worst_case
 from tfiv.size_engine import (
@@ -315,6 +317,26 @@ def test_critical_value_floors_at_the_quantile(monkeypatch):
     monkeypatch.setattr(worst_case, "_brentq", lambda *args: calls.append(args))
     assert worst_case.solve_critical_value(200.0, 0.05) == Q95
     assert calls == []
+
+
+def test_solvers_accept_a_worst_case_only_up_to_rounding(monkeypatch):
+    # Ulps above alpha are rounding, and the answers stand; 1e-5 above is a
+    # failed certificate, which the solvers must not answer through.  Here
+    # the root finder stops where the audit reads 312 ulps above alpha.
+    assert worst_case.solve_critical_value(50.0, 0.02) == 8.377632109677457
+    alpha = 0.05
+
+    def audit_at(max_prob):
+        monkeypatch.setattr(worst_case, "worst_case_size",
+                            lambda proc: SimpleNamespace(max_prob=max_prob))
+
+    audit_at(alpha + 14 * math.ulp(alpha))
+    assert worst_case.solve_critical_value(10.0, alpha) == 11.750488605404117
+    assert worst_case.solve_threshold_F(Q95, alpha) == 104.67075060130466
+    audit_at(alpha + 1e-5)
+    with pytest.raises(ConstructionError, match=re.escape(f"worst case {alpha + 1e-5!r} >")):
+        worst_case.solve_critical_value(10.0, alpha)
+    assert worst_case.solve_threshold_F(Q95, alpha) is None
 
 
 def test_threshold_search_stops_at_the_gate_cap(monkeypatch):

@@ -3,10 +3,11 @@
 Runs a fixed battery of `python -m tfiv` calls, one process each and one at
 a time, against the `src/` of a checkout (this one by default, or
 `--root`), on a new, empty TF_CACHE_DIR.  The battery covers every
-subcommand and every `solve` mode in plain and JSON output, `--out` for
-`table3` and `audit`, and the error paths: usage errors, flags `solve`
-does not pair, an unknown procedure, `--alpha` outside (0, 1), a missing
-corpus and a 5% preset asked for at 1%.
+subcommand and every `solve` mode in plain and JSON output, threshold-F
+past crit = 4 and at 1%, `--out` for `table3` and `audit`, and the error
+paths: usage errors, flags `solve` does not pair, an unknown procedure,
+`--alpha` outside (0, 1), a missing corpus and a 5% preset asked for at
+1%.
 
 For each call it prints one record: the argv, the exit code, and stdout
 and stderr line by line, with the temporary directory written as <tmp> and
@@ -29,6 +30,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 CORPUS = "tests/fixtures/audit_sample.csv"
 Q95, Q99 = "3.841458820694124", "6.6348966010212145"
+# 2 Phi(-sqrt(4.5)) + 1e-4: a level the ridge limit at crit = 4.5 leaves room for.
+ALPHA_45 = "0.03399485352468927"
 JSON = ["--format", "json"]
 
 # Each entry is one argv.  "<tmp>" and "<root>" stand for the temporary
@@ -62,6 +65,8 @@ BATTERY = [
     ["size", "--procedure", "bogus", "--rho", "0", "--f0", "1"],
     ["solve", "--mode", "threshold-F", "--crit", Q95],
     ["solve", "--mode", "threshold-F", "--crit", Q99, "--alpha", "0.01", *JSON],
+    ["solve", "--mode", "threshold-F", "--crit", "4.5", "--alpha", ALPHA_45, *JSON],
+    ["solve", "--mode", "threshold-F", "--crit", "6.6564", "--alpha", "0.01"],
     ["solve", "--mode", "critical-value", "--fbar", "10", *JSON],
     ["solve", "--mode", "critical-value", "--fbar", "10", "--raw"],
     ["solve", "--mode", "min-EF", "--crit", Q95, *JSON],

@@ -4,14 +4,15 @@ Covers: the worst-case size of the (1.96^2, F > 10) threshold rule, the
 corrected threshold 104.7, the corrected critical value 3.43, the validity
 bounds (142.6, 0.565) at the 5% level and (none, 0.43) at the 1% level, and
 the hybrid-rule nonexistence bound.  It ends with the threshold solver at
-the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99 (where the
-ridge-supremum stage binds), the critical-value solver's floor case,
-every `worst_case_size` field of the 1%, 5% and 10% tF rules and of the CLI's
-threshold-2b, threshold-2c and hybrid-2b rules, and `rejection_prob` (what
-`tfiv size` prints) for the six CLI rules at three nuisance points and at
-rho = 1 with f0 in {0.5, 1.95, 12.66, 1e4}, all in repr, so two trees can be
-diffed for bit identity.  It takes about 10 s on a 2-core Intel
-Xeon, a quarter of it in the two validity-region grids.
+the chi-square quantiles of 5, 10, 20 and 1%, at crit = 3.99, 4, 4.5, 5
+and 6 with alpha 1e-4 above the ridge limit (where the gate must be lifted
+past a ridge hump) and at (2.58^2, 1%), the critical-value solver's floor
+case, every `worst_case_size` field of the 1%, 5% and 10% tF rules and of
+the CLI's threshold-2b, threshold-2c and hybrid-2b rules, and
+`rejection_prob` (what `tfiv size` prints) for the six CLI rules at three
+nuisance points and at rho = 1 with f0 in {0.5, 1.95, 12.66, 1e4}, all in
+repr, so two trees can be diffed for bit identity.  It takes about 10 s on
+a 2-core Intel Xeon, a quarter of it in the two validity-region grids.
 """
 
 import math
@@ -86,9 +87,14 @@ def main() -> None:
         q = chi2_quantile_1df(1.0 - alpha)
         fbar_q = timed(f"solve_threshold_F({q!r}, {alpha})", solve_threshold_F, q, alpha)
         print(f"    {fbar_q!r}")
-    alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
-    fbar_hump = timed(f"solve_threshold_F(3.99, {alpha!r})", solve_threshold_F, 3.99, alpha)
-    print(f"    {fbar_hump!r}")
+    # Past the closed-form gate the ridge still tops alpha = limit + 1e-4.
+    for c in (3.99, 4.0, 4.5, 5.0, 6.0):
+        alpha = 2.0 * float(ndtr(-math.sqrt(c))) + 1e-4
+        fbar_hump = timed(f"solve_threshold_F({c}, {alpha!r})", solve_threshold_F, c, alpha)
+        print(f"    {fbar_hump!r}")
+    c = 2.58 * 2.58
+    fbar_258 = timed(f"solve_threshold_F({c!r}, 0.01)", solve_threshold_F, c, 0.01)
+    print(f"    {fbar_258!r}")
     floor = timed("solve_critical_value(200.0, 0.05)", solve_critical_value, 200.0, 0.05)
     print(f"    {floor!r}")
     cvf = timed("build_cvf(0.05)", build_cvf, 0.05)

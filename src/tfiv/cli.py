@@ -68,6 +68,7 @@ from .tf_critical import (
     tf_adjusted_se,
 )
 from .worst_case import (
+    _RIDGE_F_CAP,
     solve_critical_value,
     solve_threshold_F,
     validity_region,
@@ -357,13 +358,12 @@ def cmd_size(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
 
 _CERT_THRESHOLD = (
-    "no finite F threshold restores size alpha at this critical value; "
-    "hybrid_nonexistence_certificate(crit, f_grid) bounds the size above "
-    "alpha on any threshold grid"
+    f"no F threshold up to {_RIDGE_F_CAP:,.0f} is certified to keep the worst-case "
+    "size within alpha at this critical value"
 )
 _CERT_EF = (
-    "no E[F] bound makes the conventional test valid for every rho at this "
-    "level; corroborated by solve --mode threshold-F returning none"
+    "no E[F] on the grid over [1, 400] keeps the conventional test's size "
+    "within alpha at every grid rho at this critical value"
 )
 # Plain output of the modes that take --crit: (label, decimals of the
 # rounded line, the text printed in place of a missing answer).

@@ -30,10 +30,13 @@ f0 -> infinity limit, and the exact ridge on a dense grid that holds the
 analytic ridge peaks (f0* of a gated rule, 0 of the conventional rule, the
 cap edge of the curve rule); the certified tolerance is the largest of the
 parts it reports on `WorstCase`.
-The solvers bisect on the monotone closed forms and then run the full audit
-on their answer.  They accept it only when the audit's max_prob is at most
-alpha up to rounding, 2^16 ulps of alpha (4.5e-13 at 5%); the audit's
-certified tolerance is reported on `WorstCase`, not added to max_prob.
+The solvers start from the monotone closed forms.  Where the exact ridge
+supremum there still tops alpha, one lift (`_lift_ridge_root`) raises the
+bracket fourfold up to the solver's cap and bisects the ridge supremum to
+alpha.  Then they run the full audit once on their answer, and accept it
+only when the audit's max_prob is at most alpha up to rounding, 2^16 ulps
+of alpha (4.5e-13 at 5%); the audit's certified tolerance is reported on
+`WorstCase`, not added to max_prob.
 """
 
 from __future__ import annotations
@@ -84,11 +87,13 @@ _CERT_FLOOR = 1e-6
 # root finder stops within its own tolerance, so the audited worst case at
 # its answer can land just above alpha: over 331 answers at levels 1-20% it
 # was up to 15,469 ulps above (threshold-F at crit = 1.96^2, 19%), and 13 of
-# them were more than 64 above.  `solve_threshold_F` gives up when the ridge
-# limit tops alpha by more ...
+# them were more than 64 above.  `solve_threshold_F` answers None when the
+# ridge limit tops alpha by more, and lifts its closed-form gate when the
+# ridge supremum there does ...
 _ALPHA_ULPS = 2**16
-# ... or when a ridge hump needs a gate above this.  The audit grid of a gate
-# F reaches f0 = sqrt(F) + 8.5, 108.5 at the cap.
+# ... up to this gate, answering None when the ridge is still above alpha
+# here.  The audit grid of a gate F reaches f0 = sqrt(F) + 8.5, 108.5 at the
+# cap.
 _RIDGE_F_CAP = 1e4
 # The coarse audit pass keeps every _COARSE_STRIDE-th interior rho row and
 # f0 column of the working grid.
@@ -522,21 +527,37 @@ def _ridge_sup(crit: float, f_threshold: float) -> float:
     return max(float(vals.max()), proc.tail_limit())
 
 
+def _lift_ridge_root(
+    gap, lo: float, hi: float, cap: float, xtol: float, rtol: float
+) -> Optional[float]:
+    """Root of a ridge gap that is above zero at lo, searched up to cap.
+
+    Raises the bracket's upper end fourfold, clamped to cap and checked
+    there, with the lower end following it, until gap(hi) <= 0; then runs
+    `_brentq` on [lo, hi].  None when the gap is still above zero at cap.
+    """
+    hi = min(hi, cap)
+    while gap(hi) > 0.0:
+        if hi >= cap:
+            return None
+        lo, hi = hi, min(4.0 * hi, cap)
+    return _brentq(gap, lo, hi, xtol=xtol, rtol=rtol)
+
+
 def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     """Smallest F threshold making the threshold procedure size-alpha.
 
-    Returns None at once when the rho = 1 ridge's f0 -> infinity limit
-    2 Phi(-sqrt(crit)), which no gate lowers, exceeds alpha by more than
-    rounding.  Otherwise bisects the strictly decreasing
-    local_max_size(., crit) to alpha and accepts the candidate when the
-    max_prob of worst_case_size is at most alpha up to rounding
-    (_ALPHA_ULPS ulps).  If that fails for crit < 4, an interior ridge hump
-    is still above alpha past the gate (as at crit = 3.99,
-    alpha = limit + 1e-4), and the exact ridge supremum is bisected instead
-    until the gate swallows the hump; that gate is accepted the same way, or
-    None.  ToleranceUnmet when that needs a gate above _RIDGE_F_CAP.  A
-    failed candidate gives None for crit >= 4, where the ridge nears its
-    limit from above.
+    Bisects the strictly decreasing local_max_size(., crit) to alpha.  When
+    the exact ridge supremum at that gate still tops alpha by more than
+    rounding (_ALPHA_ULPS ulps), an interior ridge hump lies past the gate
+    (as at crit = 3.99, alpha = limit + 1e-4, or at crit >= 4, where the
+    ridge nears its limit from above), and `_lift_ridge_root` raises the
+    gate until the hump is at alpha.  The answer is returned when the
+    max_prob of one worst_case_size audit is at most alpha up to rounding.
+    None has three causes only: the ridge's f0 -> infinity limit
+    2 Phi(-sqrt(crit)), which no gate lowers, tops alpha by more than
+    rounding; no gate up to _RIDGE_F_CAP brings the ridge to alpha; or the
+    audit fails.
     """
     if not (math.isfinite(crit) and crit > 0.0):
         raise DomainError(f"solve_threshold_F: crit > 0 required, got {crit!r}")
@@ -557,25 +578,13 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         return None
     f_star = _brentq(gap, lo, hi, xtol=1e-10, rtol=1e-14)
 
-    audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
-    if _within_alpha(audit.max_prob, alpha):
-        return f_star
-    if crit >= 4.0:
-        return None
-
-    # Interior ridge hump above alpha: raise the gate until it covers it.
-    def ridge_gap(f_threshold: float) -> float:
-        return _ridge_sup(crit, f_threshold) - alpha
-
-    r_lo, r_hi = f_star, 4.0 * f_star
-    while r_hi <= _RIDGE_F_CAP and ridge_gap(r_hi) > 0.0:
-        r_lo, r_hi = r_hi, 4.0 * r_hi
-    if r_hi > _RIDGE_F_CAP:
-        raise ToleranceUnmet(
-            f"solve_threshold_F: the rho = 1 ridge stays above alpha = {alpha!r} past "
-            f"F = {r_lo:.6g}, beyond which no gate can be certified"
+    if not _within_alpha(_ridge_sup(crit, f_star), alpha):
+        f_star = _lift_ridge_root(
+            lambda f_threshold: _ridge_sup(crit, f_threshold) - alpha,
+            f_star, 4.0 * f_star, _RIDGE_F_CAP, xtol=1e-9, rtol=1e-12,
         )
-    f_star = _brentq(ridge_gap, r_lo, r_hi, xtol=1e-9, rtol=1e-12)
+        if f_star is None:
+            return None
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     return f_star if _within_alpha(audit.max_prob, alpha) else None
 
@@ -587,10 +596,12 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
     (the local_max_size closed form) for small thresholds, its f0 -> infinity
     limit 2 Phi(-sqrt(crit)) for large ones — which is why the answer floors
     at the chi-square quantile q_{1-alpha} once f_threshold is big enough and
-    tends to it "from above" as the threshold grows.  Bisection runs on the
-    full ridge supremum.  The result is returned only when the max_prob of
-    worst_case_size is at most alpha up to rounding (_ALPHA_ULPS ulps), and
-    ConstructionError, with that max_prob, is raised otherwise.
+    tends to it "from above" as the threshold grows.  Above the floor,
+    `_lift_ridge_root` solves the full ridge supremum for alpha from
+    [q_{1-alpha}, 400], raising the upper end up to crit = 1e9.  The result
+    is returned only when the max_prob of one worst_case_size audit is at
+    most alpha up to rounding (_ALPHA_ULPS ulps), and ConstructionError,
+    with that max_prob, is raised otherwise.
     """
     if not (math.isfinite(f_threshold) and f_threshold > 0.0):
         raise DomainError(
@@ -605,24 +616,18 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             f"f_threshold={f_threshold} (floor {floor:.6f})"
         )
 
-    q_alpha = chi2_quantile_1df(1.0 - alpha)
-
     def gap(crit: float) -> float:
         return _ridge_sup(crit, f_threshold) - alpha
 
-    lo, hi = q_alpha, 400.0
-    if gap(lo) <= 0.0:
-        # The ridge limit 2 Phi(-sqrt(crit)) alone equals alpha at q_alpha,
-        # so the supremum can never dip below alpha before that point.
-        crit_star = float(lo)
-    else:
-        while gap(hi) > 0.0 and hi < 1e9:
-            hi *= 4.0
-        if gap(hi) > 0.0:
+    # The ridge limit 2 Phi(-sqrt(crit)) alone equals alpha at q_alpha, so
+    # the supremum can never dip below alpha before that point.
+    crit_star = chi2_quantile_1df(1.0 - alpha)
+    if gap(crit_star) > 0.0:
+        crit_star = _lift_ridge_root(gap, crit_star, 400.0, 1e9, xtol=1e-12, rtol=1e-14)
+        if crit_star is None:
             raise DomainError(
                 "solve_critical_value: no critical value reaches the requested level"
             )
-        crit_star = _brentq(gap, lo, hi, xtol=1e-12, rtol=1e-14)
 
     audit = worst_case_size(ThresholdTF(crit=crit_star, f_threshold=f_threshold))
     if not _within_alpha(audit.max_prob, alpha):

@@ -148,19 +148,24 @@ def test_one_percent_region_has_no_ef_bound():
     t0 = time.perf_counter()
     region = validity_region(crit, 0.01)
     t1 = time.perf_counter()
-    threshold = solve_threshold_F(crit, 0.01)
+    # At the 1% quantile the ridge stays above 1% past every gate up to the
+    # cap.  At 2.58^2 the limit 2 Phi(-2.58) = 0.00988 lies below 1%, and a
+    # gate restores the level.
+    threshold = solve_threshold_F(chi2_quantile_1df(0.99), 0.01)
+    gate = solve_threshold_F(crit, 0.01)
     t2 = time.perf_counter()
     # the published 0.43 is the 2dp print of a grid value half a grid-step up
     ok = (
         abs(region.rho_bar - 0.43) <= 0.005 + 1e-9
         and region.ef_bar is None
         and threshold is None
+        and gate == 4729.709277740166
     )
     _report(
-        "1% level: max rho exists, no E[F] bound, no F threshold",
+        "1% level: max rho exists, no E[F] bound, no F threshold at q_0.99",
         ok,
         f"rho={region.rho_bar:.6f} (target 0.43 +- 0.005), "
-        f"E[F]={region.ef_bar!r}, threshold={threshold!r} "
+        f"E[F]={region.ef_bar!r}, threshold={threshold!r}, gate at 2.58^2={gate!r} "
         f"({t1 - t0:.1f}s + {t2 - t1:.1f}s)",
     )
     assert ok

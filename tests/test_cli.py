@@ -350,6 +350,31 @@ def test_solve_threshold_f_none_when_limit_exceeds_alpha(cli_env, capsys, schema
     assert doc["exists"] is False and doc["result"] is None
 
 
+def test_solve_threshold_f_past_crit_four(cli_env, capsys, schema):
+    # Past crit = 4 a gate exists above the limit; at the 1% quantile none
+    # does up to the cap, and the plain output says only that.
+    alpha = 2.0 * float(ndtr(-math.sqrt(4.5))) + 1e-4
+    code, out, _ = run_cli(
+        ["solve", "--mode", "threshold-F", "--crit", "4.5", "--alpha", repr(alpha),
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    doc = check_json(out, schema)
+    assert doc["exists"] is True and doc["result"] == 1633.5865160483454
+
+    code, out, _ = run_cli(
+        ["solve", "--mode", "threshold-F", "--crit", "6.6348966010212145", "--alpha", "0.01"],
+        capsys,
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "none",
+        "no F threshold up to 10,000 is certified to keep the worst-case size "
+        "within alpha at this critical value",
+    ]
+
+
 def test_solve_flag_pairing(cli_env, capsys):
     # critical-value takes --fbar and refuses --crit; every other mode the reverse.
     for mode in ("threshold-F", "min-EF", "max-rho", "critical-value"):

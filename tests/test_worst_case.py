@@ -339,22 +339,67 @@ def test_solvers_accept_a_worst_case_only_up_to_rounding(monkeypatch):
     assert worst_case.solve_threshold_F(Q95, alpha) is None
 
 
+def hump_alpha(crit):
+    """A level 1e-4 above the ridge limit 2 Phi(-sqrt(crit))."""
+    return 2.0 * float(ndtr(-math.sqrt(crit))) + 1e-4
+
+
+def recorded_audits(monkeypatch):
+    """The WorstCase of every worst_case_size call the solvers make."""
+    audits = []
+
+    def recording(proc):
+        audits.append(worst_case_size(proc))
+        return audits[-1]
+
+    monkeypatch.setattr(worst_case, "worst_case_size", recording)
+    return audits
+
+
 def test_threshold_search_stops_at_the_gate_cap(monkeypatch):
-    # At crit = 3.99 the ridge-supremum stage needs a gate near 157; below
-    # the cap the search must fail loudly rather than answer None.
+    # At crit = 3.99 the ridge-supremum lift needs a gate near 156.5.  Below
+    # the cap the answer is None; with the cap at 200 the clamped lift checks
+    # the gap at the cap itself rather than stepping past it to 4 x 117.
+    alpha = hump_alpha(3.99)
+    monkeypatch.setattr(worst_case, "_RIDGE_F_CAP", 150.0)
+    assert worst_case.solve_threshold_F(3.99, alpha) is None
     monkeypatch.setattr(worst_case, "_RIDGE_F_CAP", 200.0)
-    alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
-    with pytest.raises(ToleranceUnmet, match="no gate can be certified"):
-        worst_case.solve_threshold_F(3.99, alpha)
+    audits = recorded_audits(monkeypatch)
+    value = worst_case.solve_threshold_F(3.99, alpha)
+    assert 156.52 < value < 156.53
+    assert worst_case._within_alpha(audits[-1].max_prob, alpha)
 
 
-@pytest.mark.xfail(strict=True, reason="solve_threshold_F answers None for every crit >= 4")
 def test_threshold_at_crit_four_is_certified():
-    # At crit = 4.0, alpha = 2 Phi(-2) + 1e-4, the ridge-supremum stage
-    # finds a gate near F = 171.24 that `worst_case_size` certifies, but the
-    # solver's crit >= 4 shortcut answers "none".  The mark is strict, so a
-    # fix shows up as an unexpected pass.
-    alpha = 2.0 * float(ndtr(-2.0)) + 1e-4
+    # At crit = 4.0, alpha = 2 Phi(-2) + 1e-4, the closed-form gate leaves
+    # the ridge above alpha, and the lift finds a gate near F = 171.24 that
+    # `worst_case_size` certifies.
+    alpha = hump_alpha(4.0)
     value = worst_case.solve_threshold_F(4.0, alpha)
     assert value is not None
     assert math.isclose(value, 171.24384778231345, rel_tol=1e-6)
+
+
+@pytest.mark.parametrize("crit, gate", [
+    (4.5, 1633.5865160483454),
+    (5.0, 3105.4612161401687),
+    (6.0, 5101.474003976667),
+])
+def test_threshold_past_crit_four_is_pinned(monkeypatch, crit, gate):
+    # Past crit = 4 the ridge nears its limit from above, so a gate must
+    # swallow the hump; each one's single audit reads within alpha.
+    alpha = hump_alpha(crit)
+    audits = recorded_audits(monkeypatch)
+    assert worst_case.solve_threshold_F(crit, alpha) == gate
+    assert len(audits) == 1
+    assert worst_case._within_alpha(audits[0].max_prob, alpha)
+
+
+def test_each_solver_audits_its_answer_once(monkeypatch):
+    # The hump case reads the ridge at the closed-form gate, not the audit.
+    audits = recorded_audits(monkeypatch)
+    assert worst_case.solve_threshold_F(3.99, hump_alpha(3.99)) == 156.52689685762726
+    assert len(audits) == 1
+    audits.clear()
+    assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404117
+    assert len(audits) == 1

@@ -380,7 +380,8 @@ class TFProcedure(_Rule):
     `crit_at` is the rule's one statement of c(F); it has no AR gate.
     ``cvf`` is duck-typed: it must expose ``lower_support`` (an F value below
     which the test never rejects), ``arrays`` (the knot positions and values
-    in sqrt F and sqrt c, sorted, nonempty and parsed once) and
+    in sqrt F and sqrt c as two sorted, nonempty arrays; a
+    `CriticalValueFunction` returns read-only views of its one knot array) and
     ``sqrt_crit_profile(x)``, the curve's one evaluator: it maps an ndarray
     of sqrt-F values to sqrt-critical values, +inf below the support and the
     knots interpolated above it.

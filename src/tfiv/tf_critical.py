@@ -11,9 +11,12 @@ while spending much less than the worst-case constant critical value once
 the observed F is strong.
 
 Representation: knots (x_i, g_i) in x = sqrt(F), the curve's only
-definition.  They lie on a 0.005 pitch from just above sqrt(q) to the pin
-x~ = sqrt(f_tilde), where the requirement envelope crosses sqrt(q), and end
-with the pin knot (x~, sqrt(q)); a curve that never pins runs on to 12.
+definition, held as one read-only float64 array of shape (n, 2), stored
+column-major so that the positions and the values are each a contiguous
+view (`CriticalValueFunction.arrays`).  They lie on a 0.005 pitch from
+just above sqrt(q) to the pin x~ = sqrt(f_tilde), where the requirement
+envelope crosses sqrt(q), and end with the pin knot (x~, sqrt(q)); a curve
+that never pins runs on to 12.
 Every evaluator reads g as the knots' linear interpolant, held flat at the
 first value down to sqrt(q) and at the last beyond the last knot, and +inf
 below sqrt(q), where the test never rejects; c(F) = g(sqrt(F))^2, which is
@@ -49,7 +52,6 @@ import math
 import os
 import uuid
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -77,17 +79,20 @@ _CONVERGED = 1e-6
 _FILE_FORMAT = "tfiv-cvf-v2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalValueFunction:
     """Nonincreasing sqrt-critical curve over sqrt(F) with a support edge.
 
     ``knots`` are (sqrt_F, sqrt_crit) pairs, and ``lower_support`` is the F
     below which the test never rejects.  The knots alone define the curve
     (see the module docstring); `sqrt_crit_profile` is its one evaluator.
+    Any sequence of pairs is accepted and copied into one read-only
+    column-major (n, 2) float64 array, so the curve cannot be edited after
+    validation.  Curves compare by identity.
     """
 
     alpha: float
-    knots: tuple[tuple[float, float], ...]
+    knots: np.ndarray
     lower_support: float
 
     def __post_init__(self) -> None:
@@ -95,11 +100,17 @@ class CriticalValueFunction:
             raise DomainError(f"alpha must lie in (0, 0.25], got {self.alpha!r}")
         if not (math.isfinite(self.lower_support) and self.lower_support > 0.0):
             raise DomainError("lower_support must be positive and finite")
-        if not self.knots:
-            raise DomainError("need at least one knot")
+        try:
+            knots = np.array(self.knots, dtype=float, order="F")
+        except (TypeError, ValueError) as exc:
+            raise DomainError("knots must be (sqrt F, sqrt crit) pairs") from exc
+        if knots.ndim != 2 or knots.shape[1] != 2 or not knots.size:
+            raise DomainError(f"knots must be one or more pairs, got shape {knots.shape}")
+        knots.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
         xs, gs = self.arrays
         sq = math.sqrt(self.lower_support)
-        if np.any(~np.isfinite(xs)) or np.any(~np.isfinite(gs)):
+        if np.any(~np.isfinite(knots)):
             raise DomainError("knots must be finite")
         if xs.size > 1 and np.any(np.diff(xs) <= 0.0):
             raise DomainError("knot positions must be strictly increasing")
@@ -110,12 +121,10 @@ class CriticalValueFunction:
         if np.any(gs < sq - 1e-9) or np.any(gs > _SQRT_CRIT_CAP + 1e-9):
             raise DomainError("knot values must lie between sqrt(support) and the cap")
 
-    @cached_property
+    @property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(knot positions, knot values) as arrays, parsed once."""
-        xs = np.asarray([k[0] for k in self.knots], dtype=float)
-        gs = np.asarray([k[1] for k in self.knots], dtype=float)
-        return xs, gs
+        """(knot positions, knot values): the two columns of ``knots``, as read-only views."""
+        return self.knots[:, 0], self.knots[:, 1]
 
     @property
     def f_tilde(self) -> float:
@@ -224,9 +233,7 @@ def build_cvf(alpha: float) -> CriticalValueFunction:
         keep = xs < x_tilde
         xs, gs = np.append(xs[keep], x_tilde), np.append(gs[keep], sq)
 
-    cvf = CriticalValueFunction(
-        alpha=alpha, knots=tuple(zip(xs.tolist(), gs.tolist())), lower_support=q
-    )
+    cvf = CriticalValueFunction(alpha=alpha, knots=np.column_stack([xs, gs]), lower_support=q)
     _self_audit(cvf)
     return cvf
 
@@ -344,7 +351,7 @@ def _canonical_payload(cvf: CriticalValueFunction) -> str:
     payload = {
         "alpha": float(cvf.alpha),
         "lower_support": float(cvf.lower_support),
-        "knots": [[float(x), float(g)] for x, g in cvf.knots],
+        "knots": cvf.knots.tolist(),
     }
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
@@ -393,8 +400,10 @@ def load_cvf(path) -> CriticalValueFunction:
     if digest != doc.get("sha256"):
         raise ConstructionError(f"curve file checksum mismatch: {path}")
     try:
-        knots = tuple((float(x), float(g)) for x, g in payload["knots"])
+        knots = np.array(payload["knots"], dtype=float)
         alpha, support = float(payload["alpha"]), float(payload["lower_support"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed curve file: {path}") from exc
+    if knots.ndim != 2 or knots.shape[1] != 2:
+        raise ConstructionError(f"malformed curve file: {path}")
     return CriticalValueFunction(alpha=alpha, knots=knots, lower_support=support)

@@ -554,7 +554,7 @@ def test_malformed_cache_payload_is_rebuilt(cvf, tmp_path, monkeypatch, capsys, 
     code, out, _ = run_cli(["cv", "--f", "6.25"], capsys)
     assert code == 0
     assert out.splitlines()[0] == "sqrt c(F) = 4.92 (table value, rounded up)"
-    assert load_cvf(cache).knots == cvf.knots
+    assert np.array_equal(load_cvf(cache).knots, cvf.knots)
 
 
 def test_close_alphas_get_their_own_cache_files(tmp_path, monkeypatch, capsys):
@@ -593,7 +593,7 @@ def test_older_cache_format_is_rebuilt(cvf, tmp_path, monkeypatch, capsys):
     assert out.splitlines()[0] == "sqrt c(F) = 4.92 (table value, rounded up)"
     doc = json.loads(cache.read_text(encoding="utf-8"))
     assert doc["format"] == "tfiv-cvf-v2" and "f_tilde" not in doc["payload"]
-    assert load_cvf(cache).knots == cvf.knots
+    assert np.array_equal(load_cvf(cache).knots, cvf.knots)
 
 
 def test_usage_errors_exit_2(cli_env, capsys):

@@ -1,5 +1,8 @@
+import gc
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from tfiv.gaussian import chi2_quantile_1df
 from tfiv.size_engine import TFProcedure, rejection_prob_rho1
 from tfiv.tf_critical import (
     CriticalValueFunction,
+    _canonical_payload,
     _round_up_2dp,
     _sweep_requirements,
     build_cvf,
@@ -67,7 +71,7 @@ def test_curve_shape(cvf):
     assert cvf.alpha == 0.05
     assert cvf.lower_support == Q95
     assert len(cvf.knots) == 1655
-    assert cvf.knots[0] == (1.961, 50.0)
+    assert np.array_equal(cvf.knots[0], (1.961, 50.0))
     xs = np.array([k[0] for k in cvf.knots])
     gs = np.array([k[1] for k in cvf.knots])
     assert np.all(np.diff(xs) > 0.0)
@@ -75,7 +79,7 @@ def test_curve_shape(cvf):
     sq = math.sqrt(Q95)
     # the knots run on the grid above sqrt(q) and end with the pin knot
     assert np.all(gs[:-1] > sq)
-    assert cvf.knots[-1] == (math.sqrt(cvf.f_tilde), sq)
+    assert np.array_equal(cvf.knots[-1], (math.sqrt(cvf.f_tilde), sq))
     assert cvf.knots[-2][0] < cvf.knots[-1][0] < cvf.knots[-2][0] + 0.005
 
 
@@ -206,7 +210,7 @@ def test_save_load_roundtrip(cvf, tmp_path):
     assert back.alpha == cvf.alpha
     assert back.f_tilde == cvf.f_tilde
     assert back.lower_support == cvf.lower_support
-    assert back.knots == cvf.knots
+    assert np.array_equal(back.knots, cvf.knots)
 
 
 def test_save_failing_partway_keeps_old_file(cvf, cvf01, tmp_path, monkeypatch):
@@ -220,7 +224,7 @@ def test_save_failing_partway_keeps_old_file(cvf, cvf01, tmp_path, monkeypatch):
     monkeypatch.setattr("tfiv.tf_critical.json.dump", half_written)
     with pytest.raises(OSError):
         save_cvf(cvf01, path)
-    assert load_cvf(path).knots == cvf.knots
+    assert np.array_equal(load_cvf(path).knots, cvf.knots)
     assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
 
 
@@ -229,7 +233,7 @@ def test_save_leaves_no_temporary_file(cvf, cvf01, tmp_path):
     save_cvf(cvf, path)
     save_cvf(cvf01, path)
     assert [p.name for p in tmp_path.iterdir()] == ["curve.json"]
-    assert load_cvf(path).knots == cvf01.knots
+    assert np.array_equal(load_cvf(path).knots, cvf01.knots)
 
 
 def test_load_rejects_tampering(cvf, tmp_path):
@@ -262,6 +266,58 @@ def test_container_validation(cvf):
             knots=((1.5, 3.0),),
             lower_support=Q95,
         )
+    # a knot that is not a (sqrt F, sqrt crit) pair
+    for knots in (((2.0, 3.0, 99.0), (2.5, 2.5)), ((2.0, 3.0, 99.0),), (2.0, 3.0), 5.0):
+        with pytest.raises(DomainError):
+            CriticalValueFunction(alpha=0.05, knots=knots, lower_support=Q95)
+
+
+def test_curve_cannot_be_edited_in_place():
+    curve = CriticalValueFunction(alpha=0.05, knots=((2.0, 3.0), (2.5, 2.5)), lower_support=Q95)
+    with pytest.raises(ValueError):
+        curve.arrays[1][0] = 1.0
+    with pytest.raises(ValueError):
+        curve.arrays[0][0] = 1.0
+    with pytest.raises(ValueError):
+        curve.knots[0, 1] = 1.0
+    assert curve.sqrt_crit_profile(2.0) == 3.0
+    assert json.loads(_canonical_payload(curve))["knots"] == [[2.0, 3.0], [2.5, 2.5]]
+    # The curve copies an array it is given, so the caller's array stays its own.
+    source = np.array([[2.0, 3.0], [2.5, 2.5]])
+    copied = CriticalValueFunction(alpha=0.05, knots=source, lower_support=Q95)
+    source[0, 1] = 1.0
+    assert copied.sqrt_crit_profile(2.0) == 3.0
+
+
+def test_knots_are_one_read_only_array(cvf):
+    knots = cvf.knots
+    assert isinstance(knots, np.ndarray)
+    assert knots.dtype == np.float64 and knots.shape == (1655, 2)
+    assert not knots.flags.writeable
+    xs, gs = cvf.arrays
+    assert xs.flags.c_contiguous and gs.flags.c_contiguous
+    assert np.shares_memory(xs, knots) and np.shares_memory(gs, knots)
+
+
+def test_built_curve_holds_at_most_24_bytes_per_knot(cvf):
+    # A float64 pair is 16 bytes; a tuple of two Python floats is about 130.
+    # The session curve has already warmed every cache that build_cvf fills.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = build_cvf(0.05)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 24 * len(built.knots)
+
+
+def test_canonical_payload_is_unchanged(cvf):
+    # Cache files carry this checksum: a change to it makes every saved
+    # 5% curve a rebuild.
+    digest = hashlib.sha256(_canonical_payload(cvf).encode()).hexdigest()
+    assert digest == "7a0bac379673ee8c8cdde038e64a131add5e1d3c5f79a99bcc62362ce0fb7fa6"
 
 
 def test_curve_dominates_offgrid_requirements(cvf):
@@ -296,7 +352,7 @@ def test_small_alpha_never_pins(cvf01):
     assert cvf01.f_tilde == math.inf
     assert cvf01.lower_support == chi2_quantile_1df(0.99)
     assert len(cvf01.knots) == 1885
-    assert cvf01.knots[0] == (2.577, 50.0)
+    assert np.array_equal(cvf01.knots[0], (2.577, 50.0))
     assert math.isclose(math.sqrt(cvf_eval(cvf01, 9.0)), 10.558499, abs_tol=1e-5)
     # still never undersized against its own level on the ridge
     proc = TFProcedure(cvf=cvf01)

@@ -80,14 +80,14 @@ def main() -> None:
         np.geomspace(1.92075, 1e4, 60),
     )
     worst = min(r.bound for r in rows)
-    print(f"    min size bound over thresholds = {worst:.6f} (> 0.05: {worst > 0.05})")
+    print(f"    min |rho| = 1 size at f0* over thresholds = {worst:.6f} (> 0.05: {worst > 0.05})")
 
     print("solver answers in repr:")
     for alpha in (0.05, 0.10, 0.20, 0.01):
         q = chi2_quantile_1df(1.0 - alpha)
         fbar_q = timed(f"solve_threshold_F({q!r}, {alpha})", solve_threshold_F, q, alpha)
         print(f"    {fbar_q!r}")
-    # Past the closed-form gate the ridge still tops alpha = limit + 1e-4.
+    # Past the f0* gate the ridge still tops alpha = limit + 1e-4.
     for c in (3.99, 4.0, 4.5, 5.0, 6.0):
         alpha = 2.0 * float(ndtr(-math.sqrt(c))) + 1e-4
         fbar_hump = timed(f"solve_threshold_F({c}, {alpha!r})", solve_threshold_F, c, alpha)

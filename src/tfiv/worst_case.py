@@ -8,11 +8,8 @@ has an interior stationary point at
     f0* = f_threshold / (sqrt(f_threshold) + sqrt(crit)),
 
 at which the outer rejection root coincides exactly with the threshold gate
-edge, so the ridge value collapses to the two-term expression computed by
-`local_max_size`:
-
-    1 - Phi(u) + Phi(-w),   u = sqrt(F c) / (sqrt(F) + sqrt(c)),
-                            w = (sqrt(F c) + 2 F) / (sqrt(F) + sqrt(c)).
+edge.  The threshold solver and the hybrid table read the ridge there from
+the one |rho| = 1 kernel, `rejection_prob_rho1(rule, rule.f0_star)`.
 
 As f0 grows past the gate the ridge tends to the strong-instrument limit
 2 Phi(-sqrt(crit)), approached from below when crit < 4 and from above when
@@ -30,7 +27,8 @@ f0 -> infinity limit, and the exact ridge on a dense grid that holds the
 analytic ridge peaks (f0* of a gated rule, 0 of the conventional rule, the
 cap edge of the curve rule); the certified tolerance is the largest of the
 parts it reports on `WorstCase`.
-The solvers start from the monotone closed forms.  Where the exact ridge
+The threshold solver starts from the gate that brings the ridge at f0* to
+alpha, the critical-value solver from q_{1-alpha}.  Where the exact ridge
 supremum there still tops alpha, one lift (`_lift_ridge_root`) raises the
 bracket fourfold up to the solver's cap and bisects the ridge supremum to
 alpha.  Then they run the full audit once on their answer, and accept it
@@ -58,6 +56,7 @@ from .size_engine import (
     _require_procedure,
     rejection_prob_matrix,
     rejection_prob_profile,
+    rejection_prob_rho1,
 )
 
 __all__ = [
@@ -65,7 +64,6 @@ __all__ = [
     "ValidityRegion",
     "HybridBoundRow",
     "worst_case_size",
-    "local_max_size",
     "solve_threshold_F",
     "solve_critical_value",
     "validity_region",
@@ -172,10 +170,9 @@ class ValidityRegion:
 class HybridBoundRow:
     """One row of the hybrid-procedure size bound table.
 
-    ``bound`` is the exact |rho| = 1 size of the hybrid rule at f0*, valid
-    once f_threshold >= crit/2 (exactly there the AR window edge -w reaches
-    -sqrt(crit)); it strictly exceeds alpha = 2 Phi(-sqrt(crit)) for every
-    finite f_threshold because u < sqrt(crit) always.
+    ``bound`` is the exact |rho| = 1 size of the hybrid rule at f0*, from
+    the |rho| = 1 kernel; ``exceeds`` records whether it tops
+    alpha = 2 Phi(-sqrt(crit)), the rule's f0 -> infinity limit.
     """
 
     f_threshold: float
@@ -183,25 +180,6 @@ class HybridBoundRow:
     bound: float
     alpha: float
     exceeds: bool
-
-
-def local_max_size(f_threshold: float, crit: float) -> float:
-    """Size of the threshold procedure at (rho = 1, f0 = f0*), in closed form.
-
-    Strictly decreasing in both arguments; limits 1 - Phi(sqrt(crit)) as
-    f_threshold -> infinity and 2 (1 - Phi(sqrt(f_threshold))) as
-    crit -> infinity.
-    """
-    if not (math.isfinite(f_threshold) and f_threshold > 0.0):
-        raise DomainError(f"local_max_size: f_threshold > 0 required, got {f_threshold!r}")
-    if not (math.isfinite(crit) and crit > 0.0):
-        raise DomainError(f"local_max_size: crit > 0 required, got {crit!r}")
-    sf = math.sqrt(f_threshold)
-    sc = math.sqrt(crit)
-    denom = sf + sc
-    u = sf * sc / denom
-    w = (sf * sc + 2.0 * f_threshold) / denom
-    return float(1.0 - ndtr(u) + ndtr(-w))
 
 
 def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
@@ -547,13 +525,15 @@ def _lift_ridge_root(
 def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     """Smallest F threshold making the threshold procedure size-alpha.
 
-    Bisects the strictly decreasing local_max_size(., crit) to alpha.  When
-    the exact ridge supremum at that gate still tops alpha by more than
-    rounding (_ALPHA_ULPS ulps), an interior ridge hump lies past the gate
-    (as at crit = 3.99, alpha = limit + 1e-4, or at crit >= 4, where the
-    ridge nears its limit from above), and `_lift_ridge_root` raises the
-    gate until the hump is at alpha.  The answer is returned when the
-    max_prob of one worst_case_size audit is at most alpha up to rounding.
+    First `_brentq` finds the gate F at which the |rho| = 1 size at f0*
+    (`rejection_prob_rho1` of ThresholdTF(crit, F) at its `f0_star`,
+    strictly decreasing in F) is alpha.  When the exact ridge supremum at
+    that gate still tops alpha by more than rounding (_ALPHA_ULPS ulps), an
+    interior ridge hump lies past the gate (as at crit = 3.99,
+    alpha = limit + 1e-4, or at crit >= 4, where the ridge nears its limit
+    from above), and `_lift_ridge_root` raises the gate until the hump is
+    at alpha.  The answer is returned when the max_prob of one
+    worst_case_size audit is at most alpha up to rounding.
     None has three causes only: the ridge's f0 -> infinity limit
     2 Phi(-sqrt(crit)), which no gate lowers, tops alpha by more than
     rounding; no gate up to _RIDGE_F_CAP brings the ridge to alpha; or the
@@ -567,7 +547,8 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         return None
 
     def gap(f_threshold: float) -> float:
-        return local_max_size(f_threshold, crit) - alpha
+        proc = ThresholdTF(crit=crit, f_threshold=f_threshold)
+        return rejection_prob_rho1(proc, proc.f0_star) - alpha
 
     lo, hi = 1.0, 1e6
     while gap(lo) < 0.0 and lo > 1e-9:
@@ -593,7 +574,7 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
     """Critical value making the threshold procedure worst-case size alpha.
 
     The binding constraint is the rho = 1 ridge: its interior maximum
-    (the local_max_size closed form) for small thresholds, its f0 -> infinity
+    (at the stationary point f0*) for small thresholds, its f0 -> infinity
     limit 2 Phi(-sqrt(crit)) for large ones — which is why the answer floors
     at the chi-square quantile q_{1-alpha} once f_threshold is big enough and
     tends to it "from above" as the threshold grows.  Above the floor,
@@ -689,17 +670,14 @@ def validity_region(crit: float, alpha: float) -> ValidityRegion:
 def hybrid_nonexistence_certificate(crit: float, f_grid) -> list[HybridBoundRow]:
     """Evidence that no finite threshold makes the hybrid rule size-alpha.
 
-    For each threshold F in f_grid the returned bound is
-
-        1 - Phi(sqrt(F crit)/(sqrt(F) + sqrt(crit))) + Phi(-sqrt(crit)),
-
-    a lower bound on the worst-case hybrid size: it equals the exact
-    |rho| = 1 hybrid size at the stationary point f0* for F >= crit/2 (at
-    exactly crit/2 the AR window edge -w hits -sqrt(crit)), and slightly
-    below crit/2 the AR window still covers the Phi(-sqrt(crit)) term so
-    the bound stays conservative.  It exceeds alpha = 2 Phi(-sqrt(crit))
-    strictly for every finite F because the first argument stays below
-    sqrt(crit), and only tends to alpha as F -> infinity.
+    For each threshold F in f_grid the returned bound is the exact
+    |rho| = 1 size of the hybrid rule at its stationary point f0*, read from
+    the |rho| = 1 kernel, and so a lower bound on its worst-case size.  From
+    F = crit/2 up (where the AR window edge reaches -sqrt(crit)) it is
+    1 - Phi(sqrt(F crit)/(sqrt(F) + sqrt(crit))) + Phi(-sqrt(crit)), which
+    exceeds alpha = 2 Phi(-sqrt(crit)), the rule's f0 -> infinity limit,
+    because the first argument stays below sqrt(crit); it tends to alpha as
+    F -> infinity.  Below crit/2 `exceeds` reports the comparison.
     """
     if not (math.isfinite(crit) and abs(crit - Q95) < 2e-4):
         raise DomainError(
@@ -712,22 +690,16 @@ def hybrid_nonexistence_certificate(crit: float, f_grid) -> list[HybridBoundRow]
         grid = []  # not an iterable of reals: refused below
     if not grid or any(not math.isfinite(v) or v <= 0.0 for v in grid):
         raise DomainError("f_grid must be a nonempty list of positive finite reals")
-    if grid[0] < 0.48 * crit:
-        raise DomainError(
-            "f_grid values this far below crit/2 are outside the bound's validity"
-        )
 
-    sc = math.sqrt(crit)
-    alpha = 2.0 * float(ndtr(-sc))
+    alpha = ConventionalT(crit).tail_limit()
     rows = []
     for f_threshold in grid:
-        sf = math.sqrt(f_threshold)
-        u = sf * sc / (sf + sc)
-        bound = float(1.0 - ndtr(u) + ndtr(-sc))
+        proc = HybridAR(crit=crit, f_threshold=f_threshold)
+        bound = rejection_prob_rho1(proc, proc.f0_star)
         rows.append(
             HybridBoundRow(
                 f_threshold=f_threshold,
-                f0_star=HybridAR(crit=crit, f_threshold=f_threshold).f0_star,
+                f0_star=proc.f0_star,
                 bound=bound,
                 alpha=alpha,
                 exceeds=bound > alpha,

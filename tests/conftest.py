@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,24 @@ SQRT_Q95 = 1.959963984540054
 def cvf():
     """The 5% critical-value curve, built once for the whole run."""
     return build_cvf(0.05)
+
+
+@pytest.fixture(scope="session")
+def oracles():
+    """bench/oracles.py, a referee that imports no tfiv, loaded by path.
+
+    No bytecode is written under bench/.
+    """
+    path = Path(__file__).parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -159,7 +159,7 @@ def test_one_percent_region_has_no_ef_bound():
         abs(region.rho_bar - 0.43) <= 0.005 + 1e-9
         and region.ef_bar is None
         and threshold is None
-        and gate == 4729.709277740166
+        and gate == 4729.709277740169
     )
     _report(
         "1% level: max rho exists, no E[F] bound, no F threshold at q_0.99",
@@ -189,7 +189,7 @@ def test_no_finite_hybrid_threshold_exists():
     _report(
         "hybrid AR fallback: size bound exceeds 5% at every threshold",
         ok,
-        f"min analytic bound={min(r.bound for r in rows):.6f} over "
+        f"min |rho| = 1 size at f0*={min(r.bound for r in rows):.6f} over "
         f"[1.92, 1e4] x 60; min(hybrid - screened)={gap:.2e} on "
         f"{hyb.shape} grid",
     )

@@ -361,7 +361,7 @@ def test_solve_threshold_f_past_crit_four(cli_env, capsys, schema):
     )
     assert code == 0
     doc = check_json(out, schema)
-    assert doc["exists"] is True and doc["result"] == 1633.5865160483454
+    assert doc["exists"] is True and doc["result"] == 1633.5865160483522
 
     code, out, _ = run_cli(
         ["solve", "--mode", "threshold-F", "--crit", "6.6348966010212145", "--alpha", "0.01"],

@@ -19,7 +19,7 @@ from tfiv import worst_case
 from tfiv.errors import DomainError, TfivError, ToleranceUnmet
 from tfiv.gaussian import Q95, chi2_quantile_1df, ndtr
 from tfiv.tf_critical import _SQRT_CRIT_CAP, default_knot_grid
-from tfiv.worst_case import _brentq, _ridge_sup, local_max_size
+from tfiv.worst_case import _brentq, _ridge_sup
 
 
 def same_bits(a, b) -> bool:
@@ -28,10 +28,11 @@ def same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.10, 0.01, 0.2])
-def test_initial_curve_matches_scalar_scipy_solves(alpha):
+def test_initial_curve_matches_scalar_scipy_solves(alpha, oracles):
     # Real brackets, over 100 a level: at each knot x of the curve's grid,
-    # the constant critical value c that brings local_max_size(x^2, c) to
-    # alpha, on every [q, cap^2] whose ends straddle it.
+    # the constant critical value c that brings the threshold rule's ridge
+    # at f0* (the referee's closed form local_max_size(x^2, c)) to alpha,
+    # on every [q, cap^2] whose ends straddle it.
     q = chi2_quantile_1df(1.0 - alpha)
     cap_c = _SQRT_CRIT_CAP * _SQRT_CRIT_CAP
     solved = 0
@@ -39,7 +40,7 @@ def test_initial_curve_matches_scalar_scipy_solves(alpha):
         f_threshold = float(x * x)
 
         def gap(c):
-            return local_max_size(f_threshold, c) - alpha
+            return oracles.local_max_size(f_threshold, c) - alpha
 
         if gap(q) <= 0.0 or gap(cap_c) >= 0.0:
             continue
@@ -61,16 +62,16 @@ def test_solver_gaps_match_scipy(monkeypatch):
         return root
 
     monkeypatch.setattr(worst_case, "_brentq", checked)
-    assert worst_case.solve_threshold_F(1.96**2, 0.05) == 104.65067399395062
-    assert worst_case.solve_threshold_F(Q95, 0.05) == 104.67075060130466
+    assert worst_case.solve_threshold_F(1.96**2, 0.05) == 104.65067399395053
+    assert worst_case.solve_threshold_F(Q95, 0.05) == 104.67075060130588
     assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404117
     worst_case.solve_threshold_F(chi2_quantile_1df(0.90), 0.10)
     worst_case.solve_critical_value(10.0, 0.10)
-    # At crit = 3.99 the closed-form gate 117.13789084712506 leaves a ridge
+    # At crit = 3.99 the f0* gate 117.1378908471251 leaves a ridge
     # hump above alpha, so the ridge-supremum stage binds.
     alpha = 2.0 * float(ndtr(-math.sqrt(3.99))) + 1e-4
-    assert worst_case.solve_threshold_F(3.99, alpha) == 156.52689685762726
-    assert seen[-2][0] == 117.13789084712506
+    assert worst_case.solve_threshold_F(3.99, alpha) == 156.52689685762732
+    assert seen[-2][0] == 117.1378908471251
     assert len(seen) == 7
     assert all(same_bits(ours, theirs) for ours, theirs in seen)
 

@@ -1,5 +1,7 @@
+import ast
 import math
 import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +25,6 @@ from tfiv.worst_case import (
     HybridBoundRow,
     WorstCase,
     hybrid_nonexistence_certificate,
-    local_max_size,
     worst_case_size,
 )
 
@@ -32,46 +33,58 @@ Q99 = 2.5758293035489004**2
 SQRT_Q95 = 1.959963984540054
 
 
+def ridge_at_f0_star(f_threshold, crit):
+    """The threshold rule's |rho| = 1 size at its stationary point f0*."""
+    proc = ThresholdTF(crit=crit, f_threshold=f_threshold)
+    return float(proc.rho1_profile(np.array([proc.f0_star]))[0])
+
+
 def test_local_max_size_anchor():
     assert math.isclose(
-        local_max_size(10.0, Q95), 0.11313818286955638, rel_tol=1e-12
+        ridge_at_f0_star(10.0, Q95), 0.11313818286955638, rel_tol=1e-12
     )
 
 
-def test_local_max_size_matches_ridge_evaluator():
-    # The closed form is the rho = 1 rejection probability at
-    # f0* = F_bar / (sqrt(F_bar) + sqrt(crit)).
-    for f_threshold, crit in ((10.0, Q95), (30.0, Q95), (10.0, 2.5)):
-        f0_star = f_threshold / (math.sqrt(f_threshold) + math.sqrt(crit))
-        direct = rejection_prob_rho1(
-            ThresholdTF(crit=crit, f_threshold=f_threshold), f0_star
-        )
-        assert math.isclose(local_max_size(f_threshold, crit), direct, rel_tol=1e-12)
+def test_oracles_import_no_tfiv(oracles):
+    # The referee shares no code with what it checks.
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert not [m for m in modules if m.split(".")[0] == "tfiv"]
+
+
+def test_local_max_size_matches_ridge_evaluator(oracles):
+    # The kernel at f0* = F_bar / (sqrt(F_bar) + sqrt(crit)) against the
+    # paper's closed form 1 - Phi(u) + Phi(-w), computed with math.erfc.
+    for crit in (1.0, 2.0, Q95, 3.99, 4.5, 6.6349, 11.75):
+        for f_threshold in (0.5, 1.0, 3.0, 10.0, 104.65, 1e3, 1e4, 1e6):
+            assert math.isclose(
+                ridge_at_f0_star(f_threshold, crit),
+                oracles.local_max_size(f_threshold, crit),
+                rel_tol=1e-12,
+            ), (crit, f_threshold)
 
 
 @given(st.floats(1.0, 200.0), st.floats(0.5, 15.0))
 @settings(max_examples=60, deadline=None)
 def test_local_max_size_monotone(f_threshold, crit):
-    base = local_max_size(f_threshold, crit)
-    assert local_max_size(f_threshold * 1.1, crit) < base
-    assert local_max_size(f_threshold, crit * 1.1) < base
+    base = ridge_at_f0_star(f_threshold, crit)
+    assert ridge_at_f0_star(f_threshold * 1.1, crit) < base
+    assert ridge_at_f0_star(f_threshold, crit * 1.1) < base
 
 
 def test_local_max_size_limits():
     # f_threshold -> infinity: one-sided tail 1 - Phi(sqrt(crit))
     assert math.isclose(
-        local_max_size(1e8, Q95), 1.0 - ndtr(SQRT_Q95), rel_tol=1e-3
+        ridge_at_f0_star(1e8, Q95), 1.0 - ndtr(SQRT_Q95), rel_tol=1e-3
     )
     # crit -> infinity: both terms become the F-screen tail
     assert math.isclose(
-        local_max_size(10.0, 1e6),
+        ridge_at_f0_star(10.0, 1e6),
         2.0 * (1.0 - ndtr(math.sqrt(10.0))),
         rel_tol=1e-2,
     )
-    with pytest.raises(DomainError):
-        local_max_size(0.0, Q95)
-    with pytest.raises(DomainError):
-        local_max_size(10.0, -1.0)
 
 
 def test_worst_case_container_fields():
@@ -245,7 +258,7 @@ def test_f0_star_pocket_stays_below_max_prob(proc):
 
 
 def test_ridge_hump_peak_is_found_on_the_grid():
-    # At crit = 3.99 the closed-form gate leaves an interior ridge hump past
+    # At crit = 3.99 the f0* gate leaves an interior ridge hump past
     # the gate, whose peak has no closed form; the ridge grid's 0.002 pitch
     # finds it to within 1e-10 of a 1e-5 polish, and the certificate covers
     # the rest.
@@ -288,6 +301,26 @@ def test_hybrid_certificate_rows():
         assert row.bound <= direct + row.alpha + 1e-12
 
 
+def test_hybrid_certificate_below_half_crit_exceeds_alpha():
+    # Below crit/2 the AR window covers part of the Phi(-sqrt(crit)) tail,
+    # and the kernel's value still stays well above alpha.
+    rows = hybrid_nonexistence_certificate(Q95, np.geomspace(1e-3, Q95 / 2.0, 200))
+    assert all(r.exceeds for r in rows)
+    assert min(r.bound - r.alpha for r in rows) > 0.1
+
+
+def test_hybrid_certificate_bound_matches_closed_form():
+    # From crit/2 up the bound is 1 - Phi(u) + Phi(-sqrt(crit)),
+    # u = sqrt(F crit) / (sqrt(F) + sqrt(crit)).
+    sc = math.sqrt(Q95)
+    rows = hybrid_nonexistence_certificate(Q95, np.geomspace(Q95 / 2.0, 1e6, 80))
+    for row in rows:
+        sf = math.sqrt(row.f_threshold)
+        u = sf * sc / (sf + sc)
+        closed = 0.5 * math.erfc(u / math.sqrt(2.0)) + 0.5 * math.erfc(sc / math.sqrt(2.0))
+        assert math.isclose(row.bound, closed, rel_tol=1e-12), row.f_threshold
+
+
 def test_hybrid_certificate_bound_decreases_to_alpha():
     rows = hybrid_nonexistence_certificate(Q95, list(np.geomspace(2.0, 1e6, 30)))
     bounds = [r.bound for r in rows]
@@ -300,8 +333,6 @@ def test_hybrid_certificate_validation():
         hybrid_nonexistence_certificate(2.5, [10.0])  # not the 5% case
     with pytest.raises(DomainError):
         hybrid_nonexistence_certificate(Q95, [])
-    with pytest.raises(DomainError):
-        hybrid_nonexistence_certificate(Q95, [1.0])  # below the validity cut
     with pytest.raises(DomainError):
         hybrid_nonexistence_certificate(Q95, [10.0, math.inf])
     with pytest.raises(DomainError):
@@ -332,7 +363,7 @@ def test_solvers_accept_a_worst_case_only_up_to_rounding(monkeypatch):
 
     audit_at(alpha + 14 * math.ulp(alpha))
     assert worst_case.solve_critical_value(10.0, alpha) == 11.750488605404117
-    assert worst_case.solve_threshold_F(Q95, alpha) == 104.67075060130466
+    assert worst_case.solve_threshold_F(Q95, alpha) == 104.67075060130588
     audit_at(alpha + 1e-5)
     with pytest.raises(ConstructionError, match=re.escape(f"worst case {alpha + 1e-5!r} >")):
         worst_case.solve_critical_value(10.0, alpha)
@@ -371,7 +402,7 @@ def test_threshold_search_stops_at_the_gate_cap(monkeypatch):
 
 
 def test_threshold_at_crit_four_is_certified():
-    # At crit = 4.0, alpha = 2 Phi(-2) + 1e-4, the closed-form gate leaves
+    # At crit = 4.0, alpha = 2 Phi(-2) + 1e-4, the f0* gate leaves
     # the ridge above alpha, and the lift finds a gate near F = 171.24 that
     # `worst_case_size` certifies.
     alpha = hump_alpha(4.0)
@@ -381,9 +412,9 @@ def test_threshold_at_crit_four_is_certified():
 
 
 @pytest.mark.parametrize("crit, gate", [
-    (4.5, 1633.5865160483454),
-    (5.0, 3105.4612161401687),
-    (6.0, 5101.474003976667),
+    (4.5, 1633.5865160483522),
+    (5.0, 3105.4612161402742),
+    (6.0, 5101.474003976656),
 ])
 def test_threshold_past_crit_four_is_pinned(monkeypatch, crit, gate):
     # Past crit = 4 the ridge nears its limit from above, so a gate must
@@ -396,9 +427,9 @@ def test_threshold_past_crit_four_is_pinned(monkeypatch, crit, gate):
 
 
 def test_each_solver_audits_its_answer_once(monkeypatch):
-    # The hump case reads the ridge at the closed-form gate, not the audit.
+    # The hump case reads the ridge at the f0* gate, not the audit.
     audits = recorded_audits(monkeypatch)
-    assert worst_case.solve_threshold_F(3.99, hump_alpha(3.99)) == 156.52689685762726
+    assert worst_case.solve_threshold_F(3.99, hump_alpha(3.99)) == 156.52689685762732
     assert len(audits) == 1
     audits.clear()
     assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404117

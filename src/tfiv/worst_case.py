@@ -16,10 +16,11 @@ As f0 grows past the gate the ridge tends to the strong-instrument limit
 crit > 4; that sign is what decides whether a finite corrected threshold
 exists at a given level, and it is why the 1% problem has no solution.
 
-`worst_case_size` audits a (rho, f0) grid coarse to fine: one row and one
-column in four first, then the working pitch only in the boxes around
-coarse cells whose claim (value plus midpoint bound) comes within 1e-4 of
-the best value.  The grid ends at the rule's far edge f0_far, past which
+`worst_case_size` audits a (rho, f0) grid coarse to fine: first every 4th
+row of the grid and its last three rows, by one column in four; then the
+working pitch only in the boxes around coarse cells whose claim (value plus
+midpoint bound, the rho term taken in arcsin rho) comes within 1e-4 of the
+best value.  The grid ends at the rule's far edge f0_far, past which
 the rule is the conventional t test at one cutoff c and its size is
 bounded in closed form, P(chi2_1 > c) + A / f0^2 + B / f0^4 with A known
 and |B| measured.  max_prob is the largest of the grid, the analytic
@@ -71,8 +72,11 @@ __all__ = [
 ]
 
 # Extra rho rows appended to the uniform audit grid: the surface has a
-# boundary layer against |rho| = 1 (curvature grows like the inverse cube of
-# the conditional width s), so the spacing must shrink geometrically there.
+# boundary layer against |rho| = 1 (its curvature in rho grows like the
+# inverse cube of the conditional width s), so the spacing must shrink
+# geometrically there.  In phi = arcsin rho the surface is smooth there away
+# from a few corners, so the claims take their rho term in phi and the
+# coarse pass strides over these rows like any other.
 _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
 # Certification never claims better than this floor.  The profile reports no
 # error per f0; it was up to 4.7e-8 off `rejection_prob(tol=1e-10)` (the same
@@ -93,8 +97,9 @@ _ALPHA_ULPS = 2**16
 # here.  The audit grid of a gate F reaches f0 = sqrt(F) + 8.5, 108.5 at the
 # cap.
 _RIDGE_F_CAP = 1e4
-# The coarse audit pass keeps every _COARSE_STRIDE-th interior rho row and
-# f0 column of the working grid.
+# The coarse audit pass keeps every _COARSE_STRIDE-th rho row of the working
+# grid, boundary layer included, plus the last three rows, and every
+# _COARSE_STRIDE-th f0 column.
 _COARSE_STRIDE = 4
 # Coarse cells whose claim exceeds the best value seen minus this margin are
 # re-audited at the working pitch.  It is also the largest certificate
@@ -249,10 +254,10 @@ def _midpoint_bound(mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool) -
 
     h^2/8 times a divided-difference curvature per interval; each cell
     inherits the worse of its two intervals.  The curvature is itself read
-    off the grid values, so this is an estimate, not a bound.
-    With open_end the final interval contributes nothing — used for the rho
-    axis, whose last stretch into |rho| = 1 is certified by the monotone
-    approach check instead (curvature diverges like s^-3 there).
+    off the grid values, so this is an estimate, not a bound.  The rho axis
+    is measured in phi = arcsin rho.  With open_end the final interval
+    contributes nothing — used for that axis, whose last stretch into
+    |rho| = 1 is certified by the monotone approach check instead.
     """
     v = np.moveaxis(mat, axis, -1)
     h = np.diff(x)
@@ -294,14 +299,15 @@ def _final_approach_violation(mat: np.ndarray) -> float:
     return max(0.0, float(np.max(viol)) - 1e-9)
 
 
-def _claims(mat: np.ndarray, rhos: np.ndarray, f0s: np.ndarray) -> np.ndarray:
+def _claims(mat: np.ndarray, phis: np.ndarray, f0s: np.ndarray) -> np.ndarray:
     """Per-cell claims: value plus both axes' midpoint estimates, capped at 1.
 
-    The rho axis is left open when it ends at rho = 1.  The h^2/8 midpoint
-    terms are estimates (see `_midpoint_bound`), so a claim is an estimated,
-    not a proven, upper bound on the cell.
+    The rho axis is given in phi = arcsin(rho), and it is left open when it
+    ends at phi = pi/2 (rho = 1).  The h^2/8 midpoint terms are estimates
+    (see `_midpoint_bound`), so a claim is an estimated, not a proven, upper
+    bound on the cell.
     """
-    rho_term = _midpoint_bound(mat, rhos, 0, open_end=rhos[-1] == 1.0)
+    rho_term = _midpoint_bound(mat, phis, 0, open_end=phis[-1] == np.pi / 2)
     return np.minimum(mat + rho_term + _midpoint_bound(mat, f0s, 1, open_end=False), 1.0)
 
 
@@ -356,14 +362,15 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     rows, 14 rows resolving the boundary layer against rho = 1, and rho = 1
     itself) by f0 columns on [0, f0_far] (`_far_field`): 0.05 apart below
     8, 0.25 apart above, one at f0_far, and 0.04 apart around f0* of a
-    gated rule.  The grid is audited coarse to fine: first every 4th
-    interior row plus the last interior row, every boundary-layer row and
-    rho = 1, by every 4th column plus the last; then every coarse cell whose
-    claim (value plus the h^2/8 midpoint estimates of `_midpoint_bound`)
-    comes within 1e-4 of the best value seen so far is re-audited at the
-    working pitch over the box between its neighbouring coarse lines.  The
-    last three rows are audited at every column for the monotone approach
-    check into |rho| = 1.  No profile below rho = 1 reaches past f0_far.
+    gated rule.  The grid is audited coarse to fine: first every 4th row
+    of the whole grid, boundary layer included, plus the last three rows,
+    by every 4th column plus the last; then every coarse cell whose claim
+    (value plus the h^2/8 midpoint estimates of `_midpoint_bound`, the rho
+    term taken in phi = arcsin rho) comes within 1e-4 of the best value
+    seen so far is re-audited at the working pitch over the box between its
+    neighbouring coarse lines.  The last three rows are audited at every
+    column for the monotone approach check into |rho| = 1.  No profile
+    below rho = 1 reaches past f0_far.
     max_prob is the largest of that grid, the f0 -> infinity limit
     (reported at rho = 1, f0 = inf), and the exact rho = 1 ridge on the
     rule's dense f0 grid (`ridge_f0_grid`, which holds f0* of a gated rule
@@ -398,10 +405,11 @@ def worst_case_size(proc: Procedure) -> WorstCase:
             f0_blocks.append(np.arange(max(0.0, star - 2.5), zone_hi, 0.04))
     f0s = np.unique(np.concatenate(f0_blocks))
     n_rho, n_f0 = rhos.size, f0s.size
+    phis = np.arcsin(rhos)
 
     # Coarse pass.  `mat` holds the working grid's values where evaluated
     # and NaN elsewhere; the last three rows get every column at once.
-    rows_c = np.concatenate([_coarse_lines(interior.size), np.arange(interior.size, n_rho)])
+    rows_c = np.append(_coarse_lines(n_rho - 3), np.arange(n_rho - 3, n_rho))
     cols_c = _coarse_lines(n_f0)
     mat = np.full((n_rho, n_f0), np.nan)
     mat[-3:] = rejection_prob_matrix(proc, rhos[-3:], f0s)
@@ -417,7 +425,7 @@ def worst_case_size(proc: Procedure) -> WorstCase:
         w_lo, w_hi = max(0.0, star - 0.15), star + 0.15
         near = rhos >= 0.999 - 1e-12
         masked[np.ix_(near, (f0s >= w_lo) & (f0s <= w_hi))] = True
-    claims_c = _claims(mat[np.ix_(rows_c, cols_c)], rhos[rows_c], f0s[cols_c])
+    claims_c = _claims(mat[np.ix_(rows_c, cols_c)], phis[rows_c], f0s[cols_c])
     claims_c[masked[np.ix_(rows_c, cols_c)]] = 0.0
 
     # Refinement: a coarse cell whose claim comes within _REFINE_MARGIN of the
@@ -439,7 +447,7 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     fine_claims = np.zeros(mat.shape)
     for r0, r1, c0, c1 in boxes:
         box = np.s_[r0 : r1 + 1, c0 : c1 + 1]
-        box_claims = _claims(mat[box], rhos[r0 : r1 + 1], f0s[c0 : c1 + 1])
+        box_claims = _claims(mat[box], phis[r0 : r1 + 1], f0s[c0 : c1 + 1])
         fine_claims[box] = np.maximum(fine_claims[box], box_claims)
     fine_claims[masked] = 0.0
 
@@ -462,7 +470,7 @@ def worst_case_size(proc: Procedure) -> WorstCase:
         f0s_patch = star + 0.0012 * np.arange(-125, 125)
         f0s_patch = f0s_patch[f0s_patch >= 0.0]
         mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
-        claims.append(_claims(mat_patch, rhos[near], f0s_patch).ravel())
+        claims.append(_claims(mat_patch, phis[near], f0s_patch).ravel())
         approach_viol = max(approach_viol, _final_approach_violation(mat_patch))
     grid_excess = float(np.max(np.concatenate(claims))) - best_prob
     far_excess = far_bound - best_prob

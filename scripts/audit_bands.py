@@ -25,7 +25,6 @@ import tracemalloc
 import numpy as np
 
 from tfiv import size_engine, worst_case
-from tfiv.gaussian import Q95
 from tfiv.size_engine import ThresholdTF, TFProcedure
 from tfiv.tf_critical import build_cvf
 
@@ -144,7 +143,7 @@ def _patched(profile, *patches):
 def main() -> None:
     rules = {
         "tF rule, 5%": lambda: TFProcedure(build_cvf(0.05)),
-        "F > 10 screen, 1.96^2": lambda: ThresholdTF(Q95, 10.0),
+        "F > 10 screen, 1.96^2": lambda: ThresholdTF(1.96**2, 10.0),
     }
     for label, make in rules.items():
         proc = make()

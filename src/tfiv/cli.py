@@ -20,11 +20,11 @@ subcommand asked to combine them with a different ``--alpha`` refuses.
 Start-up is mostly imports.  scipy.special is loaded only when a command
 evaluates Phi, and no command loads scipy.optimize or scipy.integrate.  From
 a warm cache, ``cv``, ``test``, ``ci``, ``table3`` and ``audit`` take
-0.14-0.21 s and peak at 34-35 MB RSS, ``mc`` 0.18-0.21 s and 50 MB,
-``size`` 0.31-0.38 s and 55 MB, and ``solve`` 0.52-0.83 s and 61 MB
-(medians of 5 processes from ``scripts/cli_startup.py``, two runs, on a
-2-core Intel Xeon under outside load).  Building a curve needs Phi, so a
-cold ``tfiv cv`` takes 0.34-0.41 s and 56 MB; set ``TF_CACHE_DIR`` to keep
+0.15-0.16 s and peak at 34-35 MB RSS, ``mc`` 0.19 s and 50 MB, ``size``
+0.32-0.35 s and 55 MB, and ``solve`` 0.56 s and 61 MB (medians of 5
+processes from ``scripts/cli_startup.py``, two runs, on a 2-core Intel
+Xeon).  Building a curve needs Phi, so a cold ``tfiv cv`` takes 0.37 s
+and 56 MB; set ``TF_CACHE_DIR`` to keep
 the knot files on disk between invocations.  Cache files are versioned and
 checksummed, and a stale or corrupt file is silently rebuilt.
 """

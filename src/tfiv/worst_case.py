@@ -16,11 +16,12 @@ As f0 grows past the gate the ridge tends to the strong-instrument limit
 crit > 4; that sign is what decides whether a finite corrected threshold
 exists at a given level, and it is why the 1% problem has no solution.
 
-`worst_case_size` audits a (rho, f0) grid coarse to fine: first every 4th
-row of the grid and its last three rows, by one column in four; then the
-working pitch only in the boxes around coarse cells whose claim (value plus
-midpoint bound, the rho term taken in arcsin rho) comes within 1e-4 of the
-best value.  The grid ends at the rule's far edge f0_far, past which
+`worst_case_size` audits a (rho, f0) grid coarse to fine: first, by one
+column in four, rows even in arcsin rho below the boundary layer, every 4th
+row of the layer and the grid's last three rows; then the working pitch
+only in the boxes around coarse cells whose claim (value plus midpoint
+bound, the rho term taken in arcsin rho) comes within 1e-4 of the best
+value.  The grid ends at the rule's far edge f0_far, past which
 the rule is the conventional t test at one cutoff c and its size is
 bounded in closed form, P(chi2_1 > c) + A / f0^2 + B / f0^4 with A known
 and |B| measured.  max_prob is the largest of the grid, the analytic
@@ -76,7 +77,7 @@ __all__ = [
 # inverse cube of the conditional width s), so the spacing must shrink
 # geometrically there.  In phi = arcsin rho the surface is smooth there away
 # from a few corners, so the claims take their rho term in phi and the
-# coarse pass strides over these rows like any other.
+# coarse pass takes every _COARSE_STRIDE-th of these rows.
 _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
 # Certification never claims better than this floor.  The profile reports no
 # error per f0; it was up to 4.7e-8 off `rejection_prob(tol=1e-10)` (the same
@@ -97,9 +98,10 @@ _ALPHA_ULPS = 2**16
 # here.  The audit grid of a gate F reaches f0 = sqrt(F) + 8.5, 108.5 at the
 # cap.
 _RIDGE_F_CAP = 1e4
-# The coarse audit pass keeps every _COARSE_STRIDE-th rho row of the working
-# grid, boundary layer included, plus the last three rows, and every
-# _COARSE_STRIDE-th f0 column.
+# The coarse audit pass keeps every _COARSE_STRIDE-th rho row of the boundary
+# layer, the last three rows, and every _COARSE_STRIDE-th f0 column.  Below
+# the layer its rows are even in phi = arcsin rho, at the widest phi gap
+# among every _COARSE_STRIDE-th of those rows (0.127, at rho = 0.97).
 _COARSE_STRIDE = 4
 # Coarse cells whose claim exceeds the best value seen minus this margin are
 # re-audited at the working pitch.  It is also the largest certificate
@@ -316,6 +318,20 @@ def _coarse_lines(n: int) -> np.ndarray:
     return np.unique(np.append(np.arange(0, n, _COARSE_STRIDE), n - 1))
 
 
+def _phi_even_lines(phis: np.ndarray) -> np.ndarray:
+    """Indices of a rising phi axis, first to last, each the farthest within h of the one before.
+
+    h is the widest gap among every _COARSE_STRIDE-th phi (the stride must
+    land on the last), so no gap between the lines picked is wider than the
+    widest of those.
+    """
+    h = float(np.diff(phis[::_COARSE_STRIDE]).max())
+    lines = [0]
+    while lines[-1] < phis.size - 1:
+        lines.append(int(np.searchsorted(phis, phis[lines[-1]] + h, side="right")) - 1)
+    return np.array(lines)
+
+
 def _refine_span(lines: np.ndarray, k: int, n: int) -> tuple[int, int]:
     """Fine index range between coarse line k's neighbours, at least 3 wide.
 
@@ -362,9 +378,11 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     rows, 14 rows resolving the boundary layer against rho = 1, and rho = 1
     itself) by f0 columns on [0, f0_far] (`_far_field`): 0.05 apart below
     8, 0.25 apart above, one at f0_far, and 0.04 apart around f0* of a
-    gated rule.  The grid is audited coarse to fine: first every 4th row
-    of the whole grid, boundary layer included, plus the last three rows,
-    by every 4th column plus the last; then every coarse cell whose claim
+    gated rule.  The grid is audited coarse to fine: first, by every 4th
+    column plus the last, the interior rows from rho = 0 to 0.985 picked
+    even in phi = arcsin rho (`_phi_even_lines`: 13 rows, no phi gap wider
+    than the widest among every 4th row), every 4th row of the boundary
+    layer and the last three rows; then every coarse cell whose claim
     (value plus the h^2/8 midpoint estimates of `_midpoint_bound`, the rho
     term taken in phi = arcsin rho) comes within 1e-4 of the best value
     seen so far is re-audited at the working pitch over the box between its
@@ -409,7 +427,11 @@ def worst_case_size(proc: Procedure) -> WorstCase:
 
     # Coarse pass.  `mat` holds the working grid's values where evaluated
     # and NaN elsewhere; the last three rows get every column at once.
-    rows_c = np.append(_coarse_lines(n_rho - 3), np.arange(n_rho - 3, n_rho))
+    strided = _coarse_lines(n_rho - 3)
+    top = int(strided[strided < interior.size][-1])
+    rows_c = np.concatenate(
+        [_phi_even_lines(phis[: top + 1]), strided[strided > top], np.arange(n_rho - 3, n_rho)]
+    )
     cols_c = _coarse_lines(n_f0)
     mat = np.full((n_rho, n_f0), np.nan)
     mat[-3:] = rejection_prob_matrix(proc, rhos[-3:], f0s)

@@ -716,16 +716,17 @@ def test_tf_audit_kernel_work(cvf, monkeypatch):
     # skipped at every rho, graded ladders only at the root births and
     # asymptotes, knot cuts only where live, and a grid that ends at
     # f0_far = 18.73, past which a closed bound stands in, and a coarse pass
-    # that takes every 4th row of the boundary layer too: the 5% curve's
-    # audit sends 0.878M node-f0 pairs through the kernel in 95 blocks
-    # (1.11M in 117 with every layer row in the coarse pass, 1.32M in 122
-    # with ladders at every breakpoint and every knot below 2.5 cut, 1.63M
-    # in 158 with a far-field block of 26 columns from f0 = 40 to 140,
+    # that takes every 4th row of the boundary layer too and rows even in
+    # arcsin rho below it: the 5% curve's audit sends 0.507M node-f0 pairs
+    # through the kernel in 60 blocks (0.878M in 95 with every 4th row below
+    # the layer, 1.11M in 117 with every layer row in the coarse pass, 1.32M
+    # in 122 with ladders at every breakpoint and every knot below 2.5 cut,
+    # 1.63M in 158 with a far-field block of 26 columns from f0 = 40 to 140,
     # 1.875M in 171 with 101 far columns, 7.23M on GL-24 panels, 4,298
     # calls when each f0 chunk made its own).
     seen = _dense_pairs(monkeypatch)
     worst_case_size(TFProcedure(cvf=cvf))
-    assert seen.pairs <= 0.95e6
+    assert seen.pairs <= 0.55e6
     assert seen.calls <= 300
 
 

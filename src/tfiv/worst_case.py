@@ -32,10 +32,12 @@ parts it reports on `WorstCase`.
 The threshold solver starts from the gate that brings the ridge at f0* to
 alpha, the critical-value solver from q_{1-alpha}.  Where the exact ridge
 supremum there still tops alpha, one lift (`_lift_ridge_root`) raises the
-bracket fourfold up to the solver's cap and bisects the ridge supremum to
-alpha.  Then they run the full audit once on their answer, and accept it
-only when the audit's max_prob is at most alpha up to rounding, 2^16 ulps
-of alpha (4.5e-13 at 5%); the audit's certified tolerance is reported on
+bracket fourfold up to the solver's cap and solves the ridge supremum for
+alpha.  Every root is answered from the end of its final bracket where the
+gap is at or below zero (`_root_below`), so the answer lies on its valid
+side.  Then they run the full audit once on their answer, and accept it
+only when the audit's max_prob is at most alpha up to rounding, 64 ulps of
+alpha (4.4e-16 at 5%); the audit's certified tolerance is reported on
 `WorstCase`, not added to max_prob.
 """
 
@@ -85,15 +87,13 @@ _RHO_LAYER = tuple(1.0 - g for g in np.geomspace(6e-3, 5e-5, 14))
 # conventional rule.  A measured error should replace it (ROADMAP.md, item 3).
 _CERT_FLOOR = 1e-6
 # A size counts as alpha when it tops alpha by at most this many ulps of
-# alpha (4.5e-13 at 5%), far below the 1e-6 certificate floor.  The ridge
-# limit at the chi-square quantiles of 1-20% is 0 to 6 ulps off.  A solver's
-# root finder stops within its own tolerance, so the audited worst case at
-# its answer can land just above alpha: over 331 answers at levels 1-20% it
-# was up to 15,469 ulps above (threshold-F at crit = 1.96^2, 19%), and 13 of
-# them were more than 64 above.  `solve_threshold_F` answers None when the
-# ridge limit tops alpha by more, and lifts its closed-form gate when the
-# ridge supremum there does ...
-_ALPHA_ULPS = 2**16
+# alpha (4.4e-16 at 5%): rounding.  At crit = q_{1-alpha} the ridge limit
+# 2 Phi(-sqrt(crit)) is alpha, and it reads up to 22 ulps above alpha over
+# alpha = 4.56% to 25% by 1e-4, where crit < 4 (up to 86 below 4.56%, where
+# crit > 4 and no gate exists).  `solve_threshold_F` answers None when that
+# limit tops alpha by more, and lifts its closed-form gate when the ridge
+# supremum there does ...
+_ALPHA_ULPS = 64
 # ... up to this gate, answering None when the ridge is still above alpha
 # here.  The audit grid of a gate F reaches f0 = sqrt(F) + 8.5, 108.5 at the
 # cap.
@@ -107,8 +107,8 @@ _COARSE_STRIDE = 4
 # re-audited at the working pitch.  It is also the largest certificate
 # `worst_case_size` accepts, so an unrefined cell can never bind it.
 _REFINE_MARGIN = 1e-4
-# Iteration cap of `_brentq`, the default of the scipy routine it ports.
-_BRENT_MAXITER = 100
+# Iteration cap of `_root_below`.
+_ROOT_MAXITER = 100
 # Past its far edge each rule is the conventional t test at one cutoff c,
 # of size P(chi2_1 > c) + A / f0^2 + B / f0^4 + ..., with
 # A = phi(sqrt c) c^{3/2} ((c - 3) rho^2 - 1) (Rothenberg, Handbook of
@@ -189,66 +189,58 @@ class HybridBoundRow:
     exceeds: bool
 
 
-def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
-    """The root of f on the bracket [a, b], by Brent's method.
+def _root_below(f, lo: float, hi: float, xtol: float, rtol: float) -> float:
+    """Root of a decreasing f, answered from the end of its bracket where f <= 0.
 
-    A step-for-step port of scipy's ``brentq`` (its ``brentq.c``, after
-    Brent 1973, Ch. 4), with the same IEEE operations in the same order, so
-    the root equals scipy's bit for bit.  An end that is an exact zero is
-    returned (a first).  Raises DomainError when the ends share a sign or f
-    gives NaN, and ToleranceUnmet when the bracket is still open after
-    _BRENT_MAXITER iterations.
+    Regula falsi with the Anderson-Björck weight (Anderson & Björck, BIT
+    13, 1973): f(lo) > 0 >= f(hi) holds throughout, and when one end moves
+    twice in a row the value kept at the other end is scaled down, so both
+    ends close in on the root.  A step bisects when the last eight left the
+    bracket more than half as wide as before them, as on a steep power.
+    Returns hi once hi - lo <= xtol + rtol |hi|, or at once any x where
+    f(x) == 0.  Raises DomainError when the ends do not bracket a root that
+    way or f gives NaN, and ToleranceUnmet when the bracket is still open
+    after _ROOT_MAXITER steps.
     """
 
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
-            raise DomainError(f"brentq: NaN function value at x={x!r}")
+            raise DomainError(f"root finder: NaN function value at x={x!r}")
         return fx
 
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise DomainError("brentq: f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        # The bracket is [xblk, xcur]; xpre is the previous iterate.
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # Make xcur the end with the smaller |f|.
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        stry = math.inf  # bisect unless an interpolation step is short
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant; |fcur| < |fpre|, so fcur != fpre
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                try:
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:  # C gets +-inf or NaN here, and bisects
-                    pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
+    f_lo, f_hi = value(lo), value(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (lo < hi and f_lo > 0.0 > f_hi):
+        raise DomainError(f"root finder: [{lo!r}, {hi!r}] needs f(lo) > 0 > f(hi)")
+    w_lo, w_hi, last = f_lo, f_hi, 0  # weighted end values; +1 or -1: lo or hi moved last
+    widths = [math.inf] * 8  # the bracket's width before each of the last eight steps
+    for _ in range(_ROOT_MAXITER):
+        width = hi - lo
+        if width <= xtol + rtol * abs(hi):
+            return hi
+        stalled = 2.0 * width > widths.pop(0)
+        widths.append(width)
+        x = hi - w_hi * width / (w_hi - w_lo)
+        if stalled or not lo < x < hi:  # or a weight underflowed, or x rounded to an end
+            x = lo + width / 2
+        fx = value(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            if last > 0:
+                m = 1.0 - fx / f_lo
+                w_hi *= m if m > 0.0 else 0.5
+            lo, f_lo, w_lo, last = x, fx, fx, 1
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise ToleranceUnmet(f"brentq: bracket still open after {_BRENT_MAXITER} iterations")
+            if last < 0:
+                m = 1.0 - fx / f_hi
+                w_lo *= m if m > 0.0 else 0.5
+            hi, f_hi, w_hi, last = x, fx, fx, -1
+    raise ToleranceUnmet(f"root finder: bracket still open after {_ROOT_MAXITER} steps")
 
 
 def _midpoint_bound(mat: np.ndarray, x: np.ndarray, axis: int, open_end: bool) -> np.ndarray:
@@ -541,29 +533,31 @@ def _lift_ridge_root(
     """Root of a ridge gap that is above zero at lo, searched up to cap.
 
     Raises the bracket's upper end fourfold, clamped to cap and checked
-    there, with the lower end following it, until gap(hi) <= 0; then runs
-    `_brentq` on [lo, hi].  None when the gap is still above zero at cap.
+    there, with the lower end following it, until gap(hi) <= 0; then
+    `_root_below` answers from [lo, hi] where the gap is at or below zero.
+    None when the gap is still above zero at cap.
     """
     hi = min(hi, cap)
     while gap(hi) > 0.0:
         if hi >= cap:
             return None
         lo, hi = hi, min(4.0 * hi, cap)
-    return _brentq(gap, lo, hi, xtol=xtol, rtol=rtol)
+    return _root_below(gap, lo, hi, xtol=xtol, rtol=rtol)
 
 
 def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     """Smallest F threshold making the threshold procedure size-alpha.
 
-    First `_brentq` finds the gate F at which the |rho| = 1 size at f0*
+    First `_root_below` finds the gate F at which the |rho| = 1 size at f0*
     (`rejection_prob_rho1` of ThresholdTF(crit, F) at its `f0_star`,
-    strictly decreasing in F) is alpha.  When the exact ridge supremum at
-    that gate still tops alpha by more than rounding (_ALPHA_ULPS ulps), an
-    interior ridge hump lies past the gate (as at crit = 3.99,
-    alpha = limit + 1e-4, or at crit >= 4, where the ridge nears its limit
-    from above), and `_lift_ridge_root` raises the gate until the hump is
-    at alpha.  The answer is returned when the max_prob of one
-    worst_case_size audit is at most alpha up to rounding.
+    strictly decreasing in F) is alpha, on the side where it is at most
+    alpha.  When the exact ridge supremum at that gate still tops alpha by
+    more than rounding (_ALPHA_ULPS ulps), an interior ridge hump lies past
+    the gate (as at crit = 3.99, alpha = limit + 1e-4, or at crit >= 4,
+    where the ridge nears its limit from above), and `_lift_ridge_root`
+    raises the gate until the hump is at or below alpha.  The answer is
+    returned when the max_prob of one worst_case_size audit is at most
+    alpha up to rounding.
     None has three causes only: the ridge's f0 -> infinity limit
     2 Phi(-sqrt(crit)), which no gate lowers, tops alpha by more than
     rounding; no gate up to _RIDGE_F_CAP brings the ridge to alpha; or the
@@ -587,7 +581,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
         hi *= 16.0
     if gap(lo) < 0.0 or gap(hi) > 0.0:
         return None
-    f_star = _brentq(gap, lo, hi, xtol=1e-10, rtol=1e-14)
+    f_star = _root_below(gap, lo, hi, xtol=1e-10, rtol=1e-14)
 
     if not _within_alpha(_ridge_sup(crit, f_star), alpha):
         f_star = _lift_ridge_root(
@@ -609,10 +603,11 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
     at the chi-square quantile q_{1-alpha} once f_threshold is big enough and
     tends to it "from above" as the threshold grows.  Above the floor,
     `_lift_ridge_root` solves the full ridge supremum for alpha from
-    [q_{1-alpha}, 400], raising the upper end up to crit = 1e9.  The result
-    is returned only when the max_prob of one worst_case_size audit is at
-    most alpha up to rounding (_ALPHA_ULPS ulps), and ConstructionError,
-    with that max_prob, is raised otherwise.
+    [q_{1-alpha}, 400], raising the upper end up to crit = 1e9, and answers
+    from the side where the supremum is at most alpha.  The result is
+    returned only when the max_prob of one worst_case_size audit is at most
+    alpha up to rounding (_ALPHA_ULPS ulps), and ConstructionError, with
+    that max_prob, is raised otherwise.
     """
     if not (math.isfinite(f_threshold) and f_threshold > 0.0):
         raise DomainError(

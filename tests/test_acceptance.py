@@ -145,6 +145,17 @@ def test_max_rho_for_conventional_validity(region_5pct):
     assert ok
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the grid's max rho 0.565 is not valid: between the E[F] columns 6.985 and "
+    "8.98 the size at f0 = 2.634 reads alpha + 2.29e-5 (ROADMAP item 15)",
+)
+def test_max_rho_answer_is_valid_off_the_grid(region_5pct):
+    region, _ = region_5pct
+    point = NuisancePoint(region.rho_bar, 2.634)
+    assert rejection_prob(ConventionalT(CRIT_196), point, tol=1e-11).prob <= 0.05
+
+
 def test_one_percent_region_has_no_ef_bound():
     crit = 2.58 * 2.58
     t0 = time.perf_counter()
@@ -161,7 +172,7 @@ def test_one_percent_region_has_no_ef_bound():
         abs(region.rho_bar - 0.43) <= 0.005 + 1e-9
         and region.ef_bar is None
         and threshold is None
-        and gate == 4729.709277740169
+        and gate == 4729.709277739829
     )
     _report(
         "1% level: max rho exists, no E[F] bound, no F threshold at q_0.99",

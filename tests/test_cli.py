@@ -361,7 +361,7 @@ def test_solve_threshold_f_past_crit_four(cli_env, capsys, schema):
     )
     assert code == 0
     doc = check_json(out, schema)
-    assert doc["exists"] is True and doc["result"] == 1633.5865160483522
+    assert doc["exists"] is True and doc["result"] == 1633.5865160485776
 
     code, out, _ = run_cli(
         ["solve", "--mode", "threshold-F", "--crit", "6.6348966010212145", "--alpha", "0.01"],
@@ -623,7 +623,7 @@ def test_alpha_out_of_range_exits_1(cli_env, capsys, argv):
 
 def test_cli_import_leaves_integrate_and_optimize_unloaded():
     # The package integrates on its own panel kernel and finds roots with
-    # its own port of Brent's method, so importing the CLI must load
+    # its own bracketing root finder, so importing the CLI must load
     # neither scipy.integrate nor scipy.optimize.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -639,7 +639,7 @@ def test_cli_import_leaves_integrate_and_optimize_unloaded():
 
 def test_curve_build_and_solver_leave_optimize_unloaded():
     # `build_cvf` finds no root at all, and `solve_critical_value` solves
-    # its ridge gap with `worst_case._brentq`, never with scipy.optimize.
+    # its ridge gap with `worst_case._root_below`, never with scipy.optimize.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

@@ -357,16 +357,22 @@ def test_critical_value_floors_at_the_quantile(monkeypatch):
     # With a gate this high the ridge supremum is already at alpha at the
     # chi-square quantile, so no root is solved.
     calls = []
-    monkeypatch.setattr(worst_case, "_brentq", lambda *args: calls.append(args))
+    monkeypatch.setattr(worst_case, "_root_below", lambda *args: calls.append(args))
     assert worst_case.solve_critical_value(200.0, 0.05) == Q95
     assert calls == []
 
 
 def test_solvers_accept_a_worst_case_only_up_to_rounding(monkeypatch):
-    # Ulps above alpha are rounding, and the answers stand; 1e-5 above is a
-    # failed certificate, which the solvers must not answer through.  Here
-    # the root finder stops where the audit reads 312 ulps above alpha.
-    assert worst_case.solve_critical_value(50.0, 0.02) == 8.377632109677457
+    # Each answer lies on the valid side of its root, so its own audit reads
+    # at most alpha; at a root finder's best iterate these two audits read
+    # 312 and 15,471 ulps above.  Ulps above alpha are rounding, and the
+    # answers stand; 1e-5 above is a failed certificate, which the solvers
+    # must not answer through.
+    audits = recorded_audits(monkeypatch)
+    assert worst_case.solve_critical_value(50.0, 0.02) == 8.377632109677707
+    assert audits[-1].max_prob <= 0.02
+    assert worst_case.solve_threshold_F(1.96**2, 0.19) is not None
+    assert audits[-1].max_prob <= 0.19
     alpha = 0.05
 
     def audit_at(max_prob):
@@ -374,8 +380,8 @@ def test_solvers_accept_a_worst_case_only_up_to_rounding(monkeypatch):
                             lambda proc: SimpleNamespace(max_prob=max_prob))
 
     audit_at(alpha + 14 * math.ulp(alpha))
-    assert worst_case.solve_critical_value(10.0, alpha) == 11.750488605404117
-    assert worst_case.solve_threshold_F(Q95, alpha) == 104.67075060130588
+    assert worst_case.solve_critical_value(10.0, alpha) == 11.750488605404048
+    assert worst_case.solve_threshold_F(Q95, alpha) == 104.67075060130465
     audit_at(alpha + 1e-5)
     with pytest.raises(ConstructionError, match=re.escape(f"worst case {alpha + 1e-5!r} >")):
         worst_case.solve_critical_value(10.0, alpha)
@@ -424,9 +430,9 @@ def test_threshold_at_crit_four_is_certified():
 
 
 @pytest.mark.parametrize("crit, gate", [
-    (4.5, 1633.5865160483522),
-    (5.0, 3105.4612161402742),
-    (6.0, 5101.474003976656),
+    (4.5, 1633.5865160485776),
+    (5.0, 3105.4612161402238),
+    (6.0, 5101.474003976644),
 ])
 def test_threshold_past_crit_four_is_pinned(monkeypatch, crit, gate):
     # Past crit = 4 the ridge nears its limit from above, so a gate must
@@ -441,8 +447,8 @@ def test_threshold_past_crit_four_is_pinned(monkeypatch, crit, gate):
 def test_each_solver_audits_its_answer_once(monkeypatch):
     # The hump case reads the ridge at the f0* gate, not the audit.
     audits = recorded_audits(monkeypatch)
-    assert worst_case.solve_threshold_F(3.99, hump_alpha(3.99)) == 156.52689685762732
+    assert worst_case.solve_threshold_F(3.99, hump_alpha(3.99)) == 156.5268968576286
     assert len(audits) == 1
     audits.clear()
-    assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404117
+    assert worst_case.solve_critical_value(10.0, 0.05) == 11.750488605404048
     assert len(audits) == 1

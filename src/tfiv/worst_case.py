@@ -30,19 +30,22 @@ analytic ridge peaks (f0* of a gated rule, 0 of the conventional rule, the
 cap edge of the curve rule); the certified tolerance is the largest of the
 parts it reports on `WorstCase`.
 The threshold solver starts from the gate that brings the ridge at f0* to
-alpha, the critical-value solver from q_{1-alpha}.  Where the exact ridge
-supremum there still tops alpha, one lift (`_lift_ridge_root`) raises the
-bracket fourfold up to the solver's cap and solves the ridge supremum for
-alpha.  Every root is answered from the end of its final bracket where the
-gap is at or below zero (`_root_below`), so the answer lies on its valid
-side.  Then they run the full audit once on their answer, and accept it
-only when the audit's max_prob is at most alpha up to rounding, 64 ulps of
-alpha (4.4e-16 at 5%); the audit's certified tolerance is reported on
-`WorstCase`, not added to max_prob.
+alpha, the critical-value solver from q_{1-alpha}.  Both hand that start to
+one lift (`_lift_ridge_root`), which answers the start itself when the exact
+ridge supremum there is alpha up to rounding, 64 ulps of alpha (4.4e-16 at
+5%), and otherwise raises the bracket fourfold up to the solver's cap and
+solves the ridge supremum for alpha.  Every root is answered from the end of
+its final bracket where the gap is at or below zero (`_root_below`), so the
+answer lies on its valid side, and no solve reads its gap twice at one
+point.  Then they run the full audit once on their answer, and accept it
+only when the audit's max_prob is at most alpha up to the same rounding;
+the audit's certified tolerance is reported on `WorstCase`, not added to
+max_prob.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -91,8 +94,9 @@ _CERT_FLOOR = 1e-6
 # 2 Phi(-sqrt(crit)) is alpha, and it reads up to 22 ulps above alpha over
 # alpha = 4.56% to 25% by 1e-4, where crit < 4 (up to 86 below 4.56%, where
 # crit > 4 and no gate exists).  `solve_threshold_F` answers None when that
-# limit tops alpha by more, and lifts its closed-form gate when the ridge
-# supremum there does ...
+# limit tops alpha by more.  Both solvers answer their start (the f0* gate,
+# or q_{1-alpha}) when the ridge supremum there is within this rounding, and
+# lift it otherwise, `solve_threshold_F` its gate ...
 _ALPHA_ULPS = 64
 # ... up to this gate, answering None when the ridge is still above alpha
 # here.  The audit grid of a gate F reaches f0 = sqrt(F) + 8.5, 108.5 at the
@@ -528,21 +532,26 @@ def _ridge_sup(crit: float, f_threshold: float) -> float:
 
 
 def _lift_ridge_root(
-    gap, lo: float, hi: float, cap: float, xtol: float, rtol: float
+    ridge, alpha: float, lo: float, hi: float, cap: float, xtol: float, rtol: float
 ) -> Optional[float]:
-    """Root of a ridge gap that is above zero at lo, searched up to cap.
+    """The solvers' answer: lo, or the root of ridge(x) = alpha above it, up to cap.
 
-    Raises the bracket's upper end fourfold, clamped to cap and checked
-    there, with the lower end following it, until gap(hi) <= 0; then
-    `_root_below` answers from [lo, hi] where the gap is at or below zero.
-    None when the gap is still above zero at cap.
+    lo itself when ridge(lo) is alpha up to rounding (`_within_alpha`), the
+    one floor test of both solvers.  Otherwise raises the bracket's upper end
+    fourfold, clamped to cap and checked there, with the lower end following
+    it, until ridge(hi) <= alpha; then `_root_below` answers from [lo, hi]
+    where the gap ridge - alpha is at or below zero.  None when the ridge
+    still tops alpha at cap.  The ridge is read once per point.
     """
+    ridge = functools.cache(ridge)
+    if _within_alpha(ridge(lo), alpha):
+        return lo
     hi = min(hi, cap)
-    while gap(hi) > 0.0:
+    while ridge(hi) > alpha:
         if hi >= cap:
             return None
         lo, hi = hi, min(4.0 * hi, cap)
-    return _root_below(gap, lo, hi, xtol=xtol, rtol=rtol)
+    return _root_below(lambda x: ridge(x) - alpha, lo, hi, xtol=xtol, rtol=rtol)
 
 
 def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
@@ -551,13 +560,13 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     First `_root_below` finds the gate F at which the |rho| = 1 size at f0*
     (`rejection_prob_rho1` of ThresholdTF(crit, F) at its `f0_star`,
     strictly decreasing in F) is alpha, on the side where it is at most
-    alpha.  When the exact ridge supremum at that gate still tops alpha by
-    more than rounding (_ALPHA_ULPS ulps), an interior ridge hump lies past
-    the gate (as at crit = 3.99, alpha = limit + 1e-4, or at crit >= 4,
-    where the ridge nears its limit from above), and `_lift_ridge_root`
-    raises the gate until the hump is at or below alpha.  The answer is
-    returned when the max_prob of one worst_case_size audit is at most
-    alpha up to rounding.
+    alpha; each end of its bracket is read once.  `_lift_ridge_root` keeps
+    that gate when the exact ridge supremum there is alpha up to rounding
+    (_ALPHA_ULPS ulps).  Otherwise an interior ridge hump lies past the gate
+    (as at crit = 3.99, alpha = limit + 1e-4, or at crit >= 4, where the
+    ridge nears its limit from above), and the lift raises the gate until
+    the hump is at or below alpha.  The answer is returned when the max_prob
+    of one worst_case_size audit is at most alpha up to rounding.
     None has three causes only: the ridge's f0 -> infinity limit
     2 Phi(-sqrt(crit)), which no gate lowers, tops alpha by more than
     rounding; no gate up to _RIDGE_F_CAP brings the ridge to alpha; or the
@@ -570,6 +579,7 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     if not _within_alpha(ConventionalT(crit).tail_limit(), alpha):
         return None
 
+    @functools.cache
     def gap(f_threshold: float) -> float:
         proc = ThresholdTF(crit=crit, f_threshold=f_threshold)
         return rejection_prob_rho1(proc, proc.f0_star) - alpha
@@ -582,14 +592,12 @@ def solve_threshold_F(crit: float, alpha: float) -> Optional[float]:
     if gap(lo) < 0.0 or gap(hi) > 0.0:
         return None
     f_star = _root_below(gap, lo, hi, xtol=1e-10, rtol=1e-14)
-
-    if not _within_alpha(_ridge_sup(crit, f_star), alpha):
-        f_star = _lift_ridge_root(
-            lambda f_threshold: _ridge_sup(crit, f_threshold) - alpha,
-            f_star, 4.0 * f_star, _RIDGE_F_CAP, xtol=1e-9, rtol=1e-12,
-        )
-        if f_star is None:
-            return None
+    f_star = _lift_ridge_root(
+        lambda f_threshold: _ridge_sup(crit, f_threshold), alpha,
+        f_star, 4.0 * f_star, _RIDGE_F_CAP, xtol=1e-9, rtol=1e-12,
+    )
+    if f_star is None:
+        return None
     audit = worst_case_size(ThresholdTF(crit=crit, f_threshold=f_star))
     return f_star if _within_alpha(audit.max_prob, alpha) else None
 
@@ -601,13 +609,15 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
     (at the stationary point f0*) for small thresholds, its f0 -> infinity
     limit 2 Phi(-sqrt(crit)) for large ones — which is why the answer floors
     at the chi-square quantile q_{1-alpha} once f_threshold is big enough and
-    tends to it "from above" as the threshold grows.  Above the floor,
-    `_lift_ridge_root` solves the full ridge supremum for alpha from
-    [q_{1-alpha}, 400], raising the upper end up to crit = 1e9, and answers
-    from the side where the supremum is at most alpha.  The result is
-    returned only when the max_prob of one worst_case_size audit is at most
-    alpha up to rounding (_ALPHA_ULPS ulps), and ConstructionError, with
-    that max_prob, is raised otherwise.
+    tends to it "from above" as the threshold grows.  `_lift_ridge_root`
+    answers q_{1-alpha} itself when the ridge supremum there is alpha up to
+    rounding (_ALPHA_ULPS ulps), whatever the gate.  Above the floor it
+    solves the full ridge supremum for alpha from [q_{1-alpha}, 400],
+    raising the upper end up to crit = 1e9, and answers from the side where
+    the supremum is at most alpha.  The result is returned only when the
+    max_prob of one worst_case_size audit is at most alpha up to the same
+    rounding, and ConstructionError, with that max_prob, is raised
+    otherwise.
     """
     if not (math.isfinite(f_threshold) and f_threshold > 0.0):
         raise DomainError(
@@ -622,18 +632,14 @@ def solve_critical_value(f_threshold: float, alpha: float) -> float:
             f"f_threshold={f_threshold} (floor {floor:.6f})"
         )
 
-    def gap(crit: float) -> float:
-        return _ridge_sup(crit, f_threshold) - alpha
-
     # The ridge limit 2 Phi(-sqrt(crit)) alone equals alpha at q_alpha, so
     # the supremum can never dip below alpha before that point.
-    crit_star = chi2_quantile_1df(1.0 - alpha)
-    if gap(crit_star) > 0.0:
-        crit_star = _lift_ridge_root(gap, crit_star, 400.0, 1e9, xtol=1e-12, rtol=1e-14)
-        if crit_star is None:
-            raise DomainError(
-                "solve_critical_value: no critical value reaches the requested level"
-            )
+    crit_star = _lift_ridge_root(
+        lambda crit: _ridge_sup(crit, f_threshold), alpha,
+        chi2_quantile_1df(1.0 - alpha), 400.0, 1e9, xtol=1e-12, rtol=1e-14,
+    )
+    if crit_star is None:
+        raise DomainError("solve_critical_value: no critical value reaches the requested level")
 
     audit = worst_case_size(ThresholdTF(crit=crit_star, f_threshold=f_threshold))
     if not _within_alpha(audit.max_prob, alpha):

@@ -355,10 +355,15 @@ def test_hybrid_certificate_validation():
 
 def test_critical_value_floors_at_the_quantile(monkeypatch):
     # With a gate this high the ridge supremum is already at alpha at the
-    # chi-square quantile, so no root is solved.
+    # chi-square quantile, so no root is solved.  At 14% the ridge limit
+    # there rounds a few ulps above alpha, which is alpha up to rounding, so
+    # every gate answers the quantile itself.
     calls = []
     monkeypatch.setattr(worst_case, "_root_below", lambda *args: calls.append(args))
     assert worst_case.solve_critical_value(200.0, 0.05) == Q95
+    for f_threshold in (20.0, 100.0):
+        assert worst_case.solve_critical_value(f_threshold, 0.14) == chi2_quantile_1df(0.86)
+    assert chi2_quantile_1df(0.86) == 2.1779591588541316
     assert calls == []
 
 
@@ -442,6 +447,31 @@ def test_threshold_past_crit_four_is_pinned(monkeypatch, crit, gate):
     assert worst_case.solve_threshold_F(crit, alpha) == gate
     assert len(audits) == 1
     assert worst_case._within_alpha(audits[0].max_prob, alpha)
+
+
+def test_solvers_read_each_ridge_point_once(monkeypatch):
+    # Every f0* kernel read and ridge-supremum read of a solve is at a point
+    # not read before in that solve: bracket ends are not evaluated again.
+    reads = []
+
+    def recording(name, inner):
+        def wrapper(*args):
+            reads.append((name,) + args)
+            return inner(*args)
+
+        monkeypatch.setattr(worst_case, name, wrapper)
+
+    recording("rejection_prob_rho1", rejection_prob_rho1)
+    recording("_ridge_sup", worst_case._ridge_sup)
+    for solve, arg, alpha in [
+        (worst_case.solve_threshold_F, 1.96**2, 0.05),
+        (worst_case.solve_critical_value, 10.0, 0.05),
+        (worst_case.solve_threshold_F, 3.99, hump_alpha(3.99)),
+    ]:
+        reads.clear()
+        assert solve(arg, alpha) is not None
+        assert reads
+        assert len(set(reads)) == len(reads)
 
 
 def test_each_solver_audits_its_answer_once(monkeypatch):

@@ -62,9 +62,8 @@ integrated, `rho1_profile` and `tail_limit`, and the panel geometry:
 answers without F, and `PureAR` keeps its flat `rho1_profile` and has no
 `outer_cutoff`.  The constant-cutoff rules share one more base with
 `f_threshold` (0 when ungated).  The public classes stay siblings, so that
-`mc_oracle`, the independent check, can tell them apart by type.  `flat`
-marks the AR rule, whose size is the same everywhere.  Every evaluator
-refuses f0 above _F0_MAX.
+`mc_oracle`, the independent check, can tell them apart by type.  Every
+evaluator refuses f0 above _F0_MAX.
 """
 
 from __future__ import annotations
@@ -213,11 +212,10 @@ class _Rule:
     nowhere) a rule reads t_ar^2 > crit, with its constant `crit`, in place
     of t^2 > crit_at(F).  `breakpoints`, `knot_cuts`, `profile_knots` and
     `outer_cutoff` come from the knots X and the rule's `singular_points`.
-    The defaults of `flat` and `f0_star` live here too.
+    The default of `f0_star` lives here too.
     """
 
     ar_gate = -math.inf
-    flat = False
     f0_star = None
 
     def rejects(self, t: Optional[float], F: Optional[float]) -> Optional[bool]:
@@ -360,7 +358,6 @@ class PureAR(_ConstantCutoff):
     """Reject when t_ar^2 > crit; exact size 2 Phi(-sqrt(crit)) everywhere."""
 
     ar_gate = math.inf
-    flat = True
     outer_cutoff = None  # the AR test everywhere; `cutoff_knots` set only `tail_limit`
 
     def crit_at(self, F) -> np.ndarray:

@@ -21,7 +21,9 @@ column in four, rows even in arcsin rho below the boundary layer, every 4th
 row of the layer and the grid's last three rows; then the working pitch
 only in the boxes around coarse cells whose claim (value plus midpoint
 bound, the rho term taken in arcsin rho) comes within 1e-4 of the best
-value.  The grid ends at the rule's far edge f0_far, past which
+value.  The slope corner at f0* of a gated rule gets no audit of its own:
+its pocket's columns, 0.0012 apart, are columns of the grid, refined where
+their claims bind.  The grid ends at the rule's far edge f0_far, past which
 the rule is the conventional t test at one cutoff c and its size is
 bounded in closed form, P(chi2_1 > c) + A / f0^2 + B / f0^4 with A known
 and |B| measured.  max_prob is the largest of the grid, the analytic
@@ -136,9 +138,9 @@ class WorstCase:
 
     For rules audited on the grid, certified_tol is the largest of the
     certificate's parts, floored at 1e-6: grid_excess (the largest midpoint
-    claim over the audited grid on [0, f0_far] and the f0* patch, minus
-    max_prob), approach_violation (how far the last rows miss a monotone
-    approach to |rho| = 1) and far_excess (the closed size bound over
+    claim over the audited grid on [0, f0_far], minus max_prob),
+    approach_violation (how far the last rows miss a monotone approach to
+    |rho| = 1) and far_excess (the closed size bound over
     [f0_far, inf), minus max_prob; it rests on a measured remainder
     constant, so it is estimated, like the midpoint claims).  A negative
     excess clears max_prob by that much.  cells_refined counts the coarse
@@ -373,16 +375,18 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     rho in [0,1].  Its working grid has 149 rho rows (134 uniform interior
     rows, 14 rows resolving the boundary layer against rho = 1, and rho = 1
     itself) by f0 columns on [0, f0_far] (`_far_field`): 0.05 apart below
-    8, 0.25 apart above, one at f0_far, and 0.04 apart around f0* of a
-    gated rule.  The grid is audited coarse to fine: first, by every 4th
-    column plus the last, the interior rows from rho = 0 to 0.985 picked
-    even in phi = arcsin rho (`_phi_even_lines`: 13 rows, no phi gap wider
-    than the widest among every 4th row), every 4th row of the boundary
-    layer and the last three rows; then every coarse cell whose claim
-    (value plus the h^2/8 midpoint estimates of `_midpoint_bound`, the rho
-    term taken in phi = arcsin rho) comes within 1e-4 of the best value
-    seen so far is re-audited at the working pitch over the box between its
-    neighbouring coarse lines.  The last three rows are audited at every
+    8, 0.25 apart above, one at f0_far, and for a gated rule 0.04 apart
+    around f0* and a whole number of 0.0012 steps from f0* in the pocket
+    f0* +- 0.15, where the ridge peaks at a slope corner; no other column
+    lies within 0.0012 of that pocket.  The grid is audited coarse to fine:
+    first, by every 4th column plus the last, the interior rows from
+    rho = 0 to 0.985 picked even in phi = arcsin rho (`_phi_even_lines`: 13
+    rows, no phi gap wider than the widest among every 4th row), every 4th
+    row of the boundary layer and the last three rows; then every coarse
+    cell whose claim (value plus the h^2/8 midpoint estimates of
+    `_midpoint_bound`, the rho term taken in phi = arcsin rho) comes within
+    1e-4 of the best value seen so far is re-audited at the working pitch
+    over the box between its neighbouring coarse lines.  The last three rows are audited at every
     column for the monotone approach check into |rho| = 1.  No profile
     below rho = 1 reaches past f0_far.
     max_prob is the largest of that grid, the f0 -> infinity limit
@@ -399,7 +403,7 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     estimate too.
     """
     _require_procedure(proc)
-    if proc.flat:
+    if proc.outer_cutoff is None:
         return WorstCase(max_prob=proc.tail_limit(), arg_rho=0.0, arg_f0=0.0, certified_tol=1e-13)
 
     # Exact ridge with analytic candidates; with the limit it sets the far edge.
@@ -417,6 +421,15 @@ def worst_case_size(proc: Procedure) -> WorstCase:
         zone_hi = math.sqrt(proc.f_threshold) + 2.5
         if zone_hi > 8.0:
             f0_blocks.append(np.arange(max(0.0, star - 2.5), zone_hi, 0.04))
+        # The ridge peaks at a slope corner (gate edge meets rejection root),
+        # which the working pitch cannot bound.  The pocket f0* +- 0.15 takes
+        # columns a whole number of 0.0012 steps from f0*, and no other
+        # column within one step of it, so none lies a rounding error from
+        # its neighbour.
+        pocket = star + 0.0012 * np.arange(-125, 125)
+        pocket = pocket[pocket >= 0.0]
+        f0s = np.concatenate(f0_blocks)
+        f0_blocks = [f0s[(f0s < pocket[0] - 0.0012) | (f0s > pocket[-1] + 0.0012)], pocket]
     f0s = np.unique(np.concatenate(f0_blocks))
     n_rho, n_f0 = rhos.size, f0s.size
     phis = np.arcsin(rhos)
@@ -434,17 +447,7 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     head = rows_c[:-3]
     mat[np.ix_(head, cols_c)] = rejection_prob_matrix(proc, rhos[head], f0s[cols_c])
 
-    masked = np.zeros(mat.shape, dtype=bool)
-    if star is not None:
-        # The ridge peaks at a slope corner (gate edge meets rejection root),
-        # which the working resolution cannot bound; the rows near |rho| = 1
-        # are re-audited in that pocket at h = 0.0012 below, and the grid's
-        # claims there are masked.
-        w_lo, w_hi = max(0.0, star - 0.15), star + 0.15
-        near = rhos >= 0.999 - 1e-12
-        masked[np.ix_(near, (f0s >= w_lo) & (f0s <= w_hi))] = True
     claims_c = _claims(mat[np.ix_(rows_c, cols_c)], phis[rows_c], f0s[cols_c])
-    claims_c[masked[np.ix_(rows_c, cols_c)]] = 0.0
 
     # Refinement: a coarse cell whose claim comes within _REFINE_MARGIN of the
     # best value is re-audited at the working pitch over the box between its
@@ -467,7 +470,6 @@ def worst_case_size(proc: Procedure) -> WorstCase:
         box = np.s_[r0 : r1 + 1, c0 : c1 + 1]
         box_claims = _claims(mat[box], phis[r0 : r1 + 1], f0s[c0 : c1 + 1])
         fine_claims[box] = np.maximum(fine_claims[box], box_claims)
-    fine_claims[masked] = 0.0
 
     i, j = np.unravel_index(int(np.nanargmax(mat)), mat.shape)
     best_prob, best_rho, best_f0 = float(mat[i, j]), float(rhos[i]), float(f0s[j])
@@ -482,14 +484,6 @@ def worst_case_size(proc: Procedure) -> WorstCase:
     # closed bound beyond it.
     claims = [claims_c[~refined], fine_claims.ravel()]
     approach_viol = _final_approach_violation(mat)
-    if star is not None:
-        # Columns a whole number of steps from f0*, so none lies a rounding
-        # error from its neighbour.
-        f0s_patch = star + 0.0012 * np.arange(-125, 125)
-        f0s_patch = f0s_patch[f0s_patch >= 0.0]
-        mat_patch = rejection_prob_matrix(proc, rhos[near], f0s_patch)
-        claims.append(_claims(mat_patch, phis[near], f0s_patch).ravel())
-        approach_viol = max(approach_viol, _final_approach_violation(mat_patch))
     grid_excess = float(np.max(np.concatenate(claims))) - best_prob
     far_excess = far_bound - best_prob
     certified = max(_CERT_FLOOR, grid_excess, approach_viol, far_excess)

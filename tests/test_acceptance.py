@@ -78,13 +78,13 @@ def test_worst_case_size_of_f10_screen():
         f"(target 0.113 +- 0.001 at rho=1, f0={f0_star:.4f}; {elapsed:.1f}s)",
     )
     assert ok
-    # The coarse claims top the best value by 2.4e-3 only in the pocket
-    # around f0*, which is masked, so no coarse cell is refined.  The
-    # certificate comes from the patch that re-audits that pocket on the
-    # rows with |rho| >= 0.999.
+    # The pocket around f0* is audited in columns 0.0012 apart like the rest
+    # of the grid.  One coarse claim comes within the 1e-4 refine margin of
+    # the best value: the ridge's cell next to f0*, 0.0024 above it.  Its
+    # refined box sets the certificate.
     assert wc.arg_f0 == 1.9522565279429387
     assert wc.certified_tol == 3.3691524906523385e-05
-    assert wc.cells_refined == 0
+    assert wc.cells_refined == 1
 
 
 def test_f_threshold_that_restores_the_level():

@@ -723,11 +723,17 @@ def test_tf_audit_kernel_work(cvf, monkeypatch):
     # in 122 with ladders at every breakpoint and every knot below 2.5 cut,
     # 1.63M in 158 with a far-field block of 26 columns from f0 = 40 to 140,
     # 1.875M in 171 with 101 far columns, 7.23M on GL-24 panels, 4,298
-    # calls when each f0 chunk made its own).
-    seen = _dense_pairs(monkeypatch)
-    worst_case_size(TFProcedure(cvf=cvf))
-    assert seen.pairs <= 0.55e6
-    assert seen.calls <= 300
+    # calls when each f0 chunk made its own).  The F > 10 screen's audit
+    # reads the pocket around f0* as columns of its grid, coarse to fine:
+    # 0.268M pairs in 54 blocks (0.304M in 91 with a separate patch).
+    for proc, pairs, calls in (
+        (TFProcedure(cvf=cvf), 0.55e6, 300),
+        (ThresholdTF(1.96**2, 10.0), 0.28e6, 70),
+    ):
+        seen = _dense_pairs(monkeypatch)
+        worst_case_size(proc)
+        assert seen.pairs <= pairs
+        assert seen.calls <= calls
 
 
 def _traced_peak(run) -> float:
@@ -871,7 +877,7 @@ def test_cuts_and_outer_cutoff_follow_from_the_knots(make):
         np.testing.assert_array_equal(proc.knot_cuts, np.concatenate([-xs[::-1], xs]))
         assert proc.profile_knots.size
     else:
-        outer = None if proc.flat else (math.sqrt(proc.f_threshold), proc.crit)
+        outer = None if isinstance(proc, PureAR) else (math.sqrt(proc.f_threshold), proc.crit)
         assert proc.outer_cutoff == outer
         assert proc.knot_cuts.size == 0
     assert np.isin(proc.profile_knots, proc.knot_cuts).all()

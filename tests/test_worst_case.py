@@ -107,23 +107,27 @@ def test_worst_case_container_fields():
         # The only refined cell is the corner (rho = 1, f0 = 0), whose box
         # must be widened to three rows to carry a midpoint bound.
         (lambda cvf: ConventionalT(Q95), (1.0, 1.0, 0.0, 1e-06), 1, 10.0),
-        # The gated rule's argmax is f0*, found on the ridge grid alone.
+        # The gated rule's argmax is f0*, found on the ridge grid alone.  The
+        # one refined cell is the ridge's coarse cell next to f0*, in the
+        # pocket of columns 0.0012 apart around it.
         (
             lambda cvf: HybridAR(Q95, 10.0),
             (0.13813802562292885, 1.0, 1.9522702546316941, 3.3691954387987666e-05),
-            0,
+            1,
             math.sqrt(10.0) + 8.5,
         ),
         # The supremum is the f0 -> infinity limit, a candidate of its own,
         # reported on the ridge; the grid ends where the far bound comes
-        # within 1e-6 of it, past sqrt(104.7) + 8.5 = 18.73.  Of the 30
-        # refined cells, 6 lie below the boundary layer, on the coarse rows
-        # rho = 0.90 to 0.985 at f0 = 14.25 and 15.25, whose claims come
-        # within the 1e-4 refine margin of the limit.
+        # within 1e-6 of it, past sqrt(104.7) + 8.5 = 18.73.  Of the 44
+        # refined cells, 21 lie at f0 = 14 and 15 on the coarse rows from
+        # rho = 0.90 up, 7 of them below the boundary layer, whose claims
+        # come within the 1e-4 refine margin of the limit.  The other 23 lie
+        # in the f0* pocket, 0.0024 to 0.0456 above f0*, on the rows with
+        # rho >= 0.99985.
         (
             lambda cvf: ThresholdTF(1.96**2, 104.7),
             (ThresholdTF(1.96**2, 104.7).tail_limit(), 1.0, math.inf, 1.3647568928604192e-05),
-            30,
+            44,
             19.63,
         ),
     ],
@@ -256,9 +260,9 @@ def test_tf_worst_case_is_the_cap_edge(cvf):
     ids=repr,
 )
 def test_f0_star_pocket_stays_below_max_prob(proc):
-    # The pocket around f0* next to |rho| = 1, which the audit certifies on
-    # its own 0.0012-pitch patch, scanned on a pitch of 0.0005 that shares no
-    # column with it.  Nothing tops max_prob by more than its last digits,
+    # The pocket around f0* next to |rho| = 1, whose grid columns lie a whole
+    # number of 0.0012 steps from f0*, scanned on a pitch of 0.0005 that
+    # shares no column with them but f0*.  Nothing tops max_prob by more than its last digits,
     # the ridge near f0* evaluated a rounding away from f0* itself.  (On 30,001
     # f0 by 41 rho the scan takes 23 to 61 s per rule and finds the same.)
     wc = worst_case_size(proc)
@@ -267,6 +271,24 @@ def test_f0_star_pocket_stays_below_max_prob(proc):
     rhos = np.linspace(1.0 - 1e-3, 1.0, 21)
     scan = size_engine.rejection_prob_matrix(proc, rhos, f0s)
     assert float(scan.max()) <= wc.max_prob + 1e-15
+
+
+@pytest.mark.parametrize(
+    "proc",
+    [ThresholdTF(4.5, 3.0), ThresholdTF(2.0, 1.0), ThresholdTF(1.96**2, 10.0)],
+    ids=repr,
+)
+def test_narrow_pocket_certificates_hold_on_a_finer_scan(proc):
+    # The first two rules certify at 1.0e-6 and 1.6e-6.  A scan of 30 rows
+    # from rho = 0.995 up to the last row below the rho = 1 closed form, even
+    # in log(1 - rho), by 301 columns over f0* +- 0.3 reads nothing above
+    # max_prob + certified_tol.
+    wc = worst_case_size(proc)
+    star = proc.f0_star
+    rhos = 1.0 - np.geomspace(5e-3, 1.1e-6, 30)
+    f0s = np.linspace(star - 0.3, star + 0.3, 301)
+    scan = size_engine.rejection_prob_matrix(proc, rhos, f0s)
+    assert float(scan.max()) <= wc.max_prob + wc.certified_tol
 
 
 def test_ridge_hump_peak_is_found_on_the_grid():
